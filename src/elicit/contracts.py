@@ -14,6 +14,13 @@ the family is arbitrage-free exactly when ``alpha < 0`` or
 ``alpha >= 2 * (m - 1)**2 * n``; anything in between admits coalitions
 with a riskless joint gain.  ``validate_alpha`` classifies a coefficient,
 and evaluation refuses invalid ones unless explicitly told to proceed.
+
+Payments of the family are computed as integers.  With D the lcm of the
+report denominators, k = m - 1 and alpha = p / q, every payment of a
+profile is an integer numerator over q * k * D**2; one pass over the
+profile's integer rows yields all of them, and each payment becomes a
+``Fraction`` once, at the boundary.  The tests keep the plain
+``Fraction`` formula as an oracle and check the kernel against it.
 """
 
 from __future__ import annotations
@@ -262,32 +269,58 @@ class ArbitrageFreeContract(ContractFunction):
     def _require_valid(self, profile: ReportProfile) -> None:
         if self.permissive:
             return
+        # Same bands as validate_alpha, on alpha's integer numerator and
+        # denominator; the full classification only words the error.
+        p, q = self.alpha.numerator, self.alpha.denominator
+        if p < 0 or p >= 2 * (profile.m - 1) ** 2 * profile.n * q:
+            return
         check = validate_alpha(self.alpha, profile.m, profile.n)
-        if not check.valid:
-            raise AlphaRangeError(
-                f"alpha={self.alpha} lies in the arbitrage-prone band "
-                f"[0, {check.lower_safe_bound}) for m={profile.m}, "
-                f"n={profile.n}; enable permissive mode to evaluate anyway"
-            )
+        raise AlphaRangeError(
+            f"alpha={self.alpha} lies in the arbitrage-prone band "
+            f"[0, {check.lower_safe_bound}) for m={profile.m}, "
+            f"n={profile.n}; enable permissive mode to evaluate anyway"
+        )
 
-    def evaluate(self, profile: ReportProfile, j: int) -> tuple:
-        _check_eval_args(profile, j)
+    def _numerators(self, profile: ReportProfile, experts) -> tuple:
+        """Payments of the given experts as integers over one denominator.
+
+        With D, A = profile.scaled, T = D * totals, B = T - A (so the
+        others' mean is B / (k * D)), k = m - 1 and alpha = p / q, expert
+        i's payment on outcome j is N[i][j] / (q * k * D**2) where
+
+            N[i][j] = q*k*(sum(B[i]**2) - sum(A[i]**2))
+                      + D*(2*q*k*A[i][j] - (2*q*k**2 - p)*B[i][j]).
+
+        Returns (q * k * D**2, rows of N), one row per listed expert.
+        """
         if profile.m < 2:
             raise ValueError(
                 f"need at least 2 experts, got m={profile.m}"
             )
         self._require_valid(profile)
-        m, n = profile.m, profile.n
-        k = m - 1
-        totals = profile.totals()
-        rewards = []
-        for i in range(m):
-            w = profile.reports[i].weights
-            loo = [(totals[l] - w[l]) / k for l in range(n)]
-            own = 2 * w[j] - sum(p * p for p in w)
-            mean_sc = 2 * loo[j] - sum(p * p for p in loo)
-            rewards.append(own - k * k * mean_sc + self.alpha * loo[j])
-        return tuple(rewards)
+        k = profile.m - 1
+        p, q = self.alpha.numerator, self.alpha.denominator
+        scale, scaled = profile.scaled
+        totals = [
+            t.numerator * (scale // t.denominator) for t in profile.totals()
+        ]
+        qk = q * k
+        own = 2 * qk * scale
+        others = (2 * qk * k - p) * scale
+        rows = []
+        for i in experts:
+            a = scaled[i]
+            b = [t - x for t, x in zip(totals, a)]
+            base = qk * (sum(y * y for y in b) - sum(x * x for x in a))
+            rows.append(
+                [base + own * x - others * y for x, y in zip(a, b)]
+            )
+        return qk * scale * scale, rows
+
+    def evaluate(self, profile: ReportProfile, j: int) -> tuple:
+        _check_eval_args(profile, j)
+        scale, rows = self._numerators(profile, range(profile.m))
+        return tuple(Fraction(row[j], scale) for row in rows)
 
     def expert_view(self, profile: ReportProfile, i: int) -> InducedExpertRule:
         if profile.m < 2:
@@ -325,6 +358,10 @@ def coalition_totals(
 ) -> tuple:
     """Combined coalition payment for every outcome, as a length-n tuple."""
     coalition.validate_for(profile.m)
+    if isinstance(contract, ArbitrageFreeContract):
+        # Only the members' rows of the integer kernel are needed.
+        scale, rows = contract._numerators(profile, coalition)
+        return tuple(Fraction(sum(column), scale) for column in zip(*rows))
     out = []
     for j in range(profile.n):
         rewards = contract.evaluate(profile, j)

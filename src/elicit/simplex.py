@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping
 
@@ -127,11 +129,29 @@ class ReportProfile:
     def n(self) -> int:
         return self.reports[0].n
 
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The reports as integers over one common denominator.
+
+        Returns (D, rows) with D the lcm of every weight's denominator and
+        rows[i][j] = D * weight j of expert i, an exact integer.  Computed
+        once per profile; exact arithmetic on the rows needs no gcd.
+        """
+        scale = 1
+        for r in self.reports:
+            for w in r.weights:
+                if scale % w.denominator:
+                    scale = lcm(scale, w.denominator)
+        rows = tuple(
+            tuple(w.numerator * (scale // w.denominator) for w in r.weights)
+            for r in self.reports
+        )
+        return scale, rows
+
     def totals(self) -> tuple[Fraction, ...]:
         """Coordinatewise sum of all reports (the all-experts column sums)."""
-        return tuple(
-            sum(r.weights[j] for r in self.reports) for j in range(self.n)
-        )
+        scale, rows = self.scaled
+        return tuple(Fraction(sum(column), scale) for column in zip(*rows))
 
     def replace(self, changes: Mapping[int, Distribution]) -> "ReportProfile":
         """A copy with the given experts' reports swapped out."""

@@ -92,6 +92,15 @@ class VerifyConfig:
     permissive: bool = False
     denominator: int = 10**4
 
+    def __post_init__(self) -> None:
+        for name in ("trials", "baselines", "profiles", "probes"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}"
+                )
+        if self.grid < 2:
+            raise ValueError(f"grid must be >= 2, got {self.grid}")
+
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -127,6 +136,8 @@ class _Recorder:
 
     def result(self, name: str) -> SuiteResult:
         failures = list(self.failures)
+        if self.checks == 0:
+            failures.append("ran zero checks")
         if self._dropped:
             failures.append(f"... and {self._dropped} more failures")
         return SuiteResult(
@@ -193,7 +204,10 @@ def _suite_identities(config: VerifyConfig) -> SuiteResult:
 
 def _suite_freeness(config: VerifyConfig) -> SuiteResult:
     rec = _Recorder()
-    per_baseline = max(1, config.trials // config.baselines)
+    # Exactly `trials` deviations per cell: the first trials % baselines
+    # baselines take one extra, and no baseline goes without a trial.
+    baselines = min(config.baselines, config.trials)
+    per_baseline, extra = divmod(config.trials, baselines)
     for m, n in _shapes(config):
         for alpha in _dominance_alphas(config, m, n):
             check = validate_alpha(alpha, m, n)
@@ -202,14 +216,14 @@ def _suite_freeness(config: VerifyConfig) -> SuiteResult:
             )
             rng = derived_rng(config.seed, f"freeness:{m}:{n}:{alpha}")
             sizes = cycle(range(2, m + 1))
-            for b in range(config.baselines):
+            for b in range(baselines):
                 baseline = random_profile(
                     rng, m, n, denominator=config.denominator
                 )
                 cached = [
                     contract.evaluate(baseline, j) for j in range(n)
                 ]
-                for t in range(per_baseline):
+                for t in range(per_baseline + (b < extra)):
                     coalition = random_coalition(rng, m, next(sizes))
                     deviation = baseline.replace(
                         {

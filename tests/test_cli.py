@@ -476,3 +476,52 @@ class TestVerify:
 
     def test_bad_shape_limits(self, runner):
         assert invoke(runner, "verify", "--m-max", "1").exit_code == 2
+
+    @pytest.mark.parametrize(
+        "suite,flag,value",
+        [
+            ("freeness", "--baselines", "0"),
+            ("witness", "--trials", "0"),
+            ("identities", "--profiles", "0"),
+            ("properness", "--probes", "0"),
+            ("properness", "--grid", "1"),
+        ],
+    )
+    def test_empty_budget_is_config_error(self, runner, suite, flag, value):
+        result = invoke(
+            runner, "verify", "--suite", suite, "--m-max", "2", "--n-max",
+            "2", flag, value,
+        )
+        assert result.exit_code == 2
+        name = flag.lstrip("-")
+        bound = 2 if name == "grid" else 1
+        assert result.output == (
+            f"error: {name} must be >= {bound}, got {value}\n"
+        )
+
+    def test_zero_checks_is_not_a_pass(self, runner):
+        # alpha = 3 is unsafe for every shape here, so each witness trial
+        # is skipped and the suite checks nothing.
+        result = invoke(
+            runner, "verify", "--suite", "witness", "--m-max", "3",
+            "--n-max", "2", "--trials", "20", "--alpha", "3",
+        )
+        assert result.exit_code == 1
+        assert "FAIL  witness" in result.output
+        assert "failure: ran zero checks" in result.output
+
+    @pytest.mark.parametrize(
+        "trials,baselines", [("7", "3"), ("2", "5"), ("6", "3")]
+    )
+    def test_freeness_runs_exactly_the_trial_budget(
+        self, runner, trials, baselines
+    ):
+        result = invoke(
+            runner, "verify", "--suite", "freeness", "--m-max", "2",
+            "--n-max", "2", "--trials", trials, "--baselines", baselines,
+            "--format", "json",
+        )
+        assert result.exit_code == 0
+        (suite,) = json.loads(result.output)["results"]["suites"]
+        # one shape, four default alphas, `trials` deviations per alpha
+        assert suite["checks"] == 4 * int(trials)

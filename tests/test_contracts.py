@@ -38,6 +38,12 @@ alphas = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=8
 )
 
+# Alphas with large denominators, over both safe bands and the prone band
+# of every shape up to m = 6, n = 5 (whose cutoff is 250).
+fine_alphas = st.fractions(
+    min_value=Fraction(-300), max_value=Fraction(300), max_denominator=10**6
+)
+
 
 def reference_reward(profile: ReportProfile, i: int, j: int, alpha: Fraction):
     """Independent restatement of the family's payment formula."""
@@ -156,7 +162,7 @@ class TestArbitrageFreeContract:
         for j in range(2):
             assert contract.evaluate(ALL_HALF, j) == (Fraction(13, 2),) * 3
 
-    @given(profiles(), alphas)
+    @given(profiles(max_m=6, max_n=5), fine_alphas)
     def test_matches_reference_formula(self, profile, alpha):
         contract = ArbitrageFreeContract(alpha=alpha, permissive=True)
         for j in range(profile.n):
@@ -195,6 +201,49 @@ class TestArbitrageFreeContract:
         belief = Distribution.of("2/5", "3/5")
         probe = properness_probe(view, belief, steps=5)
         assert probe.unique and probe.argmax == belief
+
+
+class TestIntegerKernel:
+    """The integer kernel against the plain-Fraction reference formula."""
+
+    @given(profiles(max_m=6, max_n=5), st.data())
+    def test_coalition_totals_match_reference(self, profile, data):
+        cutoff = 2 * (profile.m - 1) ** 2 * profile.n
+        prone = st.fractions(
+            min_value=0,
+            max_value=cutoff - Fraction(1, 10**6),
+            max_denominator=10**6,
+        )
+        alpha = data.draw(st.one_of(fine_alphas, prone))
+        members = data.draw(
+            st.lists(
+                st.integers(0, profile.m - 1), min_size=1, unique=True
+            )
+        )
+        contract = ArbitrageFreeContract(alpha=alpha, permissive=True)
+        coalition = Coalition.of(members)
+        assert coalition_totals(contract, profile, coalition) == tuple(
+            sum(reference_reward(profile, i, j, alpha) for i in coalition)
+            for j in range(profile.n)
+        )
+
+    @given(profiles(max_m=6, max_n=5), fine_alphas)
+    def test_gate_agrees_with_validate_alpha(self, profile, alpha):
+        cutoff = 2 * (profile.m - 1) ** 2 * profile.n
+        coalition = Coalition.full(profile.m)
+        for a in (alpha, Fraction(cutoff), cutoff - Fraction(1, 10**6)):
+            contract = ArbitrageFreeContract(alpha=a)
+            if validate_alpha(a, profile.m, profile.n).valid:
+                contract.evaluate(profile, 0)
+                coalition_totals(contract, profile, coalition)
+                contract.expert_view(profile, 0)
+                continue
+            with pytest.raises(AlphaRangeError, match="arbitrage-prone"):
+                contract.evaluate(profile, 0)
+            with pytest.raises(AlphaRangeError, match="arbitrage-prone"):
+                coalition_totals(contract, profile, coalition)
+            with pytest.raises(AlphaRangeError, match="arbitrage-prone"):
+                contract.expert_view(profile, 0)
 
 
 class TestInducedExpertRule:
