@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import comb
 from typing import Iterator, Optional, Sequence
 
 from .contracts import ArbitrageFreeContract, ContractFunction, coalition_totals
@@ -31,11 +32,13 @@ from .simplex import (
     Distribution,
     ReportProfile,
     _as_fraction,
+    coalition_mean,
     simplex_lattice,
 )
 
 __all__ = [
     "NUMERIC_TOLERANCE",
+    "MAX_GRID_DEVIATIONS",
     "DeviationMismatchError",
     "ReconstructionError",
     "CertificateKind",
@@ -56,6 +59,11 @@ __all__ = [
 # Slack for dominance comparisons on float-valued contracts.  Exact
 # contracts never use it.
 NUMERIC_TOLERANCE = 1e-9
+
+# Largest grid search that runs, in deviations.  A million checks take a
+# minute or two on a small profile; larger grids are refused up front
+# instead of hanging.
+MAX_GRID_DEVIATIONS = 10**6
 
 
 class DeviationMismatchError(ValueError):
@@ -129,37 +137,100 @@ class ArbitrageCertificate:
             raise ValueError(
                 f"{len(self.deltas)} deltas for {self.baseline.n} outcomes"
             )
-        if self.kind is CertificateKind.DOMINANCE:
-            ok = _weakly_positive(self.deltas, self.exact) and (
-                _somewhere_positive(self.deltas, self.exact)
-            )
-            if not ok:
+        if not _witnesses(
+            self.kind, self.baseline, self.coalition, self.deltas, self.exact
+        ):
+            if self.kind is CertificateKind.DOMINANCE:
                 raise ValueError(
                     f"deltas {self.deltas} do not witness dominance"
                 )
-        else:
-            gains = self.member_expected_gains()
-            ok = _weakly_positive(gains, self.exact) and (
-                _somewhere_positive(gains, self.exact)
+            raise ValueError(
+                f"member expected gains {self.member_expected_gains()} do "
+                f"not witness expected arbitrage"
             )
-            if not ok:
-                raise ValueError(
-                    f"member expected gains {gains} do not witness "
-                    f"expected arbitrage"
-                )
 
     def member_expected_gains(self) -> tuple:
         """Belief-weighted delta per coalition member, in member order.
 
         Each member's belief is their own baseline report.
         """
-        gains = []
-        for i in self.coalition:
-            belief = self.baseline.reports[i].weights
-            gains.append(
-                sum(belief[j] * d for j, d in enumerate(self.deltas))
-            )
-        return tuple(gains)
+        return _member_gains(self.baseline, self.coalition, self.deltas)
+
+
+def _member_gains(
+    baseline: ReportProfile, coalition: Coalition, deltas: Sequence
+) -> tuple:
+    gains = []
+    for i in coalition:
+        belief = baseline.reports[i].weights
+        gains.append(sum(belief[j] * d for j, d in enumerate(deltas)))
+    return tuple(gains)
+
+
+def _witnesses(
+    kind: CertificateKind,
+    baseline: ReportProfile,
+    coalition: Coalition,
+    deltas: Sequence,
+    exact: bool,
+) -> bool:
+    """Whether the per-outcome deltas witness arbitrage of this kind."""
+    if kind is CertificateKind.DOMINANCE:
+        values = deltas
+    else:
+        values = _member_gains(baseline, coalition, deltas)
+    # NaN deltas (both totals -inf under the log rule) fail the weak test
+    # and correctly yield no certificate.
+    return _weakly_positive(values, exact) and _somewhere_positive(
+        values, exact
+    )
+
+
+def _coalition_deltas(
+    contract: ContractFunction,
+    baseline: ReportProfile,
+    deviation: ReportProfile,
+    coalition: Coalition,
+    baseline_totals: Optional[Sequence],
+) -> tuple:
+    """Per-outcome change of the coalition's total payment."""
+    ensure_agreement_outside(baseline, deviation, coalition)
+    if baseline_totals is None:
+        baseline_totals = coalition_totals(contract, baseline, coalition)
+    after = coalition_totals(contract, deviation, coalition)
+    return tuple(a - b for a, b in zip(after, baseline_totals))
+
+
+def _check(
+    kind: CertificateKind,
+    contract: ContractFunction,
+    baseline: ReportProfile,
+    deviation: ReportProfile,
+    coalition: Coalition,
+    baseline_totals: Optional[Sequence],
+) -> Optional[ArbitrageCertificate]:
+    exact = contract.exact
+    deltas = _coalition_deltas(
+        contract, baseline, deviation, coalition, baseline_totals
+    )
+    if not _witnesses(kind, baseline, coalition, deltas, exact):
+        return None
+    if baseline_totals is not None:
+        # Cached totals only filter.  A certificate's deltas always come
+        # from the baseline itself, so wrong totals cannot make one.
+        deltas = _coalition_deltas(
+            contract, baseline, deviation, coalition, None
+        )
+        if not _witnesses(kind, baseline, coalition, deltas, exact):
+            return None
+    return ArbitrageCertificate(
+        baseline=baseline,
+        deviation=deviation,
+        coalition=coalition,
+        deltas=deltas,
+        kind=kind,
+        exact=exact,
+    )
 
 
 def check_dominance(
@@ -167,6 +238,7 @@ def check_dominance(
     baseline: ReportProfile,
     deviation: ReportProfile,
     coalition: Coalition,
+    baseline_totals: Optional[Sequence] = None,
 ) -> Optional[ArbitrageCertificate]:
     """Certificate if the deviation dominates the baseline for the coalition.
 
@@ -174,24 +246,22 @@ def check_dominance(
     outcome and strictly rises under at least one.  Returns None when it
     does not; raises DeviationMismatchError when the profiles disagree
     outside the coalition.
+
+    ``baseline_totals``, when given, must be
+    ``coalition_totals(contract, baseline, coalition)``; a caller checking
+    many deviations of one baseline computes it once and saves scoring
+    the baseline on every check.  It only screens deviations: before a
+    certificate is returned its deltas are recomputed from the baseline,
+    so totals that are wrong can hide a certificate but never make one.
     """
-    ensure_agreement_outside(baseline, deviation, coalition)
-    before = coalition_totals(contract, baseline, coalition)
-    after = coalition_totals(contract, deviation, coalition)
-    deltas = tuple(a - b for a, b in zip(after, before))
-    exact = contract.exact
-    # NaN deltas (both totals -inf under the log rule) fail the weak test
-    # and correctly yield no certificate.
-    if _weakly_positive(deltas, exact) and _somewhere_positive(deltas, exact):
-        return ArbitrageCertificate(
-            baseline=baseline,
-            deviation=deviation,
-            coalition=coalition,
-            deltas=deltas,
-            kind=CertificateKind.DOMINANCE,
-            exact=exact,
-        )
-    return None
+    return _check(
+        CertificateKind.DOMINANCE,
+        contract,
+        baseline,
+        deviation,
+        coalition,
+        baseline_totals,
+    )
 
 
 def check_expected_arbitrage(
@@ -199,32 +269,22 @@ def check_expected_arbitrage(
     baseline: ReportProfile,
     deviation: ReportProfile,
     coalition: Coalition,
+    baseline_totals: Optional[Sequence] = None,
 ) -> Optional[ArbitrageCertificate]:
     """Certificate if every member expects the coalition total to rise.
 
     Member i's expectation weighs the per-outcome coalition deltas by
     their baseline report; all members must weakly gain and at least one
-    strictly.
+    strictly.  ``baseline_totals`` works as in ``check_dominance``.
     """
-    ensure_agreement_outside(baseline, deviation, coalition)
-    before = coalition_totals(contract, baseline, coalition)
-    after = coalition_totals(contract, deviation, coalition)
-    deltas = tuple(a - b for a, b in zip(after, before))
-    exact = contract.exact
-    gains = []
-    for i in coalition:
-        belief = baseline.reports[i].weights
-        gains.append(sum(belief[j] * d for j, d in enumerate(deltas)))
-    if _weakly_positive(gains, exact) and _somewhere_positive(gains, exact):
-        return ArbitrageCertificate(
-            baseline=baseline,
-            deviation=deviation,
-            coalition=coalition,
-            deltas=deltas,
-            kind=CertificateKind.EXPECTED,
-            exact=exact,
-        )
-    return None
+    return _check(
+        CertificateKind.EXPECTED,
+        contract,
+        baseline,
+        deviation,
+        coalition,
+        baseline_totals,
+    )
 
 
 def mean_collusion(profile: ReportProfile, coalition: Coalition) -> ReportProfile:
@@ -237,14 +297,7 @@ def mean_collusion(profile: ReportProfile, coalition: Coalition) -> ReportProfil
         raise ValueError(
             f"collusion needs at least 2 members, got {coalition.size}"
         )
-    coalition.validate_for(profile.m)
-    mean = Distribution(
-        tuple(
-            sum(profile.reports[i].weights[j] for i in coalition)
-            / coalition.size
-            for j in range(profile.n)
-        )
-    )
+    mean = coalition_mean(profile, coalition)
     return profile.replace({i: mean for i in coalition})
 
 
@@ -503,11 +556,24 @@ def search_arbitrage(
 
     Grid enumeration runs in lexicographic order, so when several grid
     deviations certify, the lexicographically smallest one is returned;
-    that makes results reproducible byte for byte.  Random search is
-    reproducible via its seed.
+    that makes results reproducible byte for byte.  A grid of more than
+    MAX_GRID_DEVIATIONS deviations raises ValueError before anything is
+    enumerated.  Random search is reproducible via its seed.  The
+    baseline's coalition totals are computed once per search.
     """
     coalition.validate_for(baseline.m)
     if isinstance(strategy, GridSearch):
+        # C(S + n - 1, n - 1) lattice points; every combination of one
+        # point per member, except for the alpha family (one point each).
+        count = comb(strategy.steps + baseline.n - 1, baseline.n - 1)
+        if not isinstance(contract, ArbitrageFreeContract):
+            count **= coalition.size
+        if count > MAX_GRID_DEVIATIONS:
+            raise ValueError(
+                f"grid search at steps {strategy.steps} would check {count} "
+                f"deviations, more than the limit of {MAX_GRID_DEVIATIONS}; "
+                f"use a coarser grid, a smaller coalition or random search"
+            )
         deviations = _grid_deviations(
             contract, baseline, coalition, strategy.steps
         )
@@ -520,8 +586,9 @@ def search_arbitrage(
         if kind is CertificateKind.DOMINANCE
         else check_expected_arbitrage
     )
+    before = coalition_totals(contract, baseline, coalition)
     for deviation in deviations:
-        cert = check(contract, baseline, deviation, coalition)
+        cert = check(contract, baseline, deviation, coalition, before)
         if cert is not None:
             return cert
     return None

@@ -67,7 +67,7 @@ EXIT_INTERNAL = 70
 
 
 def _die(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    click.echo(f"error: {message}", file=sys.stderr)  # see _emit
     sys.exit(code)
 
 
@@ -169,11 +169,15 @@ def _cert_obj(cert: ArbitrageCertificate) -> dict:
 
 def _emit(payload: dict, fmt: str, table: str, csv: str) -> None:
     if fmt == "json":
-        click.echo(dumps(payload), nl=False)
+        text = dumps(payload)
     elif fmt == "csv":
-        click.echo(csv, nl=False)
+        text = csv
     else:
-        click.echo(table, nl=False)
+        text = table
+    # An explicit file: click's default-stdout cache keeps every stream it
+    # has seen alive, so a caller that redirects stdout per call would
+    # leak one stream per command.
+    click.echo(text, nl=False, file=sys.stdout)
 
 
 _format_option = click.option(

@@ -42,6 +42,7 @@ __all__ = [
     "AlphaRangeError",
     "AlphaVerdict",
     "AlphaCheck",
+    "alpha_verdict",
     "validate_alpha",
     "threshold_two_outcome",
     "threshold_general",
@@ -109,6 +110,24 @@ class AlphaCheck:
         return self.verdict is not AlphaVerdict.INVALID
 
 
+def alpha_verdict(alpha: Fraction, m: int, n: int) -> AlphaVerdict:
+    """The band of ``validate_alpha``, tested on integers alone.
+
+    alpha = p / q is valid-negative when p < 0 and valid-large when
+    p >= 2 * (m - 1)**2 * n * q; no threshold is built.
+    """
+    if m < 2:
+        raise ValueError(f"need at least 2 experts, got m={m}")
+    if n < 2:
+        raise ValueError(f"need at least 2 outcomes, got n={n}")
+    p, q = alpha.numerator, alpha.denominator
+    if p < 0:
+        return AlphaVerdict.VALID_NEGATIVE
+    if p >= 2 * (m - 1) ** 2 * n * q:
+        return AlphaVerdict.VALID_LARGE
+    return AlphaVerdict.INVALID
+
+
 def validate_alpha(alpha, m: int, n: int) -> AlphaCheck:
     """Classify alpha as valid-negative, valid-large, or invalid.
 
@@ -116,24 +135,14 @@ def validate_alpha(alpha, m: int, n: int) -> AlphaCheck:
     is inclusive).  alpha = 0 is invalid: it admits arbitrage whenever all
     but two experts rule out some outcome.
     """
-    if m < 2:
-        raise ValueError(f"need at least 2 experts, got m={m}")
-    if n < 2:
-        raise ValueError(f"need at least 2 outcomes, got n={n}")
     a = _as_fraction(alpha)
-    cutoff = Fraction(2 * (m - 1) ** 2 * n)
-    if a < 0:
-        verdict = AlphaVerdict.VALID_NEGATIVE
-    elif a >= cutoff:
-        verdict = AlphaVerdict.VALID_LARGE
-    else:
-        verdict = AlphaVerdict.INVALID
+    verdict = alpha_verdict(a, m, n)
     return AlphaCheck(
         alpha=a,
         m=m,
         n=n,
         verdict=verdict,
-        lower_safe_bound=cutoff,
+        lower_safe_bound=Fraction(2 * (m - 1) ** 2 * n),
         two_outcome_threshold=threshold_two_outcome(m, a),
         general_threshold=threshold_general(m, a),
     )
@@ -269,10 +278,9 @@ class ArbitrageFreeContract(ContractFunction):
     def _require_valid(self, profile: ReportProfile) -> None:
         if self.permissive:
             return
-        # Same bands as validate_alpha, on alpha's integer numerator and
-        # denominator; the full classification only words the error.
-        p, q = self.alpha.numerator, self.alpha.denominator
-        if p < 0 or p >= 2 * (profile.m - 1) ** 2 * profile.n * q:
+        # The full classification only words the error.
+        verdict = alpha_verdict(self.alpha, profile.m, profile.n)
+        if verdict is not AlphaVerdict.INVALID:
             return
         check = validate_alpha(self.alpha, profile.m, profile.n)
         raise AlphaRangeError(

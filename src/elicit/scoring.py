@@ -7,6 +7,12 @@ rule is the other classic strictly proper rule; it is unbounded below
 (score of an outcome reported impossible is -inf), so everything downstream
 of it runs in floats, while the quadratic rule stays exact.
 
+The quadratic score is computed on integers.  Each report caches its
+weights once as integer counts c over the lcm D of their denominators
+(``Distribution.scaled``), together with the sum of the squared counts, so
+a score is (2*D*c_j - sum(c**2)) / D**2: one ``Fraction`` per call, built
+at the boundary, however many outcomes the report has.
+
 ``properness_probe`` gives an empirical check of properness over any finite
 candidate set of reports, used by the verification suites rather than a
 symbolic proof.
@@ -44,8 +50,9 @@ def quadratic_score(report: Distribution, j: int) -> Fraction:
     """
     if not 0 <= j < report.n:
         raise IndexError(f"outcome {j} out of range for n={report.n}")
-    w = report.weights
-    return 2 * w[j] - sum(p * p for p in w)
+    # With w = c / D: 2*w_j - sum(w**2) = (2*D*c_j - sum(c**2)) / D**2.
+    scale, counts, square = report.scaled
+    return Fraction(2 * scale * counts[j] - square, scale * scale)
 
 
 def quadratic_score_float(weights: Sequence[float], j: int) -> float:

@@ -82,6 +82,24 @@ class Distribution:
     def __getitem__(self, j: int) -> Fraction:
         return self.weights[j]
 
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...], int]:
+        """The weights as integers over one common denominator.
+
+        Returns (D, counts, square) with D the lcm of the weight
+        denominators, counts[j] = D * weight j, and square the sum of the
+        squared counts.  Computed once per report, like
+        ``ReportProfile.scaled``.
+        """
+        scale = 1
+        for w in self.weights:
+            if scale % w.denominator:
+                scale = lcm(scale, w.denominator)
+        counts = tuple(
+            w.numerator * (scale // w.denominator) for w in self.weights
+        )
+        return scale, counts, sum(c * c for c in counts)
+
 
 def vertex(n: int, j: int) -> Distribution:
     """The distribution putting all mass on outcome j."""

@@ -584,14 +584,17 @@ def _suite_witness(config: VerifyConfig) -> SuiteResult:
     rec = _Recorder()
     rng = derived_rng(config.seed, "witness")
     skipped_invalid = 0
+    safe_alphas: dict[tuple[int, int], list[Fraction]] = {}
     for t in range(config.trials):
         m = rng.randint(2, config.m_max)
         n = rng.randint(2, config.n_max)
-        candidates = [
-            a
-            for a in _dominance_alphas(config, m, n)
-            if validate_alpha(a, m, n).valid
-        ]
+        candidates = safe_alphas.get((m, n))
+        if candidates is None:
+            candidates = safe_alphas[m, n] = [
+                a
+                for a in _dominance_alphas(config, m, n)
+                if validate_alpha(a, m, n).valid
+            ]
         if not candidates:
             skipped_invalid += 1
             continue

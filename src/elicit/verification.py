@@ -27,10 +27,10 @@ from .arbitrage import ensure_agreement_outside, profile_with_coalition_sums
 from .contracts import (
     ArbitrageFreeContract,
     AlphaVerdict,
+    alpha_verdict,
     coalition_total,
     threshold_general,
     threshold_two_outcome,
-    validate_alpha,
 )
 from .simplex import Coalition, ReportProfile, _as_fraction, coalition_sums
 
@@ -330,8 +330,8 @@ def hurting_outcome(
     sum unchanged.
     """
     ensure_agreement_outside(baseline, deviation, coalition)
-    check = validate_alpha(contract.alpha, baseline.m, baseline.n)
-    if check.verdict is AlphaVerdict.INVALID:
+    verdict = alpha_verdict(contract.alpha, baseline.m, baseline.n)
+    if verdict is AlphaVerdict.INVALID:
         raise ValueError(
             f"alpha={contract.alpha} is in the arbitrage-prone band for "
             f"m={baseline.m}, n={baseline.n}; no hurting outcome is "
@@ -339,7 +339,7 @@ def hurting_outcome(
         )
     before = coalition_sums(baseline, coalition)
     after = coalition_sums(deviation, coalition)
-    if check.verdict is AlphaVerdict.VALID_NEGATIVE:
+    if verdict is AlphaVerdict.VALID_NEGATIVE:
         moves = [a - b for a, b in zip(after, before)]
     else:
         moves = [b - a for a, b in zip(after, before)]

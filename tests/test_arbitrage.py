@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from elicit import (
     ArbitrageFreeContract,
@@ -14,9 +14,11 @@ from elicit import (
     Distribution,
     GridSearch,
     IndependentScoring,
+    LogRule,
     QuadraticRule,
     RandomSearch,
     ReportProfile,
+    ZeroSumPair,
     check_dominance,
     check_expected_arbitrage,
     coalition_totals,
@@ -24,16 +26,19 @@ from elicit import (
     search_arbitrage,
     uniform_report_arbitrage_interval,
 )
+from elicit import arbitrage
 from elicit.arbitrage import (
     ArbitrageInterval,
     DeviationMismatchError,
     ReconstructionError,
     SqrtExpr,
+    _grid_deviations,
+    _random_deviations,
     ensure_agreement_outside,
     profile_with_coalition_sums,
 )
 
-from conftest import profiles_with_coalitions
+from conftest import distributions, profiles, profiles_with_coalitions
 
 INTRO = ReportProfile.of(("2/5", "3/5"), ("1/2", "1/2"), ("9/10", "1/10"))
 ALL_HALF = ReportProfile.of(("1/2", "1/2"), ("1/2", "1/2"), ("1/2", "1/2"))
@@ -303,3 +308,116 @@ class TestSearch:
         assert cert.kind is CertificateKind.EXPECTED
         gains = cert.member_expected_gains()
         assert all(g >= 0 for g in gains) and any(g > 0 for g in gains)
+
+
+# The CLI's four contracts; the alpha-family one sits in the prone band
+# so that searches have certificates to find.
+CONTRACTS = {
+    "independent-quadratic": QUADRATIC,
+    "independent-log": IndependentScoring(rule=LogRule()),
+    "zero-sum-pair": ZeroSumPair(),
+    "nr": ArbitrageFreeContract(alpha=Fraction(3), permissive=True),
+}
+CHECKS = {
+    CertificateKind.DOMINANCE: check_dominance,
+    CertificateKind.EXPECTED: check_expected_arbitrage,
+}
+
+
+@st.composite
+def search_cases(draw, tag):
+    m = 2 if tag == "zero-sum-pair" else draw(st.integers(2, 3))
+    profile = draw(profiles(m=m, max_n=3))
+    size = draw(st.integers(1, min(2, m)))
+    members = draw(st.permutations(range(m)))[:size]
+    return profile, Coalition.of(members)
+
+
+def reference_search(contract, baseline, coalition, strategy, kind):
+    """The search as a plain loop: every check scores the baseline afresh."""
+    if isinstance(strategy, GridSearch):
+        deviations = _grid_deviations(
+            contract, baseline, coalition, strategy.steps
+        )
+    else:
+        deviations = _random_deviations(baseline, coalition, strategy)
+    for deviation in deviations:
+        cert = CHECKS[kind](contract, baseline, deviation, coalition)
+        if cert is not None:
+            return cert
+    return None
+
+
+class TestCachedBaselineTotals:
+    @pytest.mark.parametrize("kind", list(CertificateKind))
+    @pytest.mark.parametrize("tag", sorted(CONTRACTS))
+    @pytest.mark.parametrize(
+        "strategy",
+        [GridSearch(steps=3), RandomSearch(trials=15, seed=4, denominator=6)],
+        ids=["grid", "random"],
+    )
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_search_matches_uncached_reference(self, tag, kind, strategy, data):
+        contract = CONTRACTS[tag]
+        baseline, coalition = data.draw(search_cases(tag))
+        got = search_arbitrage(contract, baseline, coalition, strategy, kind)
+        want = reference_search(contract, baseline, coalition, strategy, kind)
+        # Certificates compare by deviation, deltas, kind and the rest.
+        assert got == want
+
+    @pytest.mark.parametrize("kind", list(CertificateKind))
+    @pytest.mark.parametrize(
+        "tag", ["independent-quadratic", "independent-log", "nr"]
+    )
+    def test_intro_search_matches_reference(self, tag, kind):
+        # A fine grid, where the first certificate gains very little.
+        coalition = Coalition.full(3)
+        strategy = GridSearch(steps=10)
+        want = reference_search(CONTRACTS[tag], INTRO, coalition, strategy, kind)
+        assert want is not None
+        got = search_arbitrage(CONTRACTS[tag], INTRO, coalition, strategy, kind)
+        assert got == want
+
+    @pytest.mark.parametrize("kind", list(CertificateKind))
+    @pytest.mark.parametrize("tag", ["independent-quadratic", "nr"])
+    @given(
+        pc=profiles_with_coalitions(max_m=3),
+        data=st.data(),
+    )
+    def test_wrong_totals_never_make_a_certificate(self, tag, kind, pc, data):
+        contract = CONTRACTS[tag]
+        baseline, coalition = pc
+        deviation = baseline.replace(
+            {i: data.draw(distributions(n=baseline.n)) for i in coalition}
+        )
+        wrong = data.draw(
+            st.lists(
+                st.fractions(min_value=-5, max_value=5, max_denominator=20),
+                min_size=baseline.n,
+                max_size=baseline.n,
+            )
+        )
+        fresh = CHECKS[kind](contract, baseline, deviation, coalition)
+        cert = CHECKS[kind](contract, baseline, deviation, coalition, wrong)
+        assert cert is None or cert == fresh
+        # Totals lowered below the truth pass every deviation the truth
+        # passes, so then the cached check must agree exactly.
+        true = coalition_totals(contract, baseline, coalition)
+        low = [t - abs(w) for t, w in zip(true, wrong)]
+        assert CHECKS[kind](contract, baseline, deviation, coalition, low) == fresh
+
+    def test_grid_size_is_checked_before_enumerating(self, monkeypatch):
+        monkeypatch.setattr(arbitrage, "MAX_GRID_DEVIATIONS", 20)
+        three = ReportProfile.of(
+            ("1/3", "1/3", "1/3"), ("1/3", "1/3", "1/3"), ("1/2", "1/2", "0")
+        )
+        pair = Coalition.of([0, 1])
+        # 15 lattice points at steps 4, 21 at steps 5 (n = 3).
+        family = ArbitrageFreeContract(alpha=-1)
+        assert search_arbitrage(family, three, pair, GridSearch(steps=4)) is None
+        with pytest.raises(ValueError, match="21 deviations"):
+            search_arbitrage(family, three, pair, GridSearch(steps=5))
+        # Other contracts enumerate one point per member: 6**2 at steps 2.
+        with pytest.raises(ValueError, match="36 deviations"):
+            search_arbitrage(QUADRATIC, three, pair, GridSearch(steps=2))

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import io
 import json
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -365,6 +369,21 @@ class TestSearch:
         )
         assert result.exit_code == 2
 
+    def test_oversized_grid_is_refused_up_front(self, runner):
+        result = invoke(
+            runner,
+            "search",
+            "--reports",
+            "1/3,1/3,1/3; 1/2,1/4,1/4; 0,1/2,1/2",
+            "--grid",
+            "200",
+            "--coalition",
+            "1,2,3",
+        )
+        assert result.exit_code == 2
+        # C(202, 2)**3 deviations: one lattice of 20301 points per member.
+        assert f"would check {20301**3} deviations" in result.output
+
     def test_random_search_output_is_deterministic(self, runner):
         args = (
             "search",
@@ -380,6 +399,23 @@ class TestSearch:
         first = invoke(runner, *args)
         second = invoke(runner, *args)
         assert first.output == second.output
+
+
+def test_in_process_calls_release_their_output_stream():
+    # Callers that run the CLI in-process redirect stdout per call; the
+    # command must not keep those streams alive.
+    refs = []
+    for _ in range(3):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main.main(
+                args=["score", "--reports", INTRO_ARG], standalone_mode=False
+            )
+        assert out.getvalue()
+        refs.append(weakref.ref(out))
+        del out
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
 
 
 class TestVerify:

@@ -25,6 +25,22 @@ from elicit.scoring import quadratic_score_float
 from conftest import distributions
 
 
+@st.composite
+def mixed_denominator_reports(draw):
+    """A report whose weights each have their own denominator up to 10**6."""
+    n = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        return vertex(n, draw(st.integers(0, n - 1)))
+    weights, left = [], Fraction(1)
+    for _ in range(n - 1):
+        den = draw(st.integers(1, 10**6))
+        w = Fraction(draw(st.integers(0, math.floor(left * den))), den)
+        weights.append(w)
+        left -= w
+    weights.append(left)
+    return Distribution(tuple(draw(st.permutations(weights))))
+
+
 class TestQuadraticScore:
     def test_known_values(self):
         d = Distribution.of("2/5", "3/5")
@@ -52,6 +68,16 @@ class TestQuadraticScore:
     def test_bounded(self, d):
         for j in range(d.n):
             assert -1 <= quadratic_score(d, j) <= 1
+
+    @given(mixed_denominator_reports())
+    def test_integer_form_matches_plain_formula(self, d):
+        w = d.weights
+        for j in range(d.n):
+            assert quadratic_score(d, j) == 2 * w[j] - sum(p * p for p in w)
+        scale, counts, square = d.scaled
+        assert all(scale % p.denominator == 0 for p in w)
+        assert counts == tuple(p * scale for p in w)
+        assert square == sum(c * c for c in counts)
 
     def test_float_variant_accepts_off_simplex_points(self):
         assert quadratic_score_float([0.5, 0.5], 0) == pytest.approx(0.5)
