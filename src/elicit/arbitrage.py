@@ -25,7 +25,7 @@ from math import comb
 from typing import Iterator, Optional, Sequence
 
 from .contracts import ArbitrageFreeContract, ContractFunction, coalition_totals
-from .sampling import random_distribution
+from .sampling import exact_bounds, random_distribution
 from .scoring import quadratic_score
 from .simplex import (
     Coalition,
@@ -186,19 +186,24 @@ def _witnesses(
     )
 
 
-def _coalition_deltas(
-    contract: ContractFunction,
+def _passes(
+    kind: CertificateKind,
     baseline: ReportProfile,
-    deviation: ReportProfile,
     coalition: Coalition,
-    baseline_totals: Optional[Sequence],
-) -> tuple:
-    """Per-outcome change of the coalition's total payment."""
-    ensure_agreement_outside(baseline, deviation, coalition)
-    if baseline_totals is None:
-        baseline_totals = coalition_totals(contract, baseline, coalition)
-    after = coalition_totals(contract, deviation, coalition)
-    return tuple(a - b for a, b in zip(after, baseline_totals))
+    after: Sequence,
+    before: Sequence,
+    exact: bool,
+) -> bool:
+    """Whether the coalition totals ``after`` against ``before`` witness
+    arbitrage of this kind."""
+    if exact and kind is CertificateKind.DOMINANCE:
+        # Compare the totals themselves: a Fraction comparison
+        # cross-multiplies numerators and denominators, so no delta is
+        # built for a deviation that does not dominate.
+        pairs = tuple(zip(after, before))
+        return all(a >= b for a, b in pairs) and any(a > b for a, b in pairs)
+    deltas = tuple(a - b for a, b in zip(after, before))
+    return _witnesses(kind, baseline, coalition, deltas, exact)
 
 
 def _check(
@@ -210,24 +215,22 @@ def _check(
     baseline_totals: Optional[Sequence],
 ) -> Optional[ArbitrageCertificate]:
     exact = contract.exact
-    deltas = _coalition_deltas(
-        contract, baseline, deviation, coalition, baseline_totals
-    )
-    if not _witnesses(kind, baseline, coalition, deltas, exact):
+    ensure_agreement_outside(baseline, deviation, coalition)
+    after = coalition_totals(contract, deviation, coalition)
+    if baseline_totals is not None and not _passes(
+        kind, baseline, coalition, after, baseline_totals, exact
+    ):
         return None
-    if baseline_totals is not None:
-        # Cached totals only filter.  A certificate's deltas always come
-        # from the baseline itself, so wrong totals cannot make one.
-        deltas = _coalition_deltas(
-            contract, baseline, deviation, coalition, None
-        )
-        if not _witnesses(kind, baseline, coalition, deltas, exact):
-            return None
+    # Cached totals only filter.  A certificate's deltas always come from
+    # the baseline itself, so wrong totals cannot make one.
+    before = coalition_totals(contract, baseline, coalition)
+    if not _passes(kind, baseline, coalition, after, before, exact):
+        return None
     return ArbitrageCertificate(
         baseline=baseline,
         deviation=deviation,
         coalition=coalition,
-        deltas=deltas,
+        deltas=tuple(a - b for a, b in zip(after, before)),
         kind=kind,
         exact=exact,
     )
@@ -250,7 +253,11 @@ def check_dominance(
     ``baseline_totals``, when given, must be
     ``coalition_totals(contract, baseline, coalition)``; a caller checking
     many deviations of one baseline computes it once and saves scoring
-    the baseline on every check.  It only screens deviations: before a
+    the baseline on every check.  On an exact contract the deviation's
+    totals are compared with the baseline's directly, without building a
+    delta: a Fraction comparison cross-multiplies, so a >= b is decided
+    by the sign of a.numerator * b.denominator - b.numerator *
+    a.denominator.  The totals only screen deviations: before a
     certificate is returned its deltas are recomputed from the baseline,
     so totals that are wrong can hide a certificate but never make one.
     """
@@ -492,7 +499,9 @@ class RandomSearch:
     """Seeded random deviations; reproducible given (trials, seed).
 
     ``denominator`` controls the rational resolution of drawn reports;
-    ``bounds``, when set, restricts every drawn weight to [lo, hi].
+    ``bounds``, when set, restricts every drawn weight to [lo, hi].  The
+    bounds must be exact rationals with 0 <= lo <= hi <= 1; they are
+    stored as Fractions, and floats are refused.
     """
 
     trials: int
@@ -503,6 +512,12 @@ class RandomSearch:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"need trials >= 1, got {self.trials}")
+        if self.denominator < 1:
+            raise ValueError(
+                f"denominator must be >= 1, got {self.denominator}"
+            )
+        if self.bounds is not None:
+            object.__setattr__(self, "bounds", exact_bounds(self.bounds))
 
 
 def _grid_deviations(

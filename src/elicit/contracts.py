@@ -17,10 +17,13 @@ and evaluation refuses invalid ones unless explicitly told to proceed.
 
 Payments of the family are computed as integers.  With D the lcm of the
 report denominators, k = m - 1 and alpha = p / q, every payment of a
-profile is an integer numerator over q * k * D**2; one pass over the
-profile's integer rows yields all of them, and each payment becomes a
-``Fraction`` once, at the boundary.  The tests keep the plain
-``Fraction`` formula as an oracle and check the kernel against it.
+profile is an integer numerator over q * k * D**2.  The terms that do not
+depend on alpha (the integer column totals and one sum per expert) are
+cached once per profile in ``ReportProfile.scaled_totals``, so one
+outcome's payments cost O(m) integer operations and a coalition's totals
+need only its members' rows; each payment becomes a ``Fraction`` once, at
+the boundary.  The tests keep the plain ``Fraction`` formula as an oracle
+and check the kernel against it.
 """
 
 from __future__ import annotations
@@ -289,17 +292,18 @@ class ArbitrageFreeContract(ContractFunction):
             f"n={profile.n}; enable permissive mode to evaluate anyway"
         )
 
-    def _numerators(self, profile: ReportProfile, experts) -> tuple:
-        """Payments of the given experts as integers over one denominator.
+    def _coefficients(self, profile: ReportProfile) -> tuple:
+        """Integer coefficients of the payments on one profile.
 
-        With D, A = profile.scaled, T = D * totals, B = T - A (so the
-        others' mean is B / (k * D)), k = m - 1 and alpha = p / q, expert
-        i's payment on outcome j is N[i][j] / (q * k * D**2) where
+        With D, A = profile.scaled and (T, G) = profile.scaled_totals (so
+        the others' mean report of expert i is (T - A[i]) / (k * D)),
+        k = m - 1 and alpha = p / q, expert i's payment on outcome j is
+        N[i][j] / (q * k * D**2) where
 
-            N[i][j] = q*k*(sum(B[i]**2) - sum(A[i]**2))
-                      + D*(2*q*k*A[i][j] - (2*q*k**2 - p)*B[i][j]).
+            N[i][j] = q*k*G[i] + (2*q*k*m - p)*D*A[i][j]
+                      - (2*q*k**2 - p)*D*T[j].
 
-        Returns (q * k * D**2, rows of N), one row per listed expert.
+        Returns (q * k * D**2, q * k, (2*q*k*m - p) * D, (2*q*k**2 - p) * D).
         """
         if profile.m < 2:
             raise ValueError(
@@ -308,27 +312,24 @@ class ArbitrageFreeContract(ContractFunction):
         self._require_valid(profile)
         k = profile.m - 1
         p, q = self.alpha.numerator, self.alpha.denominator
-        scale, scaled = profile.scaled
-        totals = [
-            t.numerator * (scale // t.denominator) for t in profile.totals()
-        ]
+        scale = profile.scaled[0]
         qk = q * k
-        own = 2 * qk * scale
-        others = (2 * qk * k - p) * scale
-        rows = []
-        for i in experts:
-            a = scaled[i]
-            b = [t - x for t, x in zip(totals, a)]
-            base = qk * (sum(y * y for y in b) - sum(x * x for x in a))
-            rows.append(
-                [base + own * x - others * y for x, y in zip(a, b)]
-            )
-        return qk * scale * scale, rows
+        return (
+            qk * scale * scale,
+            qk,
+            (2 * qk * profile.m - p) * scale,
+            (2 * qk * k - p) * scale,
+        )
 
     def evaluate(self, profile: ReportProfile, j: int) -> tuple:
         _check_eval_args(profile, j)
-        scale, rows = self._numerators(profile, range(profile.m))
-        return tuple(Fraction(row[j], scale) for row in rows)
+        denominator, qk, a_coef, t_coef = self._coefficients(profile)
+        totals, gaps = profile.scaled_totals
+        shift = t_coef * totals[j]
+        return tuple(
+            Fraction(qk * g + a_coef * a[j] - shift, denominator)
+            for a, g in zip(profile.scaled[1], gaps)
+        )
 
     def expert_view(self, profile: ReportProfile, i: int) -> InducedExpertRule:
         if profile.m < 2:
@@ -367,9 +368,17 @@ def coalition_totals(
     """Combined coalition payment for every outcome, as a length-n tuple."""
     coalition.validate_for(profile.m)
     if isinstance(contract, ArbitrageFreeContract):
-        # Only the members' rows of the integer kernel are needed.
-        scale, rows = contract._numerators(profile, coalition)
-        return tuple(Fraction(sum(column), scale) for column in zip(*rows))
+        # Summed over the members, N[i][j] needs only the members' sums
+        # of A[i][j] and G[i].
+        denominator, qk, a_coef, t_coef = contract._coefficients(profile)
+        rows = profile.scaled[1]
+        totals, gaps = profile.scaled_totals
+        base = qk * sum([gaps[i] for i in coalition])
+        t_coef *= coalition.size
+        return tuple(
+            Fraction(base + a_coef * sum(column) - t_coef * t, denominator)
+            for column, t in zip(zip(*[rows[i] for i in coalition]), totals)
+        )
     out = []
     for j in range(profile.n):
         rewards = contract.evaluate(profile, j)

@@ -4,21 +4,26 @@ Everything downstream compares exact rationals, so draws are snapped to a
 fixed denominator instead of staying as floats.  A point is drawn uniformly
 on the simplex by normalizing exponential spacings, scaled by the
 denominator, floored, and the leftover units handed to the coordinates
-with the largest fractional parts (ties to the lowest index).  All
+with the largest fractional parts (ties to the lowest index).  The snap
+yields integer counts that sum to the denominator; bounds are compared
+as integer counts too, and each weight becomes a ``Fraction`` once, when
+the ``Distribution`` is built (which re-checks the sum on integers).  All
 randomness flows through an explicit ``random.Random`` instance, so any
 result is reproducible from one seed.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Optional
 
-from .simplex import Coalition, Distribution, ReportProfile
+from .simplex import Coalition, Distribution, ReportProfile, _as_fraction
 
 __all__ = [
     "DEFAULT_DENOMINATOR",
+    "exact_bounds",
     "random_distribution",
     "random_profile",
     "random_coalition",
@@ -41,17 +46,32 @@ def derived_rng(seed: int, label: str) -> random.Random:
     return random.Random(f"{seed}:{label}")
 
 
-def _snap(weights: list[float], denominator: int) -> tuple[Fraction, ...]:
+def _snap(weights: list[float], denominator: int) -> list[int]:
+    """Integer counts summing to ``denominator``, one per weight."""
     scaled = [w * denominator for w in weights]
-    base = [int(s) for s in scaled]
+    base = list(map(int, scaled))
     leftover = denominator - sum(base)
-    # leftover in [0, n): give one unit each to the largest fractional parts
-    order = sorted(
-        range(len(weights)), key=lambda k: (base[k] - scaled[k], k)
-    )
-    for k in order[:leftover]:
-        base[k] += 1
-    return tuple(Fraction(b, denominator) for b in base)
+    if leftover:
+        # leftover in [0, n): give one unit each to the largest fractional
+        # parts; the sort is stable, so ties go to the lowest index
+        gaps = [b - s for b, s in zip(base, scaled)]
+        for k in sorted(range(len(gaps)), key=gaps.__getitem__)[:leftover]:
+            base[k] += 1
+    return base
+
+
+def exact_bounds(bounds) -> tuple[Fraction, Fraction]:
+    """``bounds`` as an exact pair (lo, hi) with 0 <= lo <= hi <= 1.
+
+    Each bound is coerced as a report weight is: ints, Fractions and
+    exact strings are accepted, and floats raise TypeError.
+    """
+    if len(bounds) != 2:
+        raise ValueError(f"bounds must be a pair (lo, hi), got {bounds!r}")
+    lo, hi = _as_fraction(bounds[0]), _as_fraction(bounds[1])
+    if not 0 <= lo <= hi <= 1:
+        raise ValueError(f"bad bounds [{lo}, {hi}]")
+    return lo, hi
 
 
 def random_distribution(
@@ -63,27 +83,31 @@ def random_distribution(
     """One uniform-ish rational point of the simplex at the given resolution.
 
     With ``bounds = (lo, hi)`` every snapped weight is forced into
-    [lo, hi] by rejection; bounds must leave the simplex reachable
-    (n*lo <= 1 <= n*hi).
+    [lo, hi] by rejection; bounds must be exact rationals (floats are
+    refused) and leave the simplex reachable (n*lo <= 1 <= n*hi).
     """
     if n < 2:
         raise ValueError(f"need at least 2 outcomes, got n={n}")
     if denominator < 1:
         raise ValueError(f"denominator must be >= 1, got {denominator}")
     if bounds is not None:
-        lo, hi = Fraction(bounds[0]), Fraction(bounds[1])
-        if not 0 <= lo <= hi <= 1:
-            raise ValueError(f"bad bounds [{lo}, {hi}]")
+        lo, hi = exact_bounds(bounds)
         if n * lo > 1 or n * hi < 1:
             raise ValueError(
                 f"bounds [{lo}, {hi}] admit no distribution over {n} outcomes"
             )
+        # count / denominator lies in [lo, hi] exactly when the integer
+        # count lies in [ceil(lo * denominator), floor(hi * denominator)]
+        low = math.ceil(lo * denominator)
+        high = math.floor(hi * denominator)
     for _ in range(_MAX_REJECTS):
         spacings = [rng.expovariate(1.0) for _ in range(n)]
         total = sum(spacings)
-        snapped = _snap([s / total for s in spacings], denominator)
-        if bounds is None or all(lo <= w <= hi for w in snapped):
-            return Distribution(snapped)
+        counts = _snap([s / total for s in spacings], denominator)
+        if bounds is None or all(low <= c <= high for c in counts):
+            return Distribution(
+                tuple([Fraction(c, denominator) for c in counts])
+            )
     raise RuntimeError(
         f"could not draw a distribution within bounds {bounds} after "
         f"{_MAX_REJECTS} attempts; widen the bounds or the denominator"

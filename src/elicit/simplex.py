@@ -6,6 +6,15 @@ rejected, because the dominance comparisons downstream must never be
 perturbed by rounding.  Floats are refused outright; callers that start
 from decimal text should parse it exactly (``Fraction("0.4")`` is 2/5).
 
+Validation runs on integers.  A ``Distribution`` reads each weight's
+numerator and denominator, takes the lcm D of the denominators and checks
+that the integer counts D * weight sum to exactly D; the counts it built
+are kept as ``scaled``, set at construction, so every later integer
+computation on the report (a quadratic score, a profile's rows) starts
+from them.  ``ReportProfile.scaled`` rescales the reports' counts to one
+common D, and ``ReportProfile.scaled_totals`` holds the integer column
+totals and per-expert sums the contract kernel needs, once per profile.
+
 Expert and outcome indices are 0-based throughout the library.  The
 command-line layer translates to and from 1-based labels for display.
 """
@@ -48,21 +57,42 @@ class Distribution:
 
     Invariants: every weight is >= 0 and the weights sum to exactly 1.
     Construction rejects anything else; there is no silent renormalization.
+
+    Construction also sets ``scaled`` = (D, counts, square): D the lcm of
+    the weight denominators, counts[j] = D * weight j as an integer, and
+    square the sum of the squared counts.
     """
 
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if not self.weights:
+        weights = self.weights
+        if not weights:
             raise ValueError("a distribution needs at least one outcome")
-        for w in self.weights:
-            if isinstance(w, float) or not isinstance(w, Rational):
+        # Validation runs on integers: each weight's numerator and
+        # denominator, then one integer sum over the lcm D of the
+        # denominators.  The counts it builds are kept as ``scaled``.
+        scale = 1
+        ratios = []
+        for w in weights:
+            if type(w) is Fraction or type(w) is int:
+                p, d = w.as_integer_ratio()
+            elif isinstance(w, float) or not isinstance(w, Rational):
                 raise TypeError(f"weight {w!r} is not an exact rational")
-            if w < 0:
+            else:
+                p, d = w.numerator, w.denominator
+            if p < 0:
                 raise ValueError(f"negative weight {w}")
-        total = sum(self.weights)
-        if total != 1:
-            raise ValueError(f"weights sum to {Fraction(total)}, not 1")
+            if scale % d:
+                scale = lcm(scale, d)
+            ratios.append((p, d))
+        counts = tuple([p * (scale // d) for p, d in ratios])
+        total = sum(counts)
+        if total != scale:
+            raise ValueError(f"weights sum to {Fraction(total, scale)}, not 1")
+        object.__setattr__(
+            self, "scaled", (scale, counts, sum([c * c for c in counts]))
+        )
 
     @classmethod
     def of(cls, *values) -> "Distribution":
@@ -81,24 +111,6 @@ class Distribution:
 
     def __getitem__(self, j: int) -> Fraction:
         return self.weights[j]
-
-    @cached_property
-    def scaled(self) -> tuple[int, tuple[int, ...], int]:
-        """The weights as integers over one common denominator.
-
-        Returns (D, counts, square) with D the lcm of the weight
-        denominators, counts[j] = D * weight j, and square the sum of the
-        squared counts.  Computed once per report, like
-        ``ReportProfile.scaled``.
-        """
-        scale = 1
-        for w in self.weights:
-            if scale % w.denominator:
-                scale = lcm(scale, w.denominator)
-        counts = tuple(
-            w.numerator * (scale // w.denominator) for w in self.weights
-        )
-        return scale, counts, sum(c * c for c in counts)
 
 
 def vertex(n: int, j: int) -> Distribution:
@@ -151,20 +163,44 @@ class ReportProfile:
     def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """The reports as integers over one common denominator.
 
-        Returns (D, rows) with D the lcm of every weight's denominator and
-        rows[i][j] = D * weight j of expert i, an exact integer.  Computed
-        once per profile; exact arithmetic on the rows needs no gcd.
+        Returns (D, rows) with D the lcm of the reports' own denominators
+        (so of every weight's denominator) and rows[i][j] = D * weight j of
+        expert i, an exact integer, built from each report's ``scaled``
+        counts.  Computed once per profile; exact arithmetic on the rows
+        needs no gcd.
         """
         scale = 1
         for r in self.reports:
-            for w in r.weights:
-                if scale % w.denominator:
-                    scale = lcm(scale, w.denominator)
-        rows = tuple(
-            tuple(w.numerator * (scale // w.denominator) for w in r.weights)
-            for r in self.reports
+            d = r.scaled[0]
+            if scale % d:
+                scale = lcm(scale, d)
+        rows = []
+        for r in self.reports:
+            d, counts, _ = r.scaled
+            if d != scale:
+                factor = scale // d
+                counts = tuple([c * factor for c in counts])
+            rows.append(counts)
+        return scale, tuple(rows)
+
+    @cached_property
+    def scaled_totals(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The column totals over the same D, and one sum per expert.
+
+        Returns (T, G) with T = D * ``totals()`` as integers and, for
+        A_i = rows[i] of ``scaled`` and B_i = T - A_i (D times the others'
+        summed report), G[i] = sum(B_i**2) - sum(A_i**2), which equals
+        sum(T**2) - 2 * sum(T * A_i).  Computed once per profile.
+        """
+        scale, rows = self.scaled
+        totals = tuple(
+            [t.numerator * (scale // t.denominator) for t in self.totals()]
         )
-        return scale, rows
+        square = sum([t * t for t in totals])
+        gaps = tuple(
+            [square - 2 * sum([t * x for t, x in zip(totals, a)]) for a in rows]
+        )
+        return totals, gaps
 
     def totals(self) -> tuple[Fraction, ...]:
         """Coordinatewise sum of all reports (the all-experts column sums)."""

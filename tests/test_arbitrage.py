@@ -11,6 +11,7 @@ from elicit import (
     ArbitrageFreeContract,
     CertificateKind,
     Coalition,
+    ContractFunction,
     Distribution,
     GridSearch,
     IndependentScoring,
@@ -38,7 +39,13 @@ from elicit.arbitrage import (
     profile_with_coalition_sums,
 )
 
-from conftest import distributions, profiles, profiles_with_coalitions
+from conftest import (
+    distributions,
+    plain_quadratic,
+    plain_reward,
+    profiles,
+    profiles_with_coalitions,
+)
 
 INTRO = ReportProfile.of(("2/5", "3/5"), ("1/2", "1/2"), ("9/10", "1/10"))
 ALL_HALF = ReportProfile.of(("1/2", "1/2"), ("1/2", "1/2"), ("1/2", "1/2"))
@@ -295,6 +302,36 @@ class TestSearch:
         with pytest.raises(ValueError):
             RandomSearch(trials=0, seed=1)
 
+    def test_random_search_rejects_empty_denominator(self):
+        with pytest.raises(ValueError, match="denominator"):
+            RandomSearch(trials=5, seed=1, denominator=0)
+
+    def test_random_search_rejects_float_bounds(self):
+        with pytest.raises(TypeError, match="float"):
+            RandomSearch(trials=5, seed=1, bounds=(0.1, 0.9))
+
+    def test_random_search_rejects_non_rational_bounds(self):
+        with pytest.raises(ValueError):
+            RandomSearch(trials=5, seed=1, bounds=("low", "1"))
+        with pytest.raises(TypeError):
+            RandomSearch(trials=5, seed=1, bounds=(None, 1))
+        with pytest.raises(ValueError, match="pair"):
+            RandomSearch(trials=5, seed=1, bounds=(0, Fraction(1, 2), 1))
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [("7/10", "1/5"), ("-1/10", "1/2"), ("1/2", "3/2")],
+        ids=["reversed", "below-zero", "above-one"],
+    )
+    def test_random_search_rejects_bounds_outside_unit_interval(self, bounds):
+        with pytest.raises(ValueError, match="bad bounds"):
+            RandomSearch(trials=5, seed=1, bounds=bounds)
+
+    def test_random_search_stores_exact_bounds(self):
+        strategy = RandomSearch(trials=5, seed=1, bounds=("1/50", 1))
+        assert strategy.bounds == (Fraction(1, 50), Fraction(1))
+        assert all(type(b) is Fraction for b in strategy.bounds)
+
     def test_expected_kind_search(self):
         contract = ArbitrageFreeContract(alpha=16)
         cert = search_arbitrage(
@@ -421,3 +458,205 @@ class TestCachedBaselineTotals:
         # Other contracts enumerate one point per member: 6**2 at steps 2.
         with pytest.raises(ValueError, match="36 deviations"):
             search_arbitrage(QUADRATIC, three, pair, GridSearch(steps=2))
+
+
+def plain_coalition_totals(contract, profile, coalition):
+    """Coalition totals from the payment formulas in plain Fractions."""
+
+    def pay(i, j):
+        if isinstance(contract, IndependentScoring):
+            return plain_quadratic(profile.reports[i].weights, j)
+        return plain_reward(profile, i, j, contract.alpha)
+
+    return tuple(sum(pay(i, j) for i in coalition) for j in range(profile.n))
+
+
+@st.composite
+def screen_cases(draw):
+    """A contract, a baseline, a coalition and a deviation of its members.
+
+    The contract is independent quadratic scoring, the alpha family at a
+    safe alpha, or the alpha family at a prone alpha (permissive).  A
+    third of the deviations have every member report the coalition mean,
+    which often certifies under the prone and independent contracts.
+    """
+    baseline, coalition = draw(profiles_with_coalitions(max_m=4, max_n=3))
+    m, n = baseline.m, baseline.n
+    cutoff = 2 * (m - 1) ** 2 * n
+    kind = draw(st.sampled_from(["independent", "safe", "prone"]))
+    if kind == "independent":
+        contract = QUADRATIC
+    elif kind == "safe":
+        alpha = draw(
+            st.one_of(
+                st.fractions(max_value=Fraction(-1, 10**6), max_denominator=10**6),
+                st.fractions(min_value=cutoff, max_denominator=10**6),
+            )
+        )
+        contract = ArbitrageFreeContract(alpha=alpha)
+    else:
+        alpha = draw(
+            st.fractions(
+                min_value=0,
+                max_value=cutoff - Fraction(1, 10**6),
+                max_denominator=10**6,
+            )
+        )
+        contract = ArbitrageFreeContract(alpha=alpha, permissive=True)
+    if draw(st.integers(0, 2)) == 0:
+        deviation = mean_collusion(baseline, coalition)
+    else:
+        deviation = baseline.replace(
+            {i: draw(distributions(n=n)) for i in coalition}
+        )
+    return contract, baseline, coalition, deviation
+
+
+class TestDominanceScreen:
+    """The comparison screen behind check_dominance's cached totals."""
+
+    @settings(max_examples=150)
+    @given(screen_cases())
+    def test_cached_check_equals_uncached_and_reference(self, case):
+        contract, baseline, coalition, deviation = case
+        totals = coalition_totals(contract, baseline, coalition)
+        assert totals == plain_coalition_totals(contract, baseline, coalition)
+        fresh = check_dominance(contract, baseline, deviation, coalition)
+        cached = check_dominance(contract, baseline, deviation, coalition, totals)
+        assert cached == fresh
+        deltas = [
+            a - b
+            for a, b in zip(
+                plain_coalition_totals(contract, deviation, coalition), totals
+            )
+        ]
+        dominates = all(d >= 0 for d in deltas) and any(d > 0 for d in deltas)
+        assert (fresh is not None) == dominates
+        if fresh is not None:
+            assert fresh.deltas == tuple(deltas)
+
+    @settings(max_examples=150)
+    @given(screen_cases(), st.data())
+    def test_nudged_totals_hide_but_never_make_a_certificate(self, case, data):
+        contract, baseline, coalition, deviation = case
+        nudges = data.draw(
+            st.lists(
+                st.sampled_from([-1, 0, 1]),
+                min_size=baseline.n,
+                max_size=baseline.n,
+            )
+        )
+        totals = coalition_totals(contract, baseline, coalition)
+        nudged = [t + Fraction(k, 10**6) for t, k in zip(totals, nudges)]
+        fresh = check_dominance(contract, baseline, deviation, coalition)
+        cert = check_dominance(contract, baseline, deviation, coalition, nudged)
+        assert cert is None or cert == fresh
+
+    @pytest.mark.parametrize("alpha", [-1, 1, 3, 16], ids=str)
+    def test_intro_grid_matches_reference(self, alpha):
+        # At alpha 1 and 3 (prone for m = 3, n = 2) coalition {1, 2} has
+        # about half of these deviations certify; -1 and 16 are safe.
+        contract = ArbitrageFreeContract(alpha=alpha, permissive=True)
+        hits = 0
+        for members in ([0, 1], [0, 2], [1, 2]):
+            coalition = Coalition.of(members)
+            totals = coalition_totals(contract, INTRO, coalition)
+            plain = plain_coalition_totals(contract, INTRO, coalition)
+            assert totals == plain
+            for deviation in _grid_deviations(contract, INTRO, coalition, 40):
+                fresh = check_dominance(contract, INTRO, deviation, coalition)
+                assert fresh == check_dominance(
+                    contract, INTRO, deviation, coalition, totals
+                )
+                after = plain_coalition_totals(contract, deviation, coalition)
+                deltas = tuple(a - b for a, b in zip(after, plain))
+                dominates = all(d >= 0 for d in deltas) and any(
+                    d > 0 for d in deltas
+                )
+                assert (fresh is not None) == dominates
+                if fresh is None:
+                    continue
+                hits += 1
+                assert fresh.deltas == deltas
+                for nudge in (Fraction(1, 10**6), Fraction(-1, 10**6)):
+                    nudged = [t + nudge for t in totals]
+                    cert = check_dominance(
+                        contract, INTRO, deviation, coalition, nudged
+                    )
+                    assert cert is None or cert == fresh
+        assert (hits > 0) == (alpha in (1, 3))
+
+    def test_freeness_suite_screens_with_the_baselines_own_totals(
+        self, monkeypatch
+    ):
+        # At a prone alpha some deviations certify; every check must get
+        # the totals of its own baseline and coalition.
+        from elicit import suites
+
+        verdicts = []
+
+        def checked(contract, baseline, deviation, coalition, before):
+            assert before == coalition_totals(contract, baseline, coalition)
+            cert = check_dominance(
+                contract, baseline, deviation, coalition, before
+            )
+            verdicts.append(cert is not None)
+            return cert
+
+        monkeypatch.setattr(suites, "check_dominance", checked)
+        config = suites.VerifyConfig(
+            m_max=4, n_max=3, alphas=(Fraction(1),), trials=60,
+            baselines=3, permissive=True,
+        )
+        (result,) = suites.run_suites(["freeness"], config)
+        assert len(verdicts) == result.checks == 6 * 60
+        assert any(verdicts)
+
+    def test_tie_everywhere_is_not_dominance(self):
+        # An unchanged deviation ties on every outcome: weakly but not
+        # strictly better, so the screen must reject it.
+        contract = ArbitrageFreeContract(alpha=-1)
+        coalition = Coalition.of([0, 1])
+        totals = coalition_totals(contract, INTRO, coalition)
+        same = unchanged_copy(INTRO)
+        assert check_dominance(contract, INTRO, same, coalition, totals) is None
+
+    def test_tie_on_some_outcomes_is_still_dominance(self):
+        # Paid only on outcome 1, by their weight on it: raising that
+        # weight gains on outcome 1 and ties on outcome 2.
+        class FirstOutcomeWeight(ContractFunction):
+            def evaluate(self, profile, j):
+                return tuple(
+                    r.weights[0] if j == 0 else Fraction(0)
+                    for r in profile.reports
+                )
+
+        contract = FirstOutcomeWeight()
+        coalition = Coalition.of([0, 1])
+        deviation = INTRO.replace({0: Distribution.of("1", "0")})
+        totals = coalition_totals(contract, INTRO, coalition)
+        cert = check_dominance(contract, INTRO, deviation, coalition, totals)
+        assert cert is not None
+        assert cert.deltas == (Fraction(3, 5), 0)
+        assert cert == check_dominance(contract, INTRO, deviation, coalition)
+
+    def test_screen_finds_the_intro_certificate(self):
+        # Averaging certifies against independent quadratic scoring.
+        coalition = Coalition.of([0, 2])
+        deviation = mean_collusion(INTRO, coalition)
+        totals = coalition_totals(QUADRATIC, INTRO, coalition)
+        cert = check_dominance(QUADRATIC, INTRO, deviation, coalition, totals)
+        assert cert is not None
+        assert cert == check_dominance(QUADRATIC, INTRO, deviation, coalition)
+
+    def test_screen_accepts_float_totals(self):
+        # Averaging gains the same positive amount on every outcome, far
+        # more than rounding the totals to floats can hide.
+        coalition = Coalition.of([0, 2])
+        deviation = mean_collusion(INTRO, coalition)
+        totals = coalition_totals(QUADRATIC, INTRO, coalition)
+        floats = [float(t) for t in totals]
+        cert = check_dominance(QUADRATIC, INTRO, deviation, coalition, floats)
+        assert cert == check_dominance(QUADRATIC, INTRO, deviation, coalition)
+        same = unchanged_copy(INTRO)
+        assert check_dominance(QUADRATIC, INTRO, same, coalition, floats) is None

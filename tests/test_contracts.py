@@ -30,7 +30,7 @@ from elicit import (
 from elicit.contracts import InducedExpertRule
 from elicit.simplex import Coalition
 
-from conftest import distributions, profiles
+from conftest import distributions, fine_profiles, plain_reward, profiles
 
 ALL_HALF = ReportProfile.of(("1/2", "1/2"), ("1/2", "1/2"), ("1/2", "1/2"))
 
@@ -244,6 +244,34 @@ class TestIntegerKernel:
                 coalition_totals(contract, profile, coalition)
             with pytest.raises(AlphaRangeError, match="arbitrage-prone"):
                 contract.expert_view(profile, 0)
+
+
+class TestPaymentTermsCache:
+    """Per-profile payment terms hold no alpha, so reuse is sound."""
+
+    @given(
+        st.one_of(profiles(max_m=6, max_n=5), fine_profiles()),
+        fine_alphas,
+        fine_alphas,
+        st.data(),
+    )
+    def test_one_profile_under_two_alphas(self, profile, first, second, data):
+        members = data.draw(
+            st.lists(st.integers(0, profile.m - 1), min_size=1, unique=True)
+        )
+        coalition = Coalition.of(members)
+        # A, then B, then A again on the same profile object.
+        for alpha in (first, second, first):
+            contract = ArbitrageFreeContract(alpha=alpha, permissive=True)
+            want = [
+                tuple(plain_reward(profile, i, j, alpha) for i in range(profile.m))
+                for j in range(profile.n)
+            ]
+            for j in range(profile.n):
+                assert contract.evaluate(profile, j) == want[j]
+            assert coalition_totals(contract, profile, coalition) == tuple(
+                sum(row[i] for i in coalition) for row in want
+            )
 
 
 class TestInducedExpertRule:

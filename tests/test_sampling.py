@@ -14,6 +14,24 @@ from elicit.sampling import (
     random_distribution,
     random_profile,
 )
+from elicit.simplex import Distribution
+
+
+def reference_draw(rng, n, denominator, bounds=None):
+    """One draw by the plain-Fraction rule: snap with a (gap, index) key,
+    compare every weight with the bounds as Fractions."""
+    for _ in range(10**4):
+        spacings = [rng.expovariate(1.0) for _ in range(n)]
+        total = sum(spacings)
+        scaled = [s / total * denominator for s in spacings]
+        base = [int(x) for x in scaled]
+        order = sorted(range(n), key=lambda k: (base[k] - scaled[k], k))
+        for k in order[: denominator - sum(base)]:
+            base[k] += 1
+        weights = tuple(Fraction(b, denominator) for b in base)
+        if bounds is None or all(bounds[0] <= w <= bounds[1] for w in weights):
+            return Distribution(weights)
+    raise AssertionError("reference draw found nothing within the bounds")
 
 
 class TestDerivedRng:
@@ -61,6 +79,50 @@ class TestRandomDistribution:
             random_distribution(rng, 2, bounds=(Fraction(3, 5), Fraction(9, 10)))
         with pytest.raises(ValueError, match="no distribution"):
             random_distribution(rng, 3, bounds=(Fraction(0), Fraction(1, 4)))
+
+    @given(st.integers(0, 10**6), st.integers(2, 6), st.integers(1, 10**4))
+    def test_matches_plain_fraction_reference(self, seed, n, denominator):
+        rng, ref = derived_rng(seed, "t"), derived_rng(seed, "t")
+        for _ in range(3):
+            got = random_distribution(rng, n, denominator)
+            assert got == reference_draw(ref, n, denominator)
+        # The same numbers were consumed from the generator.
+        assert rng.random() == ref.random()
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 4),
+        st.integers(8, 60),
+        st.fractions(0, 1, max_denominator=30),
+        st.fractions(0, 1, max_denominator=30),
+    )
+    def test_bounded_matches_plain_fraction_reference(
+        self, seed, n, denominator, a, b
+    ):
+        # Small denominators put counts right on the bounds, where the
+        # integer test must round the same way as the Fraction test.
+        # lo <= 1/(2n) and hi >= 2/n keep a draw likely at d >= 2n.
+        bounds = (min(a, b, Fraction(1, 2 * n)), max(a, b, Fraction(2, n)))
+        rng, ref = derived_rng(seed, "t"), derived_rng(seed, "t")
+        for _ in range(3):
+            got = random_distribution(rng, n, denominator, bounds)
+            assert got == reference_draw(ref, n, denominator, bounds)
+        assert rng.random() == ref.random()
+
+    def test_refuses_float_bounds(self):
+        rng = derived_rng(1, "t")
+        with pytest.raises(TypeError, match="float"):
+            random_distribution(rng, 2, bounds=(0.1, 0.9))
+        with pytest.raises(TypeError, match="float"):
+            random_distribution(rng, 2, bounds=(Fraction(1, 10), 0.9))
+        # Exact bounds in any form still work: ints and strings.
+        d = random_distribution(rng, 2, denominator=10, bounds=("1/10", 1))
+        assert all(Fraction(1, 10) <= w <= 1 for w in d.weights)
+
+    def test_rejects_bounds_that_are_not_a_pair(self):
+        rng = derived_rng(1, "t")
+        with pytest.raises(ValueError, match="pair"):
+            random_distribution(rng, 2, bounds=(0, Fraction(1, 2), 1))
 
     def test_rejects_bad_shape(self):
         rng = derived_rng(1, "t")

@@ -22,23 +22,7 @@ from elicit import (
 )
 from elicit.scoring import quadratic_score_float
 
-from conftest import distributions
-
-
-@st.composite
-def mixed_denominator_reports(draw):
-    """A report whose weights each have their own denominator up to 10**6."""
-    n = draw(st.integers(2, 6))
-    if draw(st.booleans()):
-        return vertex(n, draw(st.integers(0, n - 1)))
-    weights, left = [], Fraction(1)
-    for _ in range(n - 1):
-        den = draw(st.integers(1, 10**6))
-        w = Fraction(draw(st.integers(0, math.floor(left * den))), den)
-        weights.append(w)
-        left -= w
-    weights.append(left)
-    return Distribution(tuple(draw(st.permutations(weights))))
+from conftest import distributions, mixed_denominator_reports
 
 
 class TestQuadraticScore:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
+from numbers import Rational
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,7 +22,13 @@ from elicit import (
     vertex,
 )
 
-from conftest import distributions, profiles, profiles_with_coalitions
+from conftest import (
+    distributions,
+    fine_profiles,
+    mixed_denominator_reports,
+    profiles,
+    profiles_with_coalitions,
+)
 
 
 class TestDistribution:
@@ -64,6 +72,93 @@ class TestDistribution:
             vertex(3, 3)
 
 
+def reference_validate(weights):
+    """The plain-Fraction validation rule: the error it raises, or None."""
+    try:
+        if not weights:
+            raise ValueError("a distribution needs at least one outcome")
+        for w in weights:
+            if isinstance(w, float) or not isinstance(w, Rational):
+                raise TypeError(f"weight {w!r} is not an exact rational")
+            if w < 0:
+                raise ValueError(f"negative weight {w}")
+        total = sum(weights)
+        if total != 1:
+            raise ValueError(f"weights sum to {Fraction(total)}, not 1")
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def weight_lists(draw):
+    """Mostly exact simplex points with per-weight denominators up to 10**6,
+    some nudged off by 1/10**6, negated, or holding a float, Decimal or int.
+    """
+    weights = list(draw(mixed_denominator_reports()).weights)
+    k = draw(st.integers(0, len(weights) - 1))
+    change = draw(
+        st.sampled_from(
+            ["none", "none", "up", "down", "negate", "float", "decimal", "int"]
+        )
+    )
+    if change == "up":
+        weights[k] += Fraction(1, 10**6)
+    elif change == "down":
+        weights[k] -= Fraction(1, 10**6)
+    elif change == "negate":
+        weights[k] = -weights[k]
+    elif change == "float":
+        weights[k] = float(weights[k])
+    elif change == "decimal":
+        weights[k] = Decimal(weights[k].numerator) / weights[k].denominator
+    elif change == "int":
+        weights[k] = draw(st.integers(-2, 2))
+    return tuple(weights)
+
+
+class TestIntegerValidation:
+    """Integer validation against the plain-Fraction reference rule."""
+
+    @given(weight_lists())
+    def test_accepts_and_rejects_as_reference(self, weights):
+        want = reference_validate(weights)
+        try:
+            d = Distribution(weights)
+        except (TypeError, ValueError) as exc:
+            assert (type(exc), str(exc)) == want
+            return
+        assert want is None
+        scale = math.lcm(*(w.denominator for w in weights))
+        counts = tuple(w.numerator * (scale // w.denominator) for w in weights)
+        assert d.scaled == (scale, counts, sum(c * c for c in counts))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            (),
+            (Fraction(1),),
+            (Fraction(1, 2), 0.5),
+            (0.5, Fraction(-1, 2), Fraction(1)),
+            (Fraction(-1, 2), 0.5, Fraction(1)),
+            (Decimal("0.5"), Fraction(1, 2)),
+            ("1/2", Fraction(1, 2)),
+            (True, False),
+            (1, 1),
+            (Fraction(1, 3), Fraction(1, 3)),
+            (Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**6)),
+        ],
+    )
+    def test_edge_cases_match_reference(self, weights):
+        want = reference_validate(weights)
+        if want is None:
+            assert Distribution(weights).scaled[0] == 1
+            return
+        with pytest.raises(want[0]) as info:
+            Distribution(weights)
+        assert str(info.value) == want[1]
+
+
 class TestReportProfile:
     def test_of_and_shape(self):
         p = ReportProfile.of(("2/5", "3/5"), ("1/2", "1/2"))
@@ -83,6 +178,21 @@ class TestReportProfile:
         for j in range(p.n):
             assert p.totals()[j] == sum(r[j] for r in p.reports)
         assert sum(p.totals()) == p.m
+
+    @given(st.one_of(profiles(max_m=5, max_n=4), fine_profiles()))
+    def test_integer_caches_match_fresh_computation(self, p):
+        scale = math.lcm(*(w.denominator for r in p.reports for w in r))
+        rows = tuple(tuple(w * scale for w in r) for r in p.reports)
+        assert p.scaled == (scale, rows)
+        totals = tuple(t * scale for t in p.totals())
+        others = [[t - x for t, x in zip(totals, a)] for a in rows]
+        assert p.scaled_totals == (
+            totals,
+            tuple(
+                sum(y * y for y in b) - sum(x * x for x in a)
+                for a, b in zip(rows, others)
+            ),
+        )
 
     def test_replace_swaps_only_given_rows(self):
         p = ReportProfile.of(("2/5", "3/5"), ("1/2", "1/2"))
