@@ -24,9 +24,14 @@ from itertools import product
 from math import comb
 from typing import Iterator, Optional, Sequence
 
-from .contracts import ArbitrageFreeContract, ContractFunction, coalition_totals
-from .sampling import exact_bounds, random_distribution
-from .scoring import quadratic_score
+from .contracts import (
+    ArbitrageFreeContract,
+    ContractFunction,
+    IndependentScoring,
+    coalition_totals,
+)
+from .sampling import DEFAULT_DENOMINATOR, exact_bounds, random_deviation
+from .scoring import QuadraticRule
 from .simplex import (
     Coalition,
     Distribution,
@@ -101,18 +106,6 @@ def ensure_agreement_outside(
             )
 
 
-def _weakly_positive(values: Sequence, exact: bool) -> bool:
-    if exact:
-        return all(v >= 0 for v in values)
-    return all(v >= -NUMERIC_TOLERANCE for v in values)
-
-
-def _somewhere_positive(values: Sequence, exact: bool) -> bool:
-    if exact:
-        return any(v > 0 for v in values)
-    return any(v > NUMERIC_TOLERANCE for v in values)
-
-
 @dataclass(frozen=True)
 class ArbitrageCertificate:
     """A verified witness that a coalition deviation is a riskless gain.
@@ -181,9 +174,8 @@ def _witnesses(
         values = _member_gains(baseline, coalition, deltas)
     # NaN deltas (both totals -inf under the log rule) fail the weak test
     # and correctly yield no certificate.
-    return _weakly_positive(values, exact) and _somewhere_positive(
-        values, exact
-    )
+    slack = 0 if exact else NUMERIC_TOLERANCE
+    return all(v >= -slack for v in values) and any(v > slack for v in values)
 
 
 def _passes(
@@ -470,10 +462,9 @@ def uniform_report_arbitrage_interval(
     if not 0 <= j < 2:
         raise IndexError(f"outcome {j} out of range for n=2")
     c = coalition.size
-    totals = [
-        sum(quadratic_score(profile.reports[i], ell) for i in coalition)
-        for ell in range(2)
-    ]
+    totals = coalition_totals(
+        IndependentScoring(rule=QuadraticRule()), profile, coalition
+    )
     rad_lower = Fraction(c - totals[j], 2 * c)
     rad_upper = Fraction(c - totals[1 - j], 2 * c)
     lower = SqrtExpr(offset=Fraction(1), coeff=Fraction(-1), radicand=rad_lower)
@@ -506,7 +497,7 @@ class RandomSearch:
 
     trials: int
     seed: int
-    denominator: int = 10**4
+    denominator: int = DEFAULT_DENOMINATOR
     bounds: Optional[tuple[Fraction, Fraction]] = None
 
     def __post_init__(self) -> None:
@@ -546,18 +537,10 @@ def _random_deviations(
     strategy: RandomSearch,
 ) -> Iterator[ReportProfile]:
     rng = random.Random(strategy.seed)
-    members = tuple(coalition)
     for _ in range(strategy.trials):
-        changes = {
-            i: random_distribution(
-                rng,
-                baseline.n,
-                denominator=strategy.denominator,
-                bounds=strategy.bounds,
-            )
-            for i in members
-        }
-        yield baseline.replace(changes)
+        yield random_deviation(
+            rng, baseline, coalition, strategy.denominator, strategy.bounds
+        )
 
 
 def search_arbitrage(

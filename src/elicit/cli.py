@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -39,7 +40,6 @@ from .contracts import (
     IndependentScoring,
     ZeroSumPair,
     coalition_totals,
-    validate_alpha,
 )
 from .demo import InternalInconsistencyError, run_intro
 from .formats import (
@@ -90,16 +90,30 @@ def _guarded(fn):
     return wrapper
 
 
+def _read_profile(path: str) -> ReportProfile:
+    """A profile from a JSON file (--input and --deviation)."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+    return parse_profile_json(text)
+
+
 def _load_profile(input_path: Optional[str], inline: Optional[str]) -> ReportProfile:
     if (input_path is None) == (inline is None):
         raise click.UsageError("provide exactly one of --input or --reports")
     if input_path is not None:
-        try:
-            text = Path(input_path).read_text()
-        except OSError as exc:
-            raise InputError(f"cannot read {input_path}: {exc}") from None
-        return parse_profile_json(text)
+        return _read_profile(input_path)
     return parse_inline_profile(inline)
+
+
+def _outcomes(profile: ReportProfile, outcome: Optional[int]) -> Sequence[int]:
+    """The 0-based outcomes that a 1-based --outcome filter selects."""
+    if outcome is None:
+        return range(profile.n)
+    if not 1 <= outcome <= profile.n:
+        raise click.UsageError(f"--outcome {outcome} out of range 1..{profile.n}")
+    return [outcome - 1]
 
 
 def _build_contract(
@@ -120,6 +134,15 @@ def _build_contract(
     if tag == "zero-sum-pair":
         return ZeroSumPair()
     raise click.UsageError(f"unknown contract {tag!r}")
+
+
+def _contract_config(tag: str, alpha: Optional[str], permissive: bool) -> dict:
+    """The config echo of --contract, --alpha and --permissive."""
+    return {
+        "contract": tag,
+        "alpha": alpha if alpha is None else str(parse_rational(alpha)),
+        "permissive": permissive,
+    }
 
 
 def _render_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -167,6 +190,57 @@ def _cert_obj(cert: ArbitrageCertificate) -> dict:
     return obj
 
 
+def _emit_expert_values(
+    command: str,
+    contract: ContractFunction,
+    profile: ReportProfile,
+    outcome: Optional[int],
+    coalition: Optional[Coalition],
+    config: dict,
+    fmt: str,
+) -> None:
+    """Every expert's payment on the selected outcomes (score and reward).
+
+    The value column is named after the command and the results list
+    after its plural; score's CSV adds a decimal column.  A coalition
+    appends its totals.
+    """
+    outcomes = _outcomes(profile, outcome)
+    values = {j: contract.evaluate(profile, j) for j in outcomes}
+    entries = [
+        (i + 1, j + 1, values[j][i]) for i in range(profile.m) for j in outcomes
+    ]
+    rows = [(str(i), str(j), _vcell(v)) for i, j, v in entries]
+    results = {
+        "profile": profile_to_obj(profile),
+        command + "s": [
+            {"expert": i, "outcome": j, command: _value_obj(v)}
+            for i, j, v in entries
+        ],
+    }
+    header = csv_header = ("expert", "outcome", command)
+    csv_rows = list(entries)
+    if command == "score":
+        csv_header += ("decimal",)
+        csv_rows = [(i, j, v, decimal_str(v)) for i, j, v in entries]
+    if coalition is not None:
+        totals = coalition_totals(contract, profile, coalition)
+        label = "C=" + ",".join(str(i + 1) for i in coalition)
+        rows += [(label, str(j + 1), _vcell(totals[j])) for j in outcomes]
+        results["coalition_totals"] = [
+            {"outcome": j + 1, "total": _value_obj(totals[j])} for j in outcomes
+        ]
+        csv_rows += [("coalition", j + 1, totals[j]) for j in outcomes]
+    payload = {
+        "command": command,
+        "config": config,
+        "results": results,
+        "certificates": [],
+    }
+    table = _render_table(header, rows)
+    _emit(payload, fmt, table, csv_text(csv_header, csv_rows))
+
+
 def _emit(payload: dict, fmt: str, table: str, csv: str) -> None:
     if fmt == "json":
         text = dumps(payload)
@@ -201,6 +275,9 @@ _reports_option = click.option(
     default=None,
     help="Inline profile, e.g. '2/5,3/5; 1/2,1/2; 9/10,1/10'.",
 )
+_outcome_option = click.option(
+    "--outcome", type=int, default=None, help="1-based outcome filter."
+)
 
 
 @click.group()
@@ -220,49 +297,15 @@ def main() -> None:
     show_default=True,
     help="Scoring rule to apply per expert.",
 )
-@click.option("--outcome", type=int, default=None, help="1-based outcome filter.")
+@_outcome_option
 @_format_option
 @_guarded
 def score(input_path, inline, tag, outcome, fmt) -> None:
     """Per-expert scores under an independent scoring rule."""
     profile = _load_profile(input_path, inline)
-    rule = QuadraticRule() if tag == "independent-quadratic" else LogRule()
-    outcomes = range(profile.n)
-    if outcome is not None:
-        if not 1 <= outcome <= profile.n:
-            raise click.UsageError(
-                f"--outcome {outcome} out of range 1..{profile.n}"
-            )
-        outcomes = [outcome - 1]
-    entries = [
-        (i, j, rule.score(profile.reports[i], j))
-        for i in range(profile.m)
-        for j in outcomes
-    ]
-    payload = {
-        "command": "score",
-        "config": {"contract": tag, "outcome": outcome},
-        "results": {
-            "profile": profile_to_obj(profile),
-            "scores": [
-                {"expert": i + 1, "outcome": j + 1, "score": _value_obj(v)}
-                for i, j, v in entries
-            ],
-        },
-        "certificates": [],
-    }
-    table = _render_table(
-        ("expert", "outcome", "score"),
-        [(str(i + 1), str(j + 1), _vcell(v)) for i, j, v in entries],
-    )
-    csv = csv_text(
-        ("expert", "outcome", "score", "decimal"),
-        [
-            (i + 1, j + 1, v, decimal_str(v) if v == v else v)
-            for i, j, v in entries
-        ],
-    )
-    _emit(payload, fmt, table, csv)
+    contract = _build_contract(tag, None, False)
+    config = {"contract": tag, "outcome": outcome}
+    _emit_expert_values("score", contract, profile, outcome, None, config, fmt)
 
 
 @main.command()
@@ -288,7 +331,7 @@ def score(input_path, inline, tag, outcome, fmt) -> None:
     default=None,
     help="1-based members, e.g. '1,3'; adds coalition totals.",
 )
-@click.option("--outcome", type=int, default=None, help="1-based outcome filter.")
+@_outcome_option
 @_format_option
 @_guarded
 def reward(
@@ -300,68 +343,14 @@ def reward(
     coalition = None
     if coalition_text is not None:
         coalition = parse_coalition(coalition_text, profile.m)
-    outcomes = range(profile.n)
-    if outcome is not None:
-        if not 1 <= outcome <= profile.n:
-            raise click.UsageError(
-                f"--outcome {outcome} out of range 1..{profile.n}"
-            )
-        outcomes = [outcome - 1]
-    rewards = {j: contract.evaluate(profile, j) for j in outcomes}
-    rows = [
-        (str(i + 1), str(j + 1), _vcell(rewards[j][i]))
-        for i in range(profile.m)
-        for j in outcomes
-    ]
-    results = {
-        "profile": profile_to_obj(profile),
-        "rewards": [
-            {
-                "expert": i + 1,
-                "outcome": j + 1,
-                "reward": _value_obj(rewards[j][i]),
-            }
-            for i in range(profile.m)
-            for j in outcomes
-        ],
+    config = {
+        **_contract_config(tag, alpha, permissive),
+        "coalition": None if coalition is None else [i + 1 for i in coalition],
+        "outcome": outcome,
     }
-    csv_rows = [
-        (i + 1, j + 1, rewards[j][i])
-        for i in range(profile.m)
-        for j in outcomes
-    ]
-    if coalition is not None:
-        totals = {
-            j: sum(rewards[j][i] for i in coalition) for j in outcomes
-        }
-        rows += [
-            ("C=" + ",".join(str(i + 1) for i in coalition), str(j + 1), _vcell(totals[j]))
-            for j in outcomes
-        ]
-        results["coalition_totals"] = [
-            {"outcome": j + 1, "total": _value_obj(totals[j])}
-            for j in outcomes
-        ]
-        csv_rows += [
-            ("coalition", j + 1, totals[j]) for j in outcomes
-        ]
-    payload = {
-        "command": "reward",
-        "config": {
-            "contract": tag,
-            "alpha": alpha if alpha is None else str(parse_rational(alpha)),
-            "permissive": permissive,
-            "coalition": None
-            if coalition is None
-            else [i + 1 for i in coalition],
-            "outcome": outcome,
-        },
-        "results": results,
-        "certificates": [],
-    }
-    table = _render_table(("expert", "outcome", "reward"), rows)
-    csv = csv_text(("expert", "outcome", "reward"), csv_rows)
-    _emit(payload, fmt, table, csv)
+    _emit_expert_values(
+        "reward", contract, profile, outcome, coalition, config, fmt
+    )
 
 
 @main.command("demo-intro")
@@ -544,11 +533,7 @@ def search(
             raise click.UsageError(
                 "--deviation checks one profile; drop --grid/--trials"
             )
-        try:
-            text = Path(deviation_path).read_text()
-        except OSError as exc:
-            raise InputError(f"cannot read {deviation_path}: {exc}") from None
-        deviation = parse_profile_json(text)
+        deviation = _read_profile(deviation_path)
         checker = (
             check_expected_arbitrage
             if kind is CertificateKind.EXPECTED
@@ -574,9 +559,7 @@ def search(
     payload = {
         "command": "search",
         "config": {
-            "contract": tag,
-            "alpha": alpha if alpha is None else str(parse_rational(alpha)),
-            "permissive": permissive,
+            **_contract_config(tag, alpha, permissive),
             "coalition": [i + 1 for i in coalition],
             "kind": kind.value,
             "strategy": strategy_obj,
@@ -592,13 +575,7 @@ def search(
         )
         csv = csv_text(("found", "kind"), [("no", kind.value)])
     else:
-        rows = [
-            (
-                str(j + 1),
-                _vcell(d) if isinstance(d, Fraction) else decimal_str(d),
-            )
-            for j, d in enumerate(cert.deltas)
-        ]
+        rows = [(str(j + 1), _vcell(d)) for j, d in enumerate(cert.deltas)]
         dev_lines = [
             f"  expert {i + 1}: "
             + ", ".join(str(w) for w in cert.deviation.reports[i].weights)
@@ -681,8 +658,6 @@ def verify(
     fmt,
 ) -> None:
     """Run verification suites; exit 1 if any claim fails."""
-    if m_max < 2 or n_max < 2:
-        raise click.UsageError("need --m-max >= 2 and --n-max >= 2")
     names = None
     if suite_text is not None:
         names = [s.strip() for s in suite_text.split(",") if s.strip()]
@@ -698,24 +673,12 @@ def verify(
         seed=seed,
         permissive=permissive,
     )
-    try:
-        results = run_suites(names, config)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+    results = run_suites(names, config)
     payload = {
         "command": "verify",
         "config": {
             "suites": list(names) if names else list(SUITE_NAMES),
-            "m_max": m_max,
-            "n_max": n_max,
-            "alphas": [str(a) for a in config.alphas] if config.alphas else None,
-            "trials": trials,
-            "baselines": baselines,
-            "profiles": profiles,
-            "probes": probes,
-            "grid": grid,
-            "seed": seed,
-            "permissive": permissive,
+            **asdict(config),
         },
         "results": {
             "suites": [

@@ -11,9 +11,10 @@ the realized outcome.
 
 The linear coefficient decides everything.  With m experts on n outcomes
 the family is arbitrage-free exactly when ``alpha < 0`` or
-``alpha >= 2 * (m - 1)**2 * n``; anything in between admits coalitions
-with a riskless joint gain.  ``validate_alpha`` classifies a coefficient,
-and evaluation refuses invalid ones unless explicitly told to proceed.
+``alpha >= safe_cutoff(m, n) = 2 * (m - 1)**2 * n``; anything in between
+admits coalitions with a riskless joint gain.  ``validate_alpha``
+classifies a coefficient, and evaluation refuses invalid ones unless
+explicitly told to proceed.
 
 Payments of the family are computed as integers.  With D the lcm of the
 report denominators, k = m - 1 and alpha = p / q, every payment of a
@@ -45,6 +46,7 @@ __all__ = [
     "AlphaRangeError",
     "AlphaVerdict",
     "AlphaCheck",
+    "safe_cutoff",
     "alpha_verdict",
     "validate_alpha",
     "threshold_two_outcome",
@@ -113,11 +115,16 @@ class AlphaCheck:
         return self.verdict is not AlphaVerdict.INVALID
 
 
+def safe_cutoff(m: int, n: int) -> int:
+    """2 * (m - 1)**2 * n, the inclusive lower end of the large safe band."""
+    return 2 * (m - 1) ** 2 * n
+
+
 def alpha_verdict(alpha: Fraction, m: int, n: int) -> AlphaVerdict:
     """The band of ``validate_alpha``, tested on integers alone.
 
     alpha = p / q is valid-negative when p < 0 and valid-large when
-    p >= 2 * (m - 1)**2 * n * q; no threshold is built.
+    p >= safe_cutoff(m, n) * q; no threshold is built.
     """
     if m < 2:
         raise ValueError(f"need at least 2 experts, got m={m}")
@@ -126,7 +133,7 @@ def alpha_verdict(alpha: Fraction, m: int, n: int) -> AlphaVerdict:
     p, q = alpha.numerator, alpha.denominator
     if p < 0:
         return AlphaVerdict.VALID_NEGATIVE
-    if p >= 2 * (m - 1) ** 2 * n * q:
+    if p >= safe_cutoff(m, n) * q:
         return AlphaVerdict.VALID_LARGE
     return AlphaVerdict.INVALID
 
@@ -134,7 +141,7 @@ def alpha_verdict(alpha: Fraction, m: int, n: int) -> AlphaVerdict:
 def validate_alpha(alpha, m: int, n: int) -> AlphaCheck:
     """Classify alpha as valid-negative, valid-large, or invalid.
 
-    The large-side cutoff 2 * (m - 1)**2 * n is itself valid (the bound
+    The large-side cutoff ``safe_cutoff(m, n)`` is itself valid (the bound
     is inclusive).  alpha = 0 is invalid: it admits arbitrage whenever all
     but two experts rule out some outcome.
     """
@@ -145,7 +152,7 @@ def validate_alpha(alpha, m: int, n: int) -> AlphaCheck:
         m=m,
         n=n,
         verdict=verdict,
-        lower_safe_bound=Fraction(2 * (m - 1) ** 2 * n),
+        lower_safe_bound=Fraction(safe_cutoff(m, n)),
         two_outcome_threshold=threshold_two_outcome(m, a),
         general_threshold=threshold_general(m, a),
     )
@@ -281,15 +288,13 @@ class ArbitrageFreeContract(ContractFunction):
     def _require_valid(self, profile: ReportProfile) -> None:
         if self.permissive:
             return
-        # The full classification only words the error.
-        verdict = alpha_verdict(self.alpha, profile.m, profile.n)
-        if verdict is not AlphaVerdict.INVALID:
+        m, n = profile.m, profile.n
+        if alpha_verdict(self.alpha, m, n) is not AlphaVerdict.INVALID:
             return
-        check = validate_alpha(self.alpha, profile.m, profile.n)
         raise AlphaRangeError(
             f"alpha={self.alpha} lies in the arbitrage-prone band "
-            f"[0, {check.lower_safe_bound}) for m={profile.m}, "
-            f"n={profile.n}; enable permissive mode to evaluate anyway"
+            f"[0, {safe_cutoff(m, n)}) for m={m}, n={n}; enable permissive "
+            f"mode to evaluate anyway"
         )
 
     def _coefficients(self, profile: ReportProfile) -> tuple:
@@ -355,9 +360,8 @@ def coalition_total(
     j: int,
 ):
     """The coalition's combined payment on outcome j."""
-    coalition.validate_for(profile.m)
-    rewards = contract.evaluate(profile, j)
-    return sum(rewards[i] for i in coalition)
+    _check_eval_args(profile, j)
+    return coalition_totals(contract, profile, coalition)[j]
 
 
 def coalition_totals(
@@ -379,11 +383,8 @@ def coalition_totals(
             Fraction(base + a_coef * sum(column) - t_coef * t, denominator)
             for column, t in zip(zip(*[rows[i] for i in coalition]), totals)
         )
-    out = []
-    for j in range(profile.n):
-        rewards = contract.evaluate(profile, j)
-        out.append(sum(rewards[i] for i in coalition))
-    return tuple(out)
+    rows = [contract.evaluate(profile, j) for j in range(profile.n)]
+    return tuple(sum(row[i] for i in coalition) for row in rows)
 
 
 def expert_reward(

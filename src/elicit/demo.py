@@ -27,7 +27,7 @@ from .arbitrage import (
     uniform_report_arbitrage_interval,
 )
 from .contracts import IndependentScoring, coalition_totals
-from .scoring import QuadraticRule, quadratic_score
+from .scoring import QuadraticRule
 from .simplex import Coalition, Distribution, ReportProfile
 
 __all__ = [
@@ -110,9 +110,9 @@ def run_intro(coalition: Optional[Coalition] = None) -> IntroReport:
         raise ValueError("the walkthrough needs a coalition of at least 2")
     contract = IndependentScoring(rule=QuadraticRule())
 
+    # One row per expert: the outcome rows of evaluate, transposed.
     expert_scores = tuple(
-        tuple(quadratic_score(r, j) for j in range(profile.n))
-        for r in profile.reports
+        zip(*(contract.evaluate(profile, j) for j in range(profile.n)))
     )
     baseline_totals = coalition_totals(contract, profile, coalition)
     collusion = mean_collusion(profile, coalition)

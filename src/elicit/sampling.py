@@ -1,4 +1,4 @@
-"""Seeded random generation of rational reports, profiles, and coalitions.
+"""Seeded random rational reports, profiles, coalitions and deviations.
 
 Everything downstream compares exact rationals, so draws are snapped to a
 fixed denominator instead of staying as floats.  A point is drawn uniformly
@@ -27,6 +27,7 @@ __all__ = [
     "random_distribution",
     "random_profile",
     "random_coalition",
+    "random_deviation",
     "derived_rng",
 ]
 
@@ -119,16 +120,12 @@ def random_profile(
     m: int,
     n: int,
     denominator: int = DEFAULT_DENOMINATOR,
-    bounds: Optional[tuple[Fraction, Fraction]] = None,
 ) -> ReportProfile:
     """m independent random reports over n outcomes."""
     if m < 1:
         raise ValueError(f"need at least 1 expert, got m={m}")
     return ReportProfile(
-        tuple(
-            random_distribution(rng, n, denominator=denominator, bounds=bounds)
-            for _ in range(m)
-        )
+        tuple(random_distribution(rng, n, denominator) for _ in range(m))
     )
 
 
@@ -143,3 +140,22 @@ def random_coalition(
     if not 1 <= size <= m:
         raise ValueError(f"coalition size {size} out of range for m={m}")
     return Coalition(tuple(sorted(rng.sample(range(m), size))))
+
+
+def random_deviation(
+    rng: random.Random,
+    baseline: ReportProfile,
+    coalition: Coalition,
+    denominator: int = DEFAULT_DENOMINATOR,
+    bounds: Optional[tuple[Fraction, Fraction]] = None,
+) -> ReportProfile:
+    """The baseline with a fresh random report for every coalition member.
+
+    Members draw in coalition order, one ``random_distribution`` each.
+    """
+    return baseline.replace(
+        {
+            i: random_distribution(rng, baseline.n, denominator, bounds)
+            for i in coalition
+        }
+    )

@@ -47,10 +47,17 @@ from .contracts import (  # noqa: F401
     coalition_total,
     coalition_totals,
     expected_reward,
+    safe_cutoff,
     validate_alpha,
 )
 from .formats import profile_to_obj
-from .sampling import derived_rng, random_coalition, random_distribution, random_profile
+from .sampling import (
+    derived_rng,
+    random_coalition,
+    random_deviation,
+    random_distribution,
+    random_profile,
+)
 from .scoring import QuadraticRule, properness_probe, quadratic_score_float
 from .simplex import Coalition, ReportProfile, coalition_sums
 from .verification import (
@@ -80,6 +87,9 @@ class VerifyConfig:
     ``alphas = None`` means each suite uses its default set, which for
     dominance-style suites is (-1, -10, cutoff, cutoff + 5) with cutoff
     the shape-dependent lower bound of the large-alpha safe band.
+    ``m_max`` and ``n_max`` must be at least 2, every budget at least 1,
+    and ``grid`` at least min(3, n_max): properness draws beliefs over up
+    to that many outcomes inside [1/grid, 1 - 1/grid].
     """
 
     m_max: int = 5
@@ -92,16 +102,21 @@ class VerifyConfig:
     grid: int = 50
     seed: int = 42
     permissive: bool = False
-    denominator: int = 10**4
 
     def __post_init__(self) -> None:
-        for name in ("trials", "baselines", "profiles", "probes"):
-            if getattr(self, name) < 1:
+        lows = {"m_max": 2, "n_max": 2, "trials": 1, "baselines": 1,
+                "profiles": 1, "probes": 1, "grid": 2}
+        for name, low in lows.items():
+            if getattr(self, name) < low:
                 raise ValueError(
-                    f"{name} must be >= 1, got {getattr(self, name)}"
+                    f"{name} must be >= {low}, got {getattr(self, name)}"
                 )
-        if self.grid < 2:
-            raise ValueError(f"grid must be >= 2, got {self.grid}")
+        if self.grid < min(3, self.n_max):
+            raise ValueError(
+                f"grid must be >= 3 when n_max >= 3, got {self.grid}: "
+                f"properness draws 3-outcome beliefs inside "
+                f"[1/grid, 1 - 1/grid]"
+            )
 
 
 @dataclass(frozen=True)
@@ -158,14 +173,10 @@ def _shapes(config: VerifyConfig) -> Iterator[tuple[int, int]]:
             yield m, n
 
 
-def _cutoff(m: int, n: int) -> int:
-    return 2 * (m - 1) ** 2 * n
-
-
 def _dominance_alphas(config: VerifyConfig, m: int, n: int) -> tuple[Fraction, ...]:
     if config.alphas is not None:
         return config.alphas
-    c = _cutoff(m, n)
+    c = safe_cutoff(m, n)
     return (Fraction(-1), Fraction(-10), Fraction(c), Fraction(c + 5))
 
 
@@ -174,7 +185,7 @@ def _identity_alphas(config: VerifyConfig, m: int, n: int) -> tuple[Fraction, ..
         return config.alphas
     # One alpha per band, including a deliberately unsafe one: the
     # rewrites are pure algebra and must hold everywhere.
-    return (Fraction(-1), Fraction(5, 3), Fraction(_cutoff(m, n)))
+    return (Fraction(-1), Fraction(5, 3), Fraction(safe_cutoff(m, n)))
 
 
 def _suite_identities(config: VerifyConfig) -> SuiteResult:
@@ -183,8 +194,7 @@ def _suite_identities(config: VerifyConfig) -> SuiteResult:
         for alpha in _identity_alphas(config, m, n):
             rng = derived_rng(config.seed, f"identities:{m}:{n}:{alpha}")
             profiles = [
-                random_profile(rng, m, n, denominator=config.denominator)
-                for _ in range(config.profiles)
+                random_profile(rng, m, n) for _ in range(config.profiles)
             ]
             report = general_identity_report(profiles, alpha)
             rec.checks += report.samples
@@ -219,24 +229,18 @@ def _suite_freeness(config: VerifyConfig) -> SuiteResult:
             rng = derived_rng(config.seed, f"freeness:{m}:{n}:{alpha}")
             sizes = cycle(range(2, m + 1))
             for b in range(baselines):
-                baseline = random_profile(
-                    rng, m, n, denominator=config.denominator
-                )
+                baseline = random_profile(rng, m, n)
                 rewards = [
                     contract.evaluate(baseline, j) for j in range(n)
                 ]
-                # The baseline's coalition totals, once per coalition.
+                # The baseline's coalition totals, once per coalition.  They
+                # are summed from `evaluate` rather than taken from
+                # `coalition_totals` because the benchmark's freeness
+                # workload expects calls in its contracts.nr_evaluate span.
                 totals = {}
                 for t in range(per_baseline + (b < extra)):
                     coalition = random_coalition(rng, m, next(sizes))
-                    deviation = baseline.replace(
-                        {
-                            i: random_distribution(
-                                rng, n, denominator=config.denominator
-                            )
-                            for i in coalition
-                        }
-                    )
+                    deviation = random_deviation(rng, baseline, coalition)
                     before = totals.get(coalition)
                     if before is None:
                         before = totals[coalition] = tuple(
@@ -310,16 +314,14 @@ def _suite_properness(config: VerifyConfig) -> SuiteResult:
         if config.alphas is not None:
             alpha = config.alphas[k % len(config.alphas)]
         else:
-            alpha = (Fraction(-1), Fraction(_cutoff(m, n)))[k % 2]
+            alpha = (Fraction(-1), Fraction(safe_cutoff(m, n)))[k % 2]
         # interior, on-grid belief so the unique-argmax claim applies
         belief = random_distribution(
             rng, n, denominator=config.grid, bounds=(lo, hi)
         )
         i = rng.randrange(m)
         reports = [
-            belief
-            if idx == i
-            else random_distribution(rng, n, denominator=config.denominator)
+            belief if idx == i else random_distribution(rng, n)
             for idx in range(m)
         ]
         profile = ReportProfile(tuple(reports))
@@ -342,26 +344,35 @@ def _suite_properness(config: VerifyConfig) -> SuiteResult:
     return rec.result("properness")
 
 
+def _collusion_case(
+    rng, config: VerifyConfig
+) -> tuple[ReportProfile, Coalition, ReportProfile]:
+    """One random (profile, coalition, mean-report deviation) triple.
+
+    The coalition's reports are never all equal, so the deviation moves.
+    """
+    m = rng.randint(2, config.m_max)
+    n = rng.randint(2, config.n_max)
+    coalition = random_coalition(rng, m)
+    profile = random_profile(rng, m, n)
+    while len({profile.reports[i] for i in coalition}) == 1:
+        profile = random_profile(rng, m, n)
+    return profile, coalition, mean_collusion(profile, coalition)
+
+
 def _suite_collusion(config: VerifyConfig) -> SuiteResult:
     rec = _Recorder()
     rng = derived_rng(config.seed, "collusion")
     contract = IndependentScoring(rule=QuadraticRule())
     for k in range(config.profiles):
-        m = rng.randint(2, config.m_max)
-        n = rng.randint(2, config.n_max)
-        coalition = random_coalition(rng, m)
-        profile = random_profile(rng, m, n, denominator=config.denominator)
-        while len({profile.reports[i] for i in coalition}) == 1:
-            profile = random_profile(
-                rng, m, n, denominator=config.denominator
-            )
-        deviation = mean_collusion(profile, coalition)
+        profile, coalition, deviation = _collusion_case(rng, config)
         cert = check_dominance(contract, profile, deviation, coalition)
         rec.checks += 1
         if cert is None:
             rec.fail(
                 f"profile {k + 1}: mean collusion did not certify for "
-                f"m={m} n={n} coalition {[i + 1 for i in coalition]}"
+                f"m={profile.m} n={profile.n} coalition "
+                f"{[i + 1 for i in coalition]}"
             )
     return rec.result("collusion")
 
@@ -371,7 +382,7 @@ def _structure_poly(config: VerifyConfig, rec: _Recorder) -> None:
     for k in range(50):
         m = rng.randint(2, config.m_max)
         alpha = Fraction(rng.randint(-40, 60), rng.randint(1, 4))
-        profile = random_profile(rng, m, 2, denominator=config.denominator)
+        profile = random_profile(rng, m, 2)
         coalition = random_coalition(rng, m)
         j = rng.randrange(2)
         poly = coalition_reward_poly(profile, coalition, j, alpha)
@@ -398,7 +409,7 @@ def _structure_monotonicity(config: VerifyConfig, rec: _Recorder) -> None:
     for k in range(200):
         m = rng.randint(2, config.m_max)
         coalition = random_coalition(rng, m)
-        profile = random_profile(rng, m, 2, denominator=config.denominator)
+        profile = random_profile(rng, m, 2)
         j = rng.randrange(2)
         if k % 2 == 0:
             # threshold <= 0, equivalently alpha >= 4(m-1)^2
@@ -488,12 +499,7 @@ def _suite_edge_case(config: VerifyConfig) -> SuiteResult:
         ("1/2", "1/2"), ("1/2", "1/2"), ("1/50", "49/50")
     )
     seed = derived_rng(config.seed, "edge-case").getrandbits(32)
-    strategy = RandomSearch(
-        trials=config.trials,
-        seed=seed,
-        denominator=config.denominator,
-        bounds=(lo, hi),
-    )
+    strategy = RandomSearch(trials=config.trials, seed=seed, bounds=(lo, hi))
     cert2 = search_arbitrage(contract, interior, coalition, strategy)
     rec.checks += config.trials
     if cert2 is not None:
@@ -554,20 +560,14 @@ def _suite_expected(config: VerifyConfig) -> SuiteResult:
     rng = derived_rng(config.seed, "expected:implication")
     indq = IndependentScoring(rule=QuadraticRule())
     for k in range(200):
-        m = rng.randint(2, config.m_max)
-        n = rng.randint(2, config.n_max)
-        coal = random_coalition(rng, m)
-        profile = random_profile(rng, m, n, denominator=config.denominator)
-        while len({profile.reports[i] for i in coal}) == 1:
-            profile = random_profile(rng, m, n, denominator=config.denominator)
-        collusion = mean_collusion(profile, coal)
+        profile, coal, collusion = _collusion_case(rng, config)
         dom = check_dominance(indq, profile, collusion, coal)
         if dom is None:
             continue
         everyone_sees_gain = all(
             any(
                 dom.deltas[j] > 0 and profile.reports[i].weights[j] > 0
-                for j in range(n)
+                for j in range(profile.n)
             )
             for i in coal
         )
@@ -577,7 +577,7 @@ def _suite_expected(config: VerifyConfig) -> SuiteResult:
         if check_expected_arbitrage(indq, profile, collusion, coal) is None:
             rec.fail(
                 f"implication {k + 1}: dominance without expected "
-                f"arbitrage for m={m} n={n}"
+                f"arbitrage for m={profile.m} n={profile.n}"
             )
     return rec.result("expected-arbitrage")
 
@@ -602,14 +602,9 @@ def _suite_witness(config: VerifyConfig) -> SuiteResult:
             continue
         alpha = rng.choice(candidates)
         contract = ArbitrageFreeContract(alpha=alpha)
-        baseline = random_profile(rng, m, n, denominator=config.denominator)
+        baseline = random_profile(rng, m, n)
         coalition = random_coalition(rng, m)
-        deviation = baseline.replace(
-            {
-                i: random_distribution(rng, n, denominator=config.denominator)
-                for i in coalition
-            }
-        )
+        deviation = random_deviation(rng, baseline, coalition)
         j = hurting_outcome(contract, baseline, deviation, coalition)
         before = coalition_total(contract, baseline, coalition, j)
         after = coalition_total(contract, deviation, coalition, j)

@@ -69,13 +69,6 @@ class IdentityReport:
         return self.max_spread == 0
 
 
-def _family_rewards(profile: ReportProfile, alpha: Fraction, j: int) -> tuple:
-    # Identities are pure algebra and hold for every alpha, including the
-    # arbitrage-prone band, so evaluation is always permissive here.
-    contract = ArbitrageFreeContract(alpha=alpha, permissive=True)
-    return contract.evaluate(profile, j)
-
-
 def two_outcome_form_residual(
     profile: ReportProfile, i: int, j: int, alpha
 ) -> Fraction:
@@ -92,7 +85,9 @@ def two_outcome_form_residual(
     if not 0 <= i < profile.m:
         raise IndexError(f"expert {i} out of range for m={profile.m}")
     alpha = _as_fraction(alpha)
-    reward = _family_rewards(profile, alpha, j)[i]
+    # The rewrites are pure algebra and hold for every alpha, including
+    # the arbitrage-prone band, so evaluation is always permissive here.
+    reward = ArbitrageFreeContract(alpha, permissive=True).evaluate(profile, j)[i]
     d = threshold_two_outcome(profile.m, alpha)
     t = profile.totals()[j]
     p = profile.reports[i].weights[j]
@@ -111,7 +106,7 @@ def general_form_residual(
     if not 0 <= i < profile.m:
         raise IndexError(f"expert {i} out of range for m={profile.m}")
     alpha = _as_fraction(alpha)
-    reward = _family_rewards(profile, alpha, j)[i]
+    reward = ArbitrageFreeContract(alpha, permissive=True).evaluate(profile, j)[i]
     d = threshold_general(profile.m, alpha)
     totals = profile.totals()
     own = profile.reports[i].weights

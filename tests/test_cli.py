@@ -514,6 +514,39 @@ class TestVerify:
         assert invoke(runner, "verify", "--m-max", "1").exit_code == 2
 
     @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("--m-max", "1"), "m_max must be >= 2, got 1"),
+            (("--n-max", "0"), "n_max must be >= 2, got 0"),
+            (
+                ("--grid", "2"),
+                "grid must be >= 3 when n_max >= 3, got 2: properness "
+                "draws 3-outcome beliefs inside [1/grid, 1 - 1/grid]",
+            ),
+            (
+                ("--suite", "bogus"),
+                "unknown suite(s) bogus; choose from identities, freeness, "
+                "properness, collusion, structure, edge-case, "
+                "expected-arbitrage, witness",
+            ),
+            (
+                ("--suite", "freeness", "--m-max", "2", "--n-max", "2",
+                 "--alpha", "5/3"),
+                "alpha=5/3 lies in the arbitrage-prone band [0, 4) for m=2, "
+                "n=2; enable permissive mode to evaluate anyway",
+            ),
+        ],
+    )
+    def test_config_error_is_one_error_line(
+        self, runner, args, message
+    ):
+        # --grid 2 with the default n_max = 4 used to run identities and
+        # freeness first and then die inside properness.
+        result = invoke(runner, "verify", *args)
+        assert result.exit_code == 2
+        assert result.output == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "suite,flag,value",
         [
             ("freeness", "--baselines", "0"),

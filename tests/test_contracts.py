@@ -17,6 +17,7 @@ from elicit import (
     QuadraticRule,
     ReportProfile,
     ZeroSumPair,
+    coalition_total,
     coalition_totals,
     expected_reward,
     expert_reward,
@@ -272,6 +273,35 @@ class TestPaymentTermsCache:
             assert coalition_totals(contract, profile, coalition) == tuple(
                 sum(row[i] for i in coalition) for row in want
             )
+
+
+# The contracts behind the CLI's --contract choices.
+CLI_CONTRACTS = {
+    "independent-quadratic": IndependentScoring(rule=QuadraticRule()),
+    "independent-log": IndependentScoring(rule=LogRule()),
+    "zero-sum-pair": ZeroSumPair(),
+    "nr": ArbitrageFreeContract(alpha=-1),
+}
+
+
+class TestCoalitionTotal:
+    @pytest.mark.parametrize("tag", sorted(CLI_CONTRACTS))
+    @given(data=st.data())
+    def test_is_one_entry_of_coalition_totals(self, tag, data):
+        contract = CLI_CONTRACTS[tag]
+        m = 2 if tag == "zero-sum-pair" else None
+        profile = data.draw(profiles(m=m))
+        members = data.draw(
+            st.lists(st.integers(0, profile.m - 1), min_size=1, unique=True)
+        )
+        coalition = Coalition.of(members)
+        totals = coalition_totals(contract, profile, coalition)
+        for j in range(profile.n):
+            assert coalition_total(contract, profile, coalition, j) == totals[j]
+        # An index into the tuple would accept -1 silently.
+        for j in (-1, profile.n):
+            with pytest.raises(IndexError, match="out of range"):
+                coalition_total(contract, profile, coalition, j)
 
 
 class TestInducedExpertRule:

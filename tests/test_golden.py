@@ -3,7 +3,9 @@
 The README promises that JSON output is byte-deterministic for a given
 seed and budget.  Each case below runs one CLI command in-process and
 compares its standard output with ``tests/golden/<name>.json`` byte for
-byte, together with the exit code.  Speed-ups must leave these files
+byte, together with the exit code.  The table and CSV renderings of
+every command are pinned the same way, in ``<name>.txt`` and
+``<name>.csv``.  Speed-ups and refactors must leave these files
 untouched; a change that is meant to alter the output regenerates them
 with
 
@@ -63,6 +65,68 @@ CASES = {
 }
 
 
+# name -> (exit code, CLI arguments); each runs as table and as CSV
+TEXT_CASES = {
+    "score_quadratic": (0, ("score", "--reports", INTRO)),
+    "score_log_outcome": (
+        0,
+        (
+            "score", "--reports", "2/5,3/5; 0,1; 9/10,1/10", "--contract",
+            "independent-log", "--outcome", "1",
+        ),
+    ),
+    "reward_nr_coalition_outcome": (
+        0,
+        (
+            "reward", "--reports", "1/2,1/2; 1/2,1/2; 1/2,1/2", "--contract",
+            "nr", "--alpha", "16", "--coalition", "1,3", "--outcome", "1",
+        ),
+    ),
+    "reward_log_coalition": (
+        0,
+        (
+            "reward", "--reports", INTRO, "--contract", "independent-log",
+            "--coalition", "1,2",
+        ),
+    ),
+    "reward_zero_sum_pair": (
+        0,
+        ("reward", "--reports", "2/5,3/5; 9/10,1/10", "--contract",
+         "zero-sum-pair"),
+    ),
+    "demo_intro": (0, ("demo-intro",)),
+    "demo_intro_coalition": (0, ("demo-intro", "--coalition", "1,3")),
+    "search_certificate": CASES["search_certificate"],
+    "search_none": CASES["search_none"],
+    "search_deviation_expected": (
+        3,
+        (
+            "search", "--reports", INTRO, "--deviation",
+            str(GOLDEN / "intro_mean_deviation.json"), "--expected",
+        ),
+    ),
+    "verify_readme": (
+        0,
+        (
+            "verify", "--suite", "identities,freeness", "--m-max", "3",
+            "--n-max", "2", "--trials", "1000",
+        ),
+    ),
+}
+TEXT_FORMATS = {"txt": "table", "csv": "csv"}
+
+
+def _text_case(file: str) -> tuple[int, tuple]:
+    name, ext = file.rsplit(".", 1)
+    code, args = TEXT_CASES[name]
+    if "--format" in args:
+        args = args[: args.index("--format")]
+    return code, (*args, "--format", TEXT_FORMATS[ext])
+
+
+TEXT_FILES = [f"{name}.{ext}" for name in TEXT_CASES for ext in TEXT_FORMATS]
+
+
 def _run(args) -> tuple[int, bytes]:
     result = CliRunner().invoke(main, list(args), catch_exceptions=False)
     return result.exit_code, result.stdout_bytes
@@ -76,6 +140,14 @@ def test_output_matches_golden(name):
     assert got == (GOLDEN / f"{name}.json").read_bytes()
 
 
+@pytest.mark.parametrize("file", TEXT_FILES)
+def test_text_output_matches_golden(file):
+    code, args = _text_case(file)
+    got_code, got = _run(args)
+    assert got_code == code
+    assert got == (GOLDEN / file).read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, (code, args) in sorted(CASES.items()):
@@ -84,3 +156,10 @@ if __name__ == "__main__":
             raise SystemExit(f"{name}: exit {got_code}, expected {code}")
         (GOLDEN / f"{name}.json").write_bytes(got)
         print(f"wrote {name}.json ({len(got)} bytes)")
+    for file in TEXT_FILES:
+        code, args = _text_case(file)
+        got_code, got = _run(args)
+        if got_code != code:
+            raise SystemExit(f"{file}: exit {got_code}, expected {code}")
+        (GOLDEN / file).write_bytes(got)
+        print(f"wrote {file} ({len(got)} bytes)")
