@@ -32,6 +32,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 from .scoring import ScoringRule, quadratic_score
 from .simplex import (
@@ -75,6 +76,21 @@ class AlphaVerdict(enum.Enum):
     INVALID = "invalid"
 
 
+def _threshold(m: int, alpha, factor: int) -> Fraction:
+    """(m - 1) - alpha / (factor * (m - 1)), built as one Fraction.
+
+    With k = m - 1 and alpha = p / q it is
+    (factor * k**2 * q - p) / (factor * k * q).
+    """
+    if m < 2:
+        raise ValueError(f"need at least 2 experts, got m={m}")
+    if not isinstance(alpha, Rational):
+        alpha = Fraction(alpha)
+    p, q = alpha.numerator, alpha.denominator
+    scale = factor * (m - 1) * q
+    return Fraction((m - 1) * scale - p, scale)
+
+
 def threshold_two_outcome(m: int, alpha: Fraction) -> Fraction:
     """Equivalent threshold form of alpha for two-outcome analysis.
 
@@ -82,9 +98,7 @@ def threshold_two_outcome(m: int, alpha: Fraction) -> Fraction:
     threshold > m - 1 (negative alpha) and threshold <= 0 (large alpha,
     n = 2); the arbitrage-prone band is 0 < threshold <= m - 1.
     """
-    if m < 2:
-        raise ValueError(f"need at least 2 experts, got m={m}")
-    return (m - 1) - Fraction(alpha) / (4 * (m - 1))
+    return _threshold(m, alpha, 4)
 
 
 def threshold_general(m: int, alpha: Fraction) -> Fraction:
@@ -93,9 +107,7 @@ def threshold_general(m: int, alpha: Fraction) -> Fraction:
     Defined as (m - 1) - alpha / (2 * (m - 1)); negative alpha is exactly
     threshold > m - 1.
     """
-    if m < 2:
-        raise ValueError(f"need at least 2 experts, got m={m}")
-    return (m - 1) - Fraction(alpha) / (2 * (m - 1))
+    return _threshold(m, alpha, 2)
 
 
 @dataclass(frozen=True)
@@ -285,10 +297,13 @@ class ArbitrageFreeContract(ContractFunction):
     def check(self, m: int, n: int) -> AlphaCheck:
         return validate_alpha(self.alpha, m, n)
 
-    def _require_valid(self, profile: ReportProfile) -> None:
+    def require_valid(self, m: int, n: int) -> None:
+        """Raise AlphaRangeError unless alpha is safe for m experts, n outcomes.
+
+        A permissive contract accepts every alpha.
+        """
         if self.permissive:
             return
-        m, n = profile.m, profile.n
         if alpha_verdict(self.alpha, m, n) is not AlphaVerdict.INVALID:
             return
         raise AlphaRangeError(
@@ -314,7 +329,7 @@ class ArbitrageFreeContract(ContractFunction):
             raise ValueError(
                 f"need at least 2 experts, got m={profile.m}"
             )
-        self._require_valid(profile)
+        self.require_valid(profile.m, profile.n)
         k = profile.m - 1
         p, q = self.alpha.numerator, self.alpha.denominator
         scale = profile.scaled[0]
@@ -343,7 +358,7 @@ class ArbitrageFreeContract(ContractFunction):
             )
         if not 0 <= i < profile.m:
             raise IndexError(f"expert {i} out of range for m={profile.m}")
-        self._require_valid(profile)
+        self.require_valid(profile.m, profile.n)
         k = profile.m - 1
         loo = leave_one_out_mean(profile, i)
         offsets = tuple(

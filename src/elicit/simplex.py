@@ -292,15 +292,23 @@ def coalition_sum(profile: ReportProfile, coalition: Coalition, j: int) -> Fract
     """
     coalition.validate_for(profile.m)
     _check_outcome(profile, j)
-    return sum(profile.reports[i].weights[j] for i in coalition)
+    scale, rows = profile.scaled
+    return Fraction(sum([rows[i][j] for i in coalition]), scale)
 
 
 def coalition_sums(profile: ReportProfile, coalition: Coalition) -> tuple[Fraction, ...]:
-    """Per-outcome coalition sums, as one tuple of length n."""
+    """Per-outcome coalition sums, as one tuple of length n.
+
+    Sums the members' integer rows of ``profile.scaled``, so each outcome
+    costs one Fraction.
+    """
     coalition.validate_for(profile.m)
+    scale, rows = profile.scaled
     return tuple(
-        sum(profile.reports[i].weights[j] for i in coalition)
-        for j in range(profile.n)
+        [
+            Fraction(sum(column), scale)
+            for column in zip(*[rows[i] for i in coalition])
+        ]
     )
 
 

@@ -42,8 +42,10 @@ from .arbitrage import (
 # coalition_totals is not called here, but stays bound: the benchmark's
 # self-tests (bench/test_bench.py) check that tracing wraps this binding.
 from .contracts import (  # noqa: F401
+    AlphaVerdict,
     ArbitrageFreeContract,
     IndependentScoring,
+    alpha_verdict,
     coalition_total,
     coalition_totals,
     expected_reward,
@@ -595,7 +597,7 @@ def _suite_witness(config: VerifyConfig) -> SuiteResult:
             candidates = safe_alphas[m, n] = [
                 a
                 for a in _dominance_alphas(config, m, n)
-                if validate_alpha(a, m, n).valid
+                if alpha_verdict(a, m, n) is not AlphaVerdict.INVALID
             ]
         if not candidates:
             skipped_invalid += 1
@@ -647,15 +649,30 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suites(
     names: Optional[Sequence[str]], config: VerifyConfig
 ) -> list[SuiteResult]:
-    """Run the named suites (default all) in canonical order."""
+    """Run the named suites (default all) in canonical order.
+
+    Raises ValueError for an empty or unknown selection, and, before any
+    suite runs, the freeness suite's own AlphaRangeError when freeness is
+    selected with an arbitrage-prone alpha and no permissive flag.
+    """
     if names is None:
         selected = list(SUITE_NAMES)
     else:
         unknown = [x for x in names if x not in _SUITES]
-        if unknown:
+        if unknown or not names:
+            problem = (
+                f"unknown suite(s) {', '.join(unknown)}"
+                if unknown
+                else "no suite selected"
+            )
             raise ValueError(
-                f"unknown suite(s) {', '.join(unknown)}; "
-                f"choose from {', '.join(SUITE_NAMES)}"
+                f"{problem}; choose from {', '.join(SUITE_NAMES)}"
             )
         selected = [x for x in SUITE_NAMES if x in set(names)]
+    if "freeness" in selected and not config.permissive:
+        # Freeness evaluates every cell non-permissively; walk its cells
+        # in its own order so the first prone alpha is refused up front.
+        for m, n in _shapes(config):
+            for alpha in _dominance_alphas(config, m, n):
+                ArbitrageFreeContract(alpha=alpha).require_valid(m, n)
     return [_SUITES[name](config) for name in selected]

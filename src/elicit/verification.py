@@ -10,6 +10,14 @@ payment; the reports verify that the residual has exactly zero spread over
 sampled profiles.  Constants are always recovered by evaluation, never
 hardcoded, since only their constancy matters.
 
+The residuals are computed on integers.  The payment comes from the
+contract's own ``evaluate``; the structured part is built independently
+of the contract's kernel, from the integer rows of ``profile.scaled`` (D,
+and the counts A, whose column sums are the totals T) and the threshold
+d = dn / dd.  Scaled by D**2 * dd**2 the structured part is an integer,
+so a residual costs one ``Fraction``, built when it is returned.  The
+tests check both residuals against the plain ``Fraction`` rewrites.
+
 The same threshold parameter drives a monotonicity law for the coalition
 total and an explicit per-deviation witness: an outcome under which no
 coalition deviation can gain.  Those checks close the loop between the
@@ -82,16 +90,7 @@ def two_outcome_form_residual(
         raise ValueError(
             f"two-outcome rewrite needs n=2, got n={profile.n}"
         )
-    if not 0 <= i < profile.m:
-        raise IndexError(f"expert {i} out of range for m={profile.m}")
-    alpha = _as_fraction(alpha)
-    # The rewrites are pure algebra and hold for every alpha, including
-    # the arbitrage-prone band, so evaluation is always permissive here.
-    reward = ArbitrageFreeContract(alpha, permissive=True).evaluate(profile, j)[i]
-    d = threshold_two_outcome(profile.m, alpha)
-    t = profile.totals()[j]
-    p = profile.reports[i].weights[j]
-    return reward - 2 * (t - d - 1) * (t - 2 * p - d + 1)
+    return _form_residual(profile, i, j, alpha, two_outcome=True)
 
 
 def general_form_residual(
@@ -103,19 +102,51 @@ def general_form_residual(
     every other outcome l, t_l * (t_l - 2p_l), where t is the all-expert
     sum vector, p the expert's own report, and d the general threshold.
     """
+    return _form_residual(profile, i, j, alpha, two_outcome=False)
+
+
+def _form_residual(
+    profile: ReportProfile, i: int, j: int, alpha, two_outcome: bool
+) -> Fraction:
+    """The payment minus a product rewrite, with one Fraction at the end.
+
+    With D, A = profile.scaled, T the column sums of A and d = dn / dd,
+    the structured part times D**2 * dd**2 is the integer X * Y, where
+    X = T_j*dd - dn*D - D*dd and Y = (T_j - 2*A_i[j])*dd - dn*D + D*dd;
+    the two-outcome rewrite doubles it, and the general one adds
+    dd**2 * T_l * (T_l - 2*A_i[l]) for every other outcome l.
+    """
     if not 0 <= i < profile.m:
         raise IndexError(f"expert {i} out of range for m={profile.m}")
-    alpha = _as_fraction(alpha)
-    reward = ArbitrageFreeContract(alpha, permissive=True).evaluate(profile, j)[i]
-    d = threshold_general(profile.m, alpha)
-    totals = profile.totals()
-    own = profile.reports[i].weights
-    structured = (totals[j] - d - 1) * (totals[j] - 2 * own[j] - d + 1)
-    for ell in range(profile.n):
-        if ell == j:
-            continue
-        structured += totals[ell] * (totals[ell] - 2 * own[ell])
-    return reward - structured
+    # The rewrites are pure algebra and hold for every alpha, including
+    # the arbitrage-prone band, so evaluation is always permissive here.
+    contract = ArbitrageFreeContract(alpha, permissive=True)
+    reward = contract.evaluate(profile, j)[i]
+    threshold = threshold_two_outcome if two_outcome else threshold_general
+    d = threshold(profile.m, contract.alpha)
+    dn, dd = d.numerator, d.denominator
+    scale, rows = profile.scaled
+    own = rows[i]
+    totals = [sum(column) for column in zip(*rows)]
+    t = totals[j] * dd
+    shift = dn * scale
+    edge = scale * dd
+    structured = (t - shift - edge) * (t - 2 * own[j] * dd - shift + edge)
+    if two_outcome:
+        structured *= 2
+    else:
+        structured += dd * dd * sum(
+            [
+                x * (x - 2 * a)
+                for ell, (x, a) in enumerate(zip(totals, own))
+                if ell != j
+            ]
+        )
+    denominator = edge * edge
+    return Fraction(
+        reward.numerator * denominator - structured * reward.denominator,
+        reward.denominator * denominator,
+    )
 
 
 def _constancy_report(

@@ -63,10 +63,14 @@ def mixed_denominator_reports(draw, n: int | None = None, max_n: int = 6):
 
 
 @st.composite
-def fine_profiles(draw, max_m: int = 5, max_n: int = 4):
+def fine_profiles(
+    draw, max_m: int = 5, max_n: int = 4, m: int | None = None, n: int | None = None
+):
     """A profile of ``mixed_denominator_reports``."""
-    m = draw(st.integers(2, max_m))
-    n = draw(st.integers(2, max_n))
+    if m is None:
+        m = draw(st.integers(2, max_m))
+    if n is None:
+        n = draw(st.integers(2, max_n))
     return ReportProfile(
         tuple(draw(mixed_denominator_reports(n=n)) for _ in range(m))
     )
@@ -102,3 +106,27 @@ def plain_reward(profile: ReportProfile, i: int, j: int, alpha: Fraction):
         - (m - 1) ** 2 * plain_quadratic(others, j)
         + alpha * others[j]
     )
+
+
+def plain_form_residual(
+    profile: ReportProfile, i: int, j: int, alpha: Fraction, two_outcome: bool
+):
+    """A payment minus its product rewrite, in plain Fractions.
+
+    The two-outcome rewrite is 2 * (t - d - 1) * (t - 2p - d + 1) with
+    d = (m - 1) - alpha / (4 * (m - 1)); the general one is
+    (t_j - d - 1) * (t_j - 2p_j - d + 1) + sum over l != j of
+    t_l * (t_l - 2p_l) with d = (m - 1) - alpha / (2 * (m - 1)).  Here t
+    is the all-expert sum vector and p the expert's own report.
+    """
+    m, n = profile.m, profile.n
+    factor = 4 if two_outcome else 2
+    d = (m - 1) - alpha / (factor * (m - 1))
+    t = [sum(r.weights[k] for r in profile.reports) for k in range(n)]
+    p = profile.reports[i].weights
+    structured = (t[j] - d - 1) * (t[j] - 2 * p[j] - d + 1)
+    if two_outcome:
+        structured *= 2
+    else:
+        structured += sum(t[k] * (t[k] - 2 * p[k]) for k in range(n) if k != j)
+    return plain_reward(profile, i, j, alpha) - structured

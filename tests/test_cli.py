@@ -535,6 +535,18 @@ class TestVerify:
                 "alpha=5/3 lies in the arbitrage-prone band [0, 4) for m=2, "
                 "n=2; enable permissive mode to evaluate anyway",
             ),
+            (
+                ("--suite", ","),
+                "no suite selected; choose from identities, freeness, "
+                "properness, collusion, structure, edge-case, "
+                "expected-arbitrage, witness",
+            ),
+            # Refused before identities runs at its full default budget.
+            (
+                ("--suite", "identities,freeness", "--alpha", "5/3"),
+                "alpha=5/3 lies in the arbitrage-prone band [0, 4) for m=2, "
+                "n=2; enable permissive mode to evaluate anyway",
+            ),
         ],
     )
     def test_config_error_is_one_error_line(

@@ -246,6 +246,20 @@ class TestAggregates:
             coalition_sum(profile, coalition, j) for j in range(profile.n)
         )
 
+    @given(fine_profiles(max_m=6, max_n=5), st.data())
+    def test_coalition_sums_match_plain_fraction_sums(self, profile, data):
+        members = data.draw(
+            st.lists(st.integers(0, profile.m - 1), min_size=1, unique=True)
+        )
+        coalition = Coalition.of(members)
+        want = tuple(
+            sum(profile.reports[i].weights[j] for i in coalition)
+            for j in range(profile.n)
+        )
+        assert coalition_sums(profile, coalition) == want
+        for j in range(profile.n):
+            assert coalition_sum(profile, coalition, j) == want[j]
+
     @given(profiles_with_coalitions())
     def test_coalition_mean_is_scaled_sum(self, pc):
         profile, coalition = pc

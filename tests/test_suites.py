@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
+from elicit import suites
+from elicit.contracts import AlphaRangeError
 from elicit.suites import SUITE_NAMES, VerifyConfig, run_suites
 
 
@@ -43,3 +47,44 @@ def test_properness_runs_at_the_smallest_grid():
     config = VerifyConfig(m_max=3, n_max=3, probes=6, grid=3)
     (result,) = run_suites(["properness"], config)
     assert result.passed and result.checks == 12
+
+
+@pytest.mark.parametrize("names", [[], ()])
+def test_empty_selection_is_refused(names):
+    with pytest.raises(ValueError, match=r"^no suite selected; choose from "):
+        run_suites(names, VerifyConfig())
+
+
+@pytest.mark.parametrize(
+    "alphas,band,shape",
+    [
+        # -1 is safe everywhere; 5/3 is prone from the first cell on.
+        ((Fraction(-1), Fraction(5, 3)), "[0, 4)", "m=2, n=2"),
+        # 5 clears the cutoff 4 at m=2, n=2 but not 6 at m=2, n=3.
+        ((Fraction(5),), "[0, 6)", "m=2, n=3"),
+    ],
+)
+def test_prone_alpha_with_freeness_is_refused_before_any_suite(
+    monkeypatch, alphas, band, shape
+):
+    ran = []
+    for name in SUITE_NAMES:
+        monkeypatch.setitem(
+            suites._SUITES, name, lambda config, name=name: ran.append(name)
+        )
+    alpha = alphas[-1]
+    message = (
+        f"alpha={alpha} lies in the arbitrage-prone band {band} for {shape}; "
+        f"enable permissive mode to evaluate anyway"
+    )
+    with pytest.raises(AlphaRangeError) as caught:
+        run_suites(["identities", "freeness"], VerifyConfig(alphas=alphas))
+    assert str(caught.value) == message
+    assert ran == []
+
+
+def test_prone_alpha_without_freeness_still_runs():
+    # The rewrites are pure algebra, so identities accepts any alpha.
+    config = VerifyConfig(m_max=3, n_max=2, alphas=(Fraction(5, 3),), profiles=5)
+    (result,) = run_suites(["identities"], config)
+    assert result.passed and result.checks > 0

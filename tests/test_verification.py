@@ -25,12 +25,13 @@ from elicit import (
     two_outcome_form_residual,
 )
 from elicit.arbitrage import profile_with_coalition_sums
+from elicit.contracts import safe_cutoff
 from elicit.verification import (
     general_identity_report,
     two_outcome_identity_report,
 )
 
-from conftest import profiles
+from conftest import fine_profiles, plain_form_residual, profiles
 
 BOUNDARY = ReportProfile.of(("1/2", "1/2"), ("1/2", "1/2"), ("0", "1"))
 
@@ -85,6 +86,71 @@ class TestIdentityResiduals:
         assert report.constant == two_outcome_form_residual(
             BOUNDARY, 0, 0, Fraction(0)
         )
+
+
+@st.composite
+def banded_alphas(draw, m: int, n: int):
+    """An alpha from a uniformly drawn band: negative, prone or large.
+
+    Denominators go up to 10**6; the prone band is [0, safe_cutoff).
+    """
+    den = draw(st.integers(1, 10**6))
+    cut = safe_cutoff(m, n) * den
+    band = draw(st.sampled_from(["negative", "prone", "large"]))
+    if band == "negative":
+        num = draw(st.integers(-3 * cut, -1))
+    elif band == "prone":
+        num = draw(st.integers(0, cut - 1))
+    else:
+        num = draw(st.integers(cut, 3 * cut))
+    return Fraction(num, den)
+
+
+def plain_identity_report(profiles, alpha, two_outcome):
+    """(constant, max_spread, samples) over the plain-Fraction residuals."""
+    residuals = [
+        plain_form_residual(profile, i, k % profile.n, alpha, two_outcome)
+        for k, profile in enumerate(profiles)
+        for i in range(profile.m)
+    ]
+    return residuals[0], max(residuals) - min(residuals), len(residuals)
+
+
+class TestIntegerRewrites:
+    """The integer residuals against the plain-Fraction rewrites."""
+
+    @given(fine_profiles(max_m=6, max_n=5), st.data())
+    def test_general_residual_matches_oracle(self, profile, data):
+        alpha = data.draw(banded_alphas(profile.m, profile.n))
+        i = data.draw(st.integers(0, profile.m - 1))
+        j = data.draw(st.integers(0, profile.n - 1))
+        assert general_form_residual(profile, i, j, alpha) == (
+            plain_form_residual(profile, i, j, alpha, two_outcome=False)
+        )
+
+    @given(fine_profiles(max_m=6, n=2), st.data())
+    def test_two_outcome_residual_matches_oracle(self, profile, data):
+        alpha = data.draw(banded_alphas(profile.m, 2))
+        i = data.draw(st.integers(0, profile.m - 1))
+        j = data.draw(st.integers(0, 1))
+        assert two_outcome_form_residual(profile, i, j, alpha) == (
+            plain_form_residual(profile, i, j, alpha, two_outcome=True)
+        )
+
+    @given(st.integers(2, 6), st.integers(2, 5), st.data())
+    def test_identity_reports_match_oracle(self, m, n, data):
+        batch = data.draw(
+            st.lists(fine_profiles(m=m, n=n), min_size=1, max_size=4)
+        )
+        alpha = data.draw(banded_alphas(m, n))
+        builders = [(general_identity_report, False)]
+        if n == 2:
+            builders.append((two_outcome_identity_report, True))
+        for build, two_outcome in builders:
+            report = build(batch, alpha)
+            assert (report.constant, report.max_spread, report.samples) == (
+                plain_identity_report(batch, alpha, two_outcome)
+            )
 
 
 class TestCoalitionPolynomial:
