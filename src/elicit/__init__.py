@@ -15,14 +15,12 @@ from .simplex import (
     Distribution,
     ReportProfile,
     coalition_mean,
-    coalition_sum,
     coalition_sums,
     leave_one_out_mean,
     simplex_lattice,
     vertex,
 )
 from .scoring import (
-    AffineRule,
     LogRule,
     ProbeResult,
     QuadraticRule,
@@ -33,7 +31,6 @@ from .scoring import (
     quadratic_score,
 )
 from .contracts import (
-    AlphaCheck,
     AlphaRangeError,
     AlphaVerdict,
     ArbitrageFreeContract,
@@ -43,7 +40,6 @@ from .contracts import (
     coalition_total,
     coalition_totals,
     expected_reward,
-    expert_reward,
     threshold_general,
     threshold_two_outcome,
     validate_alpha,

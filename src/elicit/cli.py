@@ -101,7 +101,7 @@ def _read_profile(path: str) -> ReportProfile:
 
 def _load_profile(input_path: Optional[str], inline: Optional[str]) -> ReportProfile:
     if (input_path is None) == (inline is None):
-        raise click.UsageError("provide exactly one of --input or --reports")
+        raise ValueError("provide exactly one of --input or --reports")
     if input_path is not None:
         return _read_profile(input_path)
     return parse_inline_profile(inline)
@@ -112,7 +112,7 @@ def _outcomes(profile: ReportProfile, outcome: Optional[int]) -> Sequence[int]:
     if outcome is None:
         return range(profile.n)
     if not 1 <= outcome <= profile.n:
-        raise click.UsageError(f"--outcome {outcome} out of range 1..{profile.n}")
+        raise ValueError(f"--outcome {outcome} out of range 1..{profile.n}")
     return [outcome - 1]
 
 
@@ -121,19 +121,17 @@ def _build_contract(
 ) -> ContractFunction:
     if tag == "nr":
         if alpha is None:
-            raise click.UsageError("--contract nr requires --alpha")
+            raise ValueError("--contract nr requires --alpha")
         return ArbitrageFreeContract(
             alpha=parse_rational(alpha), permissive=permissive
         )
     if alpha is not None:
-        raise click.UsageError(f"--alpha does not apply to --contract {tag}")
+        raise ValueError(f"--alpha does not apply to --contract {tag}")
     if tag == "independent-quadratic":
         return IndependentScoring(rule=QuadraticRule())
     if tag == "independent-log":
         return IndependentScoring(rule=LogRule())
-    if tag == "zero-sum-pair":
-        return ZeroSumPair()
-    raise click.UsageError(f"unknown contract {tag!r}")
+    return ZeroSumPair()
 
 
 def _contract_config(tag: str, alpha: Optional[str], permissive: bool) -> dict:
@@ -530,7 +528,7 @@ def search(
 
     if deviation_path is not None:
         if grid is not None or trials is not None:
-            raise click.UsageError(
+            raise ValueError(
                 "--deviation checks one profile; drop --grid/--trials"
             )
         deviation = _read_profile(deviation_path)
@@ -543,15 +541,13 @@ def search(
         strategy_obj = {"mode": "direct", "deviation": deviation_path}
     else:
         if (grid is None) == (trials is None):
-            raise click.UsageError("provide exactly one of --grid or --trials")
+            raise ValueError("provide exactly one of --grid or --trials")
         if grid is not None:
             strategy = GridSearch(steps=grid)
             strategy_obj = {"mode": "grid", "grid": grid}
         else:
             if seed is None:
-                raise click.UsageError(
-                    "random search needs --seed (or ELICIT_SEED)"
-                )
+                raise ValueError("random search needs --seed (or ELICIT_SEED)")
             strategy = RandomSearch(trials=trials, seed=seed)
             strategy_obj = {"mode": "random", "trials": trials, "seed": seed}
         cert = search_arbitrage(contract, profile, coalition, strategy, kind)

@@ -46,9 +46,7 @@ from .simplex import (
 __all__ = [
     "AlphaRangeError",
     "AlphaVerdict",
-    "AlphaCheck",
     "safe_cutoff",
-    "alpha_verdict",
     "validate_alpha",
     "threshold_two_outcome",
     "threshold_general",
@@ -59,7 +57,6 @@ __all__ = [
     "InducedExpertRule",
     "coalition_total",
     "coalition_totals",
-    "expert_reward",
     "expected_reward",
 ]
 
@@ -75,6 +72,10 @@ class AlphaVerdict(enum.Enum):
     VALID_LARGE = "valid-large"
     INVALID = "invalid"
 
+    @property
+    def valid(self) -> bool:
+        return self is not AlphaVerdict.INVALID
+
 
 def _threshold(m: int, alpha, factor: int) -> Fraction:
     """(m - 1) - alpha / (factor * (m - 1)), built as one Fraction.
@@ -82,10 +83,10 @@ def _threshold(m: int, alpha, factor: int) -> Fraction:
     With k = m - 1 and alpha = p / q it is
     (factor * k**2 * q - p) / (factor * k * q).
     """
+    if not isinstance(alpha, Rational):
+        alpha = _as_fraction(alpha)
     if m < 2:
         raise ValueError(f"need at least 2 experts, got m={m}")
-    if not isinstance(alpha, Rational):
-        alpha = Fraction(alpha)
     p, q = alpha.numerator, alpha.denominator
     scale = factor * (m - 1) * q
     return Fraction((m - 1) * scale - p, scale)
@@ -110,34 +111,22 @@ def threshold_general(m: int, alpha: Fraction) -> Fraction:
     return _threshold(m, alpha, 2)
 
 
-@dataclass(frozen=True)
-class AlphaCheck:
-    """Classification of a linear coefficient for given m experts, n outcomes."""
-
-    alpha: Fraction
-    m: int
-    n: int
-    verdict: AlphaVerdict
-    lower_safe_bound: Fraction
-    two_outcome_threshold: Fraction
-    general_threshold: Fraction
-
-    @property
-    def valid(self) -> bool:
-        return self.verdict is not AlphaVerdict.INVALID
-
-
 def safe_cutoff(m: int, n: int) -> int:
     """2 * (m - 1)**2 * n, the inclusive lower end of the large safe band."""
     return 2 * (m - 1) ** 2 * n
 
 
-def alpha_verdict(alpha: Fraction, m: int, n: int) -> AlphaVerdict:
-    """The band of ``validate_alpha``, tested on integers alone.
+def validate_alpha(alpha, m: int, n: int) -> AlphaVerdict:
+    """Classify alpha as valid-negative, valid-large, or invalid.
 
-    alpha = p / q is valid-negative when p < 0 and valid-large when
-    p >= safe_cutoff(m, n) * q; no threshold is built.
+    The large-side cutoff ``safe_cutoff(m, n)`` is itself valid (the bound
+    is inclusive).  alpha = 0 is invalid: it admits arbitrage whenever all
+    but two experts rule out some outcome.  The band is tested on
+    integers alone: alpha = p / q is valid-negative when p < 0 and
+    valid-large when p >= safe_cutoff(m, n) * q.  Floats raise TypeError.
     """
+    if type(alpha) is not Fraction:
+        alpha = _as_fraction(alpha)
     if m < 2:
         raise ValueError(f"need at least 2 experts, got m={m}")
     if n < 2:
@@ -148,26 +137,6 @@ def alpha_verdict(alpha: Fraction, m: int, n: int) -> AlphaVerdict:
     if p >= safe_cutoff(m, n) * q:
         return AlphaVerdict.VALID_LARGE
     return AlphaVerdict.INVALID
-
-
-def validate_alpha(alpha, m: int, n: int) -> AlphaCheck:
-    """Classify alpha as valid-negative, valid-large, or invalid.
-
-    The large-side cutoff ``safe_cutoff(m, n)`` is itself valid (the bound
-    is inclusive).  alpha = 0 is invalid: it admits arbitrage whenever all
-    but two experts rule out some outcome.
-    """
-    a = _as_fraction(alpha)
-    verdict = alpha_verdict(a, m, n)
-    return AlphaCheck(
-        alpha=a,
-        m=m,
-        n=n,
-        verdict=verdict,
-        lower_safe_bound=Fraction(safe_cutoff(m, n)),
-        two_outcome_threshold=threshold_two_outcome(m, a),
-        general_threshold=threshold_general(m, a),
-    )
 
 
 class ContractFunction:
@@ -224,7 +193,6 @@ class InducedExpertRule(ScoringRule):
     """
 
     offsets: tuple[Fraction, ...]
-    exact: bool = True
 
     def score(self, report: Distribution, j: int) -> Fraction:
         if report.n != len(self.offsets):
@@ -243,8 +211,6 @@ class ZeroSumPair(ContractFunction):
     and arbitrage-free: any joint deviation just shuffles payment between
     the two members, so the pair's total is identically zero.
     """
-
-    exact: bool = True
 
     def evaluate(self, profile: ReportProfile, j: int) -> tuple:
         _check_eval_args(profile, j)
@@ -289,13 +255,9 @@ class ArbitrageFreeContract(ContractFunction):
 
     alpha: Fraction
     permissive: bool = False
-    exact: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _as_fraction(self.alpha))
-
-    def check(self, m: int, n: int) -> AlphaCheck:
-        return validate_alpha(self.alpha, m, n)
 
     def require_valid(self, m: int, n: int) -> None:
         """Raise AlphaRangeError unless alpha is safe for m experts, n outcomes.
@@ -304,7 +266,7 @@ class ArbitrageFreeContract(ContractFunction):
         """
         if self.permissive:
             return
-        if alpha_verdict(self.alpha, m, n) is not AlphaVerdict.INVALID:
+        if validate_alpha(self.alpha, m, n).valid:
             return
         raise AlphaRangeError(
             f"alpha={self.alpha} lies in the arbitrage-prone band "
@@ -400,15 +362,6 @@ def coalition_totals(
         )
     rows = [contract.evaluate(profile, j) for j in range(profile.n)]
     return tuple(sum(row[i] for i in coalition) for row in rows)
-
-
-def expert_reward(
-    contract: ContractFunction, profile: ReportProfile, i: int, j: int
-):
-    """Expert i's payment on outcome j."""
-    if not 0 <= i < profile.m:
-        raise IndexError(f"expert {i} out of range for m={profile.m}")
-    return contract.evaluate(profile, j)[i]
 
 
 def expected_reward(

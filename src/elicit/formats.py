@@ -167,11 +167,11 @@ def fraction_str(value) -> str:
     return str(Fraction(value))
 
 
-def decimal_str(value, digits: int = 6) -> str:
+def decimal_str(value) -> str:
     """Short decimal rendering of a rational or float, for table cells."""
     x = float(value)
     if math.isfinite(x):
-        return f"{x:.{digits}g}"
+        return f"{x:.6g}"
     return str(x)
 
 

@@ -115,18 +115,11 @@ def random_distribution(
     )
 
 
-def random_profile(
-    rng: random.Random,
-    m: int,
-    n: int,
-    denominator: int = DEFAULT_DENOMINATOR,
-) -> ReportProfile:
+def random_profile(rng: random.Random, m: int, n: int) -> ReportProfile:
     """m independent random reports over n outcomes."""
     if m < 1:
         raise ValueError(f"need at least 1 expert, got m={m}")
-    return ReportProfile(
-        tuple(random_distribution(rng, n, denominator) for _ in range(m))
-    )
+    return ReportProfile(tuple(random_distribution(rng, n) for _ in range(m)))
 
 
 def random_coalition(

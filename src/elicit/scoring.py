@@ -34,7 +34,6 @@ __all__ = [
     "ScoringRule",
     "QuadraticRule",
     "LogRule",
-    "AffineRule",
     "expected_score",
     "ProbeResult",
     "properness_probe",
@@ -91,8 +90,6 @@ class ScoringRule:
 class QuadraticRule(ScoringRule):
     """The quadratic rule; exact rational scores."""
 
-    exact: bool = True
-
     def score(self, report: Distribution, j: int) -> Fraction:
         return quadratic_score(report, j)
 
@@ -101,37 +98,10 @@ class QuadraticRule(ScoringRule):
 class LogRule(ScoringRule):
     """The logarithmic rule; float scores, -inf on ruled-out outcomes."""
 
-    exact: bool = False
+    exact = False
 
     def score(self, report: Distribution, j: int) -> float:
         return log_score(report, j)
-
-
-@dataclass(frozen=True)
-class AffineRule(ScoringRule):
-    """A positive-affine transform a*score + b of a base rule.
-
-    Positive affine transforms preserve (strict) properness, so these are
-    the standard way to rescale payments without changing incentives.
-    """
-
-    base: ScoringRule
-    scale: Fraction
-    shift: Fraction
-
-    def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError(
-                f"scale must be positive to preserve properness, "
-                f"got {self.scale}"
-            )
-
-    @property
-    def exact(self) -> bool:  # type: ignore[override]
-        return self.base.exact
-
-    def score(self, report: Distribution, j: int):
-        return self.scale * self.base.score(report, j) + self.shift
 
 
 def expected_score(rule: ScoringRule, report: Distribution, belief: Distribution):

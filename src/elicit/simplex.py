@@ -33,7 +33,6 @@ __all__ = [
     "ReportProfile",
     "Coalition",
     "vertex",
-    "coalition_sum",
     "coalition_sums",
     "coalition_mean",
     "leave_one_out_mean",
@@ -279,28 +278,13 @@ class Coalition:
         return tuple(i for i in range(m) if i not in inside)
 
 
-def _check_outcome(profile: ReportProfile, j: int) -> None:
-    if not 0 <= j < profile.n:
-        raise IndexError(f"outcome {j} out of range for n={profile.n}")
-
-
-def coalition_sum(profile: ReportProfile, coalition: Coalition, j: int) -> Fraction:
-    """Total probability the coalition assigns to outcome j.
-
-    Lies in [0, |coalition|]; this single number per outcome is the only
-    degree of freedom a coalition has under the arbitrage-free contract.
-    """
-    coalition.validate_for(profile.m)
-    _check_outcome(profile, j)
-    scale, rows = profile.scaled
-    return Fraction(sum([rows[i][j] for i in coalition]), scale)
-
-
 def coalition_sums(profile: ReportProfile, coalition: Coalition) -> tuple[Fraction, ...]:
-    """Per-outcome coalition sums, as one tuple of length n.
+    """Total probability the coalition assigns to each outcome.
 
-    Sums the members' integer rows of ``profile.scaled``, so each outcome
-    costs one Fraction.
+    Each sum lies in [0, |coalition|]; these n numbers are the only degree
+    of freedom a coalition has under the arbitrage-free contract.  Sums
+    the members' integer rows of ``profile.scaled``, so each outcome costs
+    one Fraction.
     """
     coalition.validate_for(profile.m)
     scale, rows = profile.scaled

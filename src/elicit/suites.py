@@ -42,10 +42,8 @@ from .arbitrage import (
 # coalition_totals is not called here, but stays bound: the benchmark's
 # self-tests (bench/test_bench.py) check that tracing wraps this binding.
 from .contracts import (  # noqa: F401
-    AlphaVerdict,
     ArbitrageFreeContract,
     IndependentScoring,
-    alpha_verdict,
     coalition_total,
     coalition_totals,
     expected_reward,
@@ -224,7 +222,7 @@ def _suite_freeness(config: VerifyConfig) -> SuiteResult:
     per_baseline, extra = divmod(config.trials, baselines)
     for m, n in _shapes(config):
         for alpha in _dominance_alphas(config, m, n):
-            check = validate_alpha(alpha, m, n)
+            verdict = validate_alpha(alpha, m, n)
             contract = ArbitrageFreeContract(
                 alpha=alpha, permissive=config.permissive
             )
@@ -258,7 +256,7 @@ def _suite_freeness(config: VerifyConfig) -> SuiteResult:
                             f"certificate at baseline {b + 1}, trial {t + 1}, "
                             f"coalition {[i + 1 for i in coalition]}"
                         )
-                        if check.valid:
+                        if verdict.valid:
                             rec.fail(message)
                             rec.details.setdefault("counterexamples", []).append(
                                 {
@@ -597,7 +595,7 @@ def _suite_witness(config: VerifyConfig) -> SuiteResult:
             candidates = safe_alphas[m, n] = [
                 a
                 for a in _dominance_alphas(config, m, n)
-                if alpha_verdict(a, m, n) is not AlphaVerdict.INVALID
+                if validate_alpha(a, m, n).valid
             ]
         if not candidates:
             skipped_invalid += 1

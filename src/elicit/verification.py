@@ -35,10 +35,10 @@ from .arbitrage import ensure_agreement_outside, profile_with_coalition_sums
 from .contracts import (
     ArbitrageFreeContract,
     AlphaVerdict,
-    alpha_verdict,
     coalition_total,
     threshold_general,
     threshold_two_outcome,
+    validate_alpha,
 )
 from .simplex import Coalition, ReportProfile, _as_fraction, coalition_sums
 
@@ -356,8 +356,8 @@ def hurting_outcome(
     sum unchanged.
     """
     ensure_agreement_outside(baseline, deviation, coalition)
-    verdict = alpha_verdict(contract.alpha, baseline.m, baseline.n)
-    if verdict is AlphaVerdict.INVALID:
+    verdict = validate_alpha(contract.alpha, baseline.m, baseline.n)
+    if not verdict.valid:
         raise ValueError(
             f"alpha={contract.alpha} is in the arbitrage-prone band for "
             f"m={baseline.m}, n={baseline.n}; no hurting outcome is "

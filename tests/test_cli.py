@@ -516,36 +516,63 @@ class TestVerify:
     @pytest.mark.parametrize(
         "args,message",
         [
-            (("--m-max", "1"), "m_max must be >= 2, got 1"),
-            (("--n-max", "0"), "n_max must be >= 2, got 0"),
+            (("verify", "--m-max", "1"), "m_max must be >= 2, got 1"),
+            (("verify", "--n-max", "0"), "n_max must be >= 2, got 0"),
             (
-                ("--grid", "2"),
+                ("verify", "--grid", "2"),
                 "grid must be >= 3 when n_max >= 3, got 2: properness "
                 "draws 3-outcome beliefs inside [1/grid, 1 - 1/grid]",
             ),
             (
-                ("--suite", "bogus"),
+                ("verify", "--suite", "bogus"),
                 "unknown suite(s) bogus; choose from identities, freeness, "
                 "properness, collusion, structure, edge-case, "
                 "expected-arbitrage, witness",
             ),
             (
-                ("--suite", "freeness", "--m-max", "2", "--n-max", "2",
-                 "--alpha", "5/3"),
+                ("verify", "--suite", "freeness", "--m-max", "2", "--n-max",
+                 "2", "--alpha", "5/3"),
                 "alpha=5/3 lies in the arbitrage-prone band [0, 4) for m=2, "
                 "n=2; enable permissive mode to evaluate anyway",
             ),
             (
-                ("--suite", ","),
+                ("verify", "--suite", ","),
                 "no suite selected; choose from identities, freeness, "
                 "properness, collusion, structure, edge-case, "
                 "expected-arbitrage, witness",
             ),
             # Refused before identities runs at its full default budget.
             (
-                ("--suite", "identities,freeness", "--alpha", "5/3"),
+                ("verify", "--suite", "identities,freeness", "--alpha", "5/3"),
                 "alpha=5/3 lies in the arbitrage-prone band [0, 4) for m=2, "
                 "n=2; enable permissive mode to evaluate anyway",
+            ),
+            (("score",), "provide exactly one of --input or --reports"),
+            (
+                ("score", "--reports", "1/2,1/2", "--outcome", "3"),
+                "--outcome 3 out of range 1..2",
+            ),
+            (
+                ("reward", "--reports", INTRO_ARG),
+                "--contract nr requires --alpha",
+            ),
+            (
+                ("reward", "--reports", INTRO_ARG, "--contract",
+                 "zero-sum-pair", "--alpha", "16"),
+                "--alpha does not apply to --contract zero-sum-pair",
+            ),
+            (
+                ("search", "--reports", INTRO_ARG),
+                "provide exactly one of --grid or --trials",
+            ),
+            (
+                ("search", "--reports", INTRO_ARG, "--trials", "5"),
+                "random search needs --seed (or ELICIT_SEED)",
+            ),
+            (
+                ("search", "--reports", INTRO_ARG, "--deviation",
+                 "unread.json", "--grid", "5"),
+                "--deviation checks one profile; drop --grid/--trials",
             ),
         ],
     )
@@ -554,7 +581,7 @@ class TestVerify:
     ):
         # --grid 2 with the default n_max = 4 used to run identities and
         # freeness first and then die inside properness.
-        result = invoke(runner, "verify", *args)
+        result = invoke(runner, *args)
         assert result.exit_code == 2
         assert result.output == f"error: {message}\n"
 

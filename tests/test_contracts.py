@@ -20,7 +20,6 @@ from elicit import (
     coalition_total,
     coalition_totals,
     expected_reward,
-    expert_reward,
     leave_one_out_mean,
     properness_probe,
     quadratic_score,
@@ -89,22 +88,26 @@ class TestValidateAlpha:
         ],
     )
     def test_verdicts_for_m3_n2(self, alpha, verdict):
-        check = validate_alpha(alpha, 3, 2)
-        assert check.verdict is verdict
-        assert check.valid == (verdict is not AlphaVerdict.INVALID)
+        assert validate_alpha(alpha, 3, 2) is verdict
+        assert verdict.valid == (verdict is not AlphaVerdict.INVALID)
 
     @given(st.integers(2, 6), st.integers(2, 5))
     def test_cutoff_is_inclusive(self, m, n):
         cutoff = 2 * (m - 1) ** 2 * n
-        assert validate_alpha(cutoff, m, n).verdict is AlphaVerdict.VALID_LARGE
-        assert validate_alpha(cutoff - Fraction(1, 10), m, n).verdict is (
+        assert validate_alpha(cutoff, m, n) is AlphaVerdict.VALID_LARGE
+        assert validate_alpha(str(cutoff), m, n) is AlphaVerdict.VALID_LARGE
+        assert validate_alpha(cutoff - Fraction(1, 10), m, n) is (
             AlphaVerdict.INVALID
         )
-        assert validate_alpha(cutoff, m, n).lower_safe_bound == cutoff
 
     def test_rejects_floats_and_bad_shapes(self):
         with pytest.raises(TypeError, match="float"):
             validate_alpha(0.5, 3, 2)
+        for threshold in (threshold_general, threshold_two_outcome):
+            with pytest.raises(TypeError, match="float"):
+                threshold(3, 0.1)
+            with pytest.raises(TypeError, match="float"):
+                threshold(1, 0.1)
         with pytest.raises(ValueError):
             validate_alpha(1, 1, 2)
         with pytest.raises(ValueError):
@@ -175,7 +178,7 @@ class TestArbitrageFreeContract:
         contract = ArbitrageFreeContract(alpha=3)
         with pytest.raises(AlphaRangeError, match="arbitrage-prone band"):
             contract.evaluate(ALL_HALF, 0)
-        assert not contract.check(3, 2).valid
+        assert not validate_alpha(contract.alpha, 3, 2).valid
         permissive = ArbitrageFreeContract(alpha=3, permissive=True)
         permissive.evaluate(ALL_HALF, 0)
 
@@ -320,7 +323,7 @@ class TestRewardHelpers:
             belief = profile.reports[i]
             expectation = expected_reward(contract, profile, i, belief)
             direct = sum(
-                belief[j] * expert_reward(contract, profile, i, j)
+                belief[j] * contract.evaluate(profile, j)[i]
                 for j in range(profile.n)
                 if belief[j] != 0
             )

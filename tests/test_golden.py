@@ -32,6 +32,16 @@ BUDGET = (
 
 # name -> (exit code, CLI arguments)
 CASES = {
+    "score_quadratic": (0, ("score", "--reports", INTRO, "--format", "json")),
+    "reward_nr_coalition_outcome": (
+        0,
+        (
+            "reward", "--reports", "1/2,1/2; 1/2,1/2; 1/2,1/2", "--contract",
+            "nr", "--alpha", "16", "--coalition", "1,3", "--outcome", "1",
+            "--format", "json",
+        ),
+    ),
+    "demo_intro": (0, ("demo-intro", "--format", "json")),
     "verify_all": (0, ("verify", *BUDGET, "--format", "json")),
     "verify_freeness_prone": (
         0,
@@ -67,7 +77,7 @@ CASES = {
 
 # name -> (exit code, CLI arguments); each runs as table and as CSV
 TEXT_CASES = {
-    "score_quadratic": (0, ("score", "--reports", INTRO)),
+    "score_quadratic": CASES["score_quadratic"],
     "score_log_outcome": (
         0,
         (
@@ -75,13 +85,7 @@ TEXT_CASES = {
             "independent-log", "--outcome", "1",
         ),
     ),
-    "reward_nr_coalition_outcome": (
-        0,
-        (
-            "reward", "--reports", "1/2,1/2; 1/2,1/2; 1/2,1/2", "--contract",
-            "nr", "--alpha", "16", "--coalition", "1,3", "--outcome", "1",
-        ),
-    ),
+    "reward_nr_coalition_outcome": CASES["reward_nr_coalition_outcome"],
     "reward_log_coalition": (
         0,
         (
@@ -94,7 +98,7 @@ TEXT_CASES = {
         ("reward", "--reports", "2/5,3/5; 9/10,1/10", "--contract",
          "zero-sum-pair"),
     ),
-    "demo_intro": (0, ("demo-intro",)),
+    "demo_intro": CASES["demo_intro"],
     "demo_intro_coalition": (0, ("demo-intro", "--coalition", "1,3")),
     "search_certificate": CASES["search_certificate"],
     "search_none": CASES["search_none"],

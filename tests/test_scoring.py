@@ -1,4 +1,4 @@
-"""Scoring rules: exact values, properness, affine closure, probes."""
+"""Scoring rules: exact values, properness, probes."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from elicit import (
-    AffineRule,
     Distribution,
     LogRule,
     QuadraticRule,
@@ -82,32 +81,6 @@ class TestLogScore:
         assert QuadraticRule().score(d, 1) == quadratic_score(d, 1)
         assert LogRule().score(d, 1) == log_score(d, 1)
         assert QuadraticRule().exact and not LogRule().exact
-
-
-class TestAffineRule:
-    def test_requires_positive_scale(self):
-        with pytest.raises(ValueError, match="scale"):
-            AffineRule(base=QuadraticRule(), scale=Fraction(0), shift=Fraction(1))
-        with pytest.raises(ValueError, match="scale"):
-            AffineRule(base=QuadraticRule(), scale=Fraction(-2), shift=Fraction(0))
-
-    def test_transforms_scores(self):
-        rule = AffineRule(base=QuadraticRule(), scale=Fraction(3), shift=Fraction(-1, 2))
-        d = Distribution.of("2/5", "3/5")
-        assert rule.score(d, 0) == 3 * Fraction(7, 25) - Fraction(1, 2)
-        assert rule.exact
-
-    def test_preserves_maximizer(self):
-        # Positive-affine maps keep the argmax, hence strict properness.
-        rule = AffineRule(base=QuadraticRule(), scale=Fraction(5), shift=Fraction(7))
-        belief = Distribution.of("1/3", "2/3")
-        probe = properness_probe(rule, belief, steps=3)
-        assert probe.unique and probe.argmax == belief
-
-    def test_wraps_float_rules(self):
-        rule = AffineRule(base=LogRule(), scale=Fraction(2), shift=Fraction(0))
-        assert not rule.exact
-        assert rule.score(Distribution.of(1, 0), 1) == -math.inf
 
 
 class TestExpectedScore:

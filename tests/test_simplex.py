@@ -15,7 +15,6 @@ from elicit import (
     Distribution,
     ReportProfile,
     coalition_mean,
-    coalition_sum,
     coalition_sums,
     leave_one_out_mean,
     simplex_lattice,
@@ -237,13 +236,11 @@ class TestCoalition:
 
 class TestAggregates:
     @given(profiles_with_coalitions())
-    def test_coalition_sum_matches_membership(self, pc):
+    def test_coalition_sums_match_membership(self, pc):
         profile, coalition = pc
-        for j in range(profile.n):
-            expected = sum(profile.reports[i][j] for i in coalition)
-            assert coalition_sum(profile, coalition, j) == expected
         assert coalition_sums(profile, coalition) == tuple(
-            coalition_sum(profile, coalition, j) for j in range(profile.n)
+            sum(profile.reports[i][j] for i in coalition)
+            for j in range(profile.n)
         )
 
     @given(fine_profiles(max_m=6, max_n=5), st.data())
@@ -257,15 +254,14 @@ class TestAggregates:
             for j in range(profile.n)
         )
         assert coalition_sums(profile, coalition) == want
-        for j in range(profile.n):
-            assert coalition_sum(profile, coalition, j) == want[j]
 
     @given(profiles_with_coalitions())
     def test_coalition_mean_is_scaled_sum(self, pc):
         profile, coalition = pc
         mean = coalition_mean(profile, coalition)
+        sums = coalition_sums(profile, coalition)
         for j in range(profile.n):
-            assert mean[j] == coalition_sum(profile, coalition, j) / coalition.size
+            assert mean[j] == sums[j] / coalition.size
 
     @given(profiles())
     def test_leave_one_out_mean(self, p):
