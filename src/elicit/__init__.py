@@ -14,7 +14,6 @@ from .simplex import (
     Coalition,
     Distribution,
     ReportProfile,
-    coalition_mean,
     coalition_sums,
     leave_one_out_mean,
     simplex_lattice,

@@ -4,8 +4,9 @@ A coalition holds an arbitrage opportunity when changing only its own
 members' reports weakly raises the coalition's total payment under every
 outcome and strictly raises it under at least one: a riskless joint gain.
 The expected variant weighs the per-outcome gains by each member's own
-belief (taken to be their baseline report) and asks that every member
-expect a weak gain, some member a strict one.
+belief (taken to be their baseline report, so outcomes it rules out
+carry no weight) and asks that every member expect a weak gain, some
+member a strict one.
 
 Checks on exact contracts compare Fractions and certify exactly; on
 float-valued contracts (the log rule) they use a fixed tolerance and the
@@ -31,13 +32,13 @@ from .contracts import (
     coalition_totals,
 )
 from .sampling import DEFAULT_DENOMINATOR, exact_bounds, random_deviation
-from .scoring import QuadraticRule
+from .scoring import QuadraticRule, _expectation
 from .simplex import (
     Coalition,
     Distribution,
     ReportProfile,
     _as_fraction,
-    coalition_mean,
+    coalition_sums,
     simplex_lattice,
 )
 
@@ -147,17 +148,18 @@ class ArbitrageCertificate:
 
         Each member's belief is their own baseline report.
         """
-        return _member_gains(self.baseline, self.coalition, self.deltas)
+        return _member_gains(
+            self.baseline, self.coalition, self.deltas, self.exact
+        )
 
 
 def _member_gains(
-    baseline: ReportProfile, coalition: Coalition, deltas: Sequence
+    baseline: ReportProfile, coalition: Coalition, deltas: tuple, exact: bool
 ) -> tuple:
-    gains = []
-    for i in coalition:
-        belief = baseline.reports[i].weights
-        gains.append(sum(belief[j] * d for j, d in enumerate(deltas)))
-    return tuple(gains)
+    return tuple(
+        _expectation(baseline.reports[i], deltas.__getitem__, exact)
+        for i in coalition
+    )
 
 
 def _witnesses(
@@ -171,9 +173,9 @@ def _witnesses(
     if kind is CertificateKind.DOMINANCE:
         values = deltas
     else:
-        values = _member_gains(baseline, coalition, deltas)
-    # NaN deltas (both totals -inf under the log rule) fail the weak test
-    # and correctly yield no certificate.
+        values = _member_gains(baseline, coalition, deltas, exact)
+    # NaN deltas (both totals -inf under the log rule) fail the weak test,
+    # as does a member gain that weighs one, and yield no certificate.
     slack = 0 if exact else NUMERIC_TOLERANCE
     return all(v >= -slack for v in values) and any(v > slack for v in values)
 
@@ -296,8 +298,9 @@ def mean_collusion(profile: ReportProfile, coalition: Coalition) -> ReportProfil
         raise ValueError(
             f"collusion needs at least 2 members, got {coalition.size}"
         )
-    mean = coalition_mean(profile, coalition)
-    return profile.replace({i: mean for i in coalition})
+    return profile_with_coalition_sums(
+        profile, coalition, coalition_sums(profile, coalition)
+    )
 
 
 def profile_with_coalition_sums(

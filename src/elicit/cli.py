@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -28,13 +28,11 @@ from .arbitrage import (
     DeviationMismatchError,
     GridSearch,
     RandomSearch,
-    ReconstructionError,
     check_dominance,
     check_expected_arbitrage,
     search_arbitrage,
 )
 from .contracts import (
-    AlphaRangeError,
     ArbitrageFreeContract,
     ContractFunction,
     IndependentScoring,
@@ -80,11 +78,11 @@ def _guarded(fn):
             return fn(*args, **kwargs)
         except (InputError, DeviationMismatchError) as exc:
             _die(EXIT_INPUT, str(exc))
-        except AlphaRangeError as exc:
-            _die(EXIT_CONFIG, str(exc))
         except InternalInconsistencyError as exc:
             _die(EXIT_INTERNAL, str(exc))
-        except (ValueError, ReconstructionError) as exc:
+        except ValueError as exc:
+            # AlphaRangeError, ReconstructionError and every other
+            # configuration error.
             _die(EXIT_CONFIG, str(exc))
 
     return wrapper
@@ -613,6 +611,33 @@ def _verify_table(results: Sequence[SuiteResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _budget_options(command):
+    """One verify flag per VerifyConfig field, in field order.
+
+    Each takes its default from the field; --alpha repeats, --permissive
+    is a flag and --seed also reads ELICIT_SEED.
+    """
+    for field in reversed(fields(VerifyConfig)):
+        if field.name == "alphas":
+            option = click.option(
+                "--alpha",
+                "alphas",
+                multiple=True,
+                help="Override the per-shape alpha sets (repeatable).",
+            )
+        elif field.name == "permissive":
+            option = click.option("--permissive", is_flag=True)
+        else:
+            option = click.option(
+                "--" + field.name.replace("_", "-"),
+                default=field.default,
+                show_default=True,
+                envvar="ELICIT_SEED" if field.name == "seed" else None,
+            )
+        command = option(command)
+    return command
+
+
 @main.command()
 @click.option(
     "--suite",
@@ -620,55 +645,16 @@ def _verify_table(results: Sequence[SuiteResult]) -> str:
     default=None,
     help=f"Comma-separated subset of: {', '.join(SUITE_NAMES)}.",
 )
-@click.option("--m-max", type=int, default=5, show_default=True)
-@click.option("--n-max", type=int, default=4, show_default=True)
-@click.option(
-    "--alpha",
-    "alphas",
-    multiple=True,
-    help="Override the per-shape alpha sets (repeatable).",
-)
-@click.option("--trials", type=int, default=10000, show_default=True)
-@click.option("--baselines", type=int, default=20, show_default=True)
-@click.option("--profiles", type=int, default=1000, show_default=True)
-@click.option("--probes", type=int, default=100, show_default=True)
-@click.option("--grid", type=int, default=50, show_default=True)
-@click.option(
-    "--seed", type=int, default=42, envvar="ELICIT_SEED", show_default=True
-)
-@click.option("--permissive", is_flag=True)
+@_budget_options
 @_format_option
 @_guarded
-def verify(
-    suite_text,
-    m_max,
-    n_max,
-    alphas,
-    trials,
-    baselines,
-    profiles,
-    probes,
-    grid,
-    seed,
-    permissive,
-    fmt,
-) -> None:
+def verify(suite_text, fmt, **budget) -> None:
     """Run verification suites; exit 1 if any claim fails."""
     names = None
     if suite_text is not None:
         names = [s.strip() for s in suite_text.split(",") if s.strip()]
-    config = VerifyConfig(
-        m_max=m_max,
-        n_max=n_max,
-        alphas=tuple(parse_rational(a) for a in alphas) or None,
-        trials=trials,
-        baselines=baselines,
-        profiles=profiles,
-        probes=probes,
-        grid=grid,
-        seed=seed,
-        permissive=permissive,
-    )
+    alphas = tuple(parse_rational(a) for a in budget.pop("alphas"))
+    config = VerifyConfig(alphas=alphas or None, **budget)
     results = run_suites(names, config)
     payload = {
         "command": "verify",
@@ -677,17 +663,7 @@ def verify(
             **asdict(config),
         },
         "results": {
-            "suites": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "checks": r.checks,
-                    "failures": list(r.failures),
-                    "findings": list(r.findings),
-                    "details": r.details,
-                }
-                for r in results
-            ],
+            "suites": [asdict(r) for r in results],
             "all_passed": all(r.passed for r in results),
         },
         "certificates": [],

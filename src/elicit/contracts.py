@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .scoring import ScoringRule, quadratic_score
+from .scoring import ScoringRule, _expectation, quadratic_score
 from .simplex import (
     Coalition,
     Distribution,
@@ -381,12 +381,6 @@ def expected_reward(
         raise ValueError(
             f"belief has {belief.n} outcomes, profile has {profile.n}"
         )
-    total = Fraction(0) if contract.exact else 0.0
-    for j, q in enumerate(belief.weights):
-        if q == 0:
-            continue
-        r = contract.evaluate(profile, j)[i]
-        if not contract.exact and r == float("-inf"):
-            return float("-inf")
-        total += q * r
-    return total
+    return _expectation(
+        belief, lambda j: contract.evaluate(profile, j)[i], contract.exact
+    )

@@ -71,16 +71,13 @@ def _parse_rows(rows: Sequence[Sequence], n: Optional[int]) -> ReportProfile:
                     f"row {r} entry {c} is a JSON float; write it as a "
                     f"string like \"0.4\" so it parses exactly"
                 )
-            if isinstance(cell, int):
-                value = Fraction(cell)
-            else:
-                try:
-                    value = parse_rational(cell)
-                except InputError:
-                    raise InputError(
-                        f"row {r} entry {c}: cannot parse {cell!r} as a "
-                        f"rational"
-                    ) from None
+            try:
+                value = parse_rational(cell)
+            except InputError:
+                raise InputError(
+                    f"row {r} entry {c}: cannot parse {cell!r} as a "
+                    f"rational"
+                ) from None
             if value < 0:
                 raise InputError(f"row {r} entry {c} is negative: {value}")
             weights.append(value)

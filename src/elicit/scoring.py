@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .simplex import Distribution, simplex_lattice
 
@@ -116,14 +116,28 @@ def expected_score(rule: ScoringRule, report: Distribution, belief: Distribution
         raise ValueError(
             f"report has {report.n} outcomes, belief has {belief.n}"
         )
-    total = Fraction(0) if rule.exact else 0.0
+    return _expectation(belief, lambda j: rule.score(report, j), rule.exact)
+
+
+def _expectation(
+    belief: Distribution, value: Callable[[int], object], exact: bool
+):
+    """Sum of belief[j] * value(j) over the outcomes the belief allows.
+
+    The one belief-weighted expectation, shared by ``expected_score``,
+    ``contracts.expected_reward`` and the member gains of an expected
+    arbitrage certificate.  value(j) is never asked for an outcome of
+    zero belief, so 0 * inf never arises; a float -inf value makes the
+    expectation -inf.  An exact sum starts from Fraction(0), else 0.0.
+    """
+    total = Fraction(0) if exact else 0.0
     for j, q in enumerate(belief.weights):
         if q == 0:
             continue
-        s = rule.score(report, j)
-        if not rule.exact and s == float("-inf"):
+        v = value(j)
+        if not exact and v == float("-inf"):
             return float("-inf")
-        total += q * s
+        total += q * v
     return total
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "Coalition",
     "vertex",
     "coalition_sums",
-    "coalition_mean",
     "leave_one_out_mean",
     "simplex_lattice",
 ]
@@ -293,22 +292,6 @@ def coalition_sums(profile: ReportProfile, coalition: Coalition) -> tuple[Fracti
             Fraction(sum(column), scale)
             for column in zip(*[rows[i] for i in coalition])
         ]
-    )
-
-
-def coalition_mean(profile: ReportProfile, coalition: Coalition) -> Distribution:
-    """Coordinatewise average of the coalition's reports.
-
-    The simplex is closed under averaging, so the result is always a
-    valid Distribution.
-    """
-    coalition.validate_for(profile.m)
-    k = coalition.size
-    return Distribution(
-        tuple(
-            sum(profile.reports[i].weights[j] for i in coalition) / k
-            for j in range(profile.n)
-        )
     )
 
 

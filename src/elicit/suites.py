@@ -180,6 +180,13 @@ def _dominance_alphas(config: VerifyConfig, m: int, n: int) -> tuple[Fraction, .
     return (Fraction(-1), Fraction(-10), Fraction(c), Fraction(c + 5))
 
 
+def _freeness_cells(config: VerifyConfig) -> Iterator[tuple[int, int, Fraction]]:
+    """The freeness suite's (m, n, alpha) cells, in the order it runs them."""
+    for m, n in _shapes(config):
+        for alpha in _dominance_alphas(config, m, n):
+            yield m, n, alpha
+
+
 def _identity_alphas(config: VerifyConfig, m: int, n: int) -> tuple[Fraction, ...]:
     if config.alphas is not None:
         return config.alphas
@@ -220,55 +227,52 @@ def _suite_freeness(config: VerifyConfig) -> SuiteResult:
     # baselines take one extra, and no baseline goes without a trial.
     baselines = min(config.baselines, config.trials)
     per_baseline, extra = divmod(config.trials, baselines)
-    for m, n in _shapes(config):
-        for alpha in _dominance_alphas(config, m, n):
-            verdict = validate_alpha(alpha, m, n)
-            contract = ArbitrageFreeContract(
-                alpha=alpha, permissive=config.permissive
-            )
-            rng = derived_rng(config.seed, f"freeness:{m}:{n}:{alpha}")
-            sizes = cycle(range(2, m + 1))
-            for b in range(baselines):
-                baseline = random_profile(rng, m, n)
-                rewards = [
-                    contract.evaluate(baseline, j) for j in range(n)
-                ]
-                # The baseline's coalition totals, once per coalition.  They
-                # are summed from `evaluate` rather than taken from
-                # `coalition_totals` because the benchmark's freeness
-                # workload expects calls in its contracts.nr_evaluate span.
-                totals = {}
-                for t in range(per_baseline + (b < extra)):
-                    coalition = random_coalition(rng, m, next(sizes))
-                    deviation = random_deviation(rng, baseline, coalition)
-                    before = totals.get(coalition)
-                    if before is None:
-                        before = totals[coalition] = tuple(
-                            sum(row[i] for i in coalition) for row in rewards
-                        )
-                    cert = check_dominance(
-                        contract, baseline, deviation, coalition, before
+    for m, n, alpha in _freeness_cells(config):
+        verdict = validate_alpha(alpha, m, n)
+        contract = ArbitrageFreeContract(
+            alpha=alpha, permissive=config.permissive
+        )
+        rng = derived_rng(config.seed, f"freeness:{m}:{n}:{alpha}")
+        sizes = cycle(range(2, m + 1))
+        for b in range(baselines):
+            baseline = random_profile(rng, m, n)
+            rewards = [contract.evaluate(baseline, j) for j in range(n)]
+            # The baseline's coalition totals, once per coalition.  They
+            # are summed from `evaluate` rather than taken from
+            # `coalition_totals` because the benchmark's freeness
+            # workload expects calls in its contracts.nr_evaluate span.
+            totals = {}
+            for t in range(per_baseline + (b < extra)):
+                coalition = random_coalition(rng, m, next(sizes))
+                deviation = random_deviation(rng, baseline, coalition)
+                before = totals.get(coalition)
+                if before is None:
+                    before = totals[coalition] = tuple(
+                        sum(row[i] for i in coalition) for row in rewards
                     )
-                    rec.checks += 1
-                    if cert is not None:
-                        message = (
-                            f"m={m} n={n} alpha={alpha}: dominance "
-                            f"certificate at baseline {b + 1}, trial {t + 1}, "
-                            f"coalition {[i + 1 for i in coalition]}"
+                cert = check_dominance(
+                    contract, baseline, deviation, coalition, before
+                )
+                rec.checks += 1
+                if cert is not None:
+                    message = (
+                        f"m={m} n={n} alpha={alpha}: dominance "
+                        f"certificate at baseline {b + 1}, trial {t + 1}, "
+                        f"coalition {[i + 1 for i in coalition]}"
+                    )
+                    if verdict.valid:
+                        rec.fail(message)
+                        rec.details.setdefault("counterexamples", []).append(
+                            {
+                                "alpha": alpha,
+                                "baseline": profile_to_obj(baseline),
+                                "deviation": profile_to_obj(deviation),
+                                "coalition": [i + 1 for i in coalition],
+                                "deltas": list(cert.deltas),
+                            }
                         )
-                        if verdict.valid:
-                            rec.fail(message)
-                            rec.details.setdefault("counterexamples", []).append(
-                                {
-                                    "alpha": alpha,
-                                    "baseline": profile_to_obj(baseline),
-                                    "deviation": profile_to_obj(deviation),
-                                    "coalition": [i + 1 for i in coalition],
-                                    "deltas": list(cert.deltas),
-                                }
-                            )
-                        else:
-                            rec.find(message + " (alpha is outside the safe bands, so this is the anticipated behavior)")
+                    else:
+                        rec.find(message + " (alpha is outside the safe bands, so this is the anticipated behavior)")
     return rec.result("freeness")
 
 
@@ -670,7 +674,6 @@ def run_suites(
     if "freeness" in selected and not config.permissive:
         # Freeness evaluates every cell non-permissively; walk its cells
         # in its own order so the first prone alpha is refused up front.
-        for m, n in _shapes(config):
-            for alpha in _dominance_alphas(config, m, n):
-                ArbitrageFreeContract(alpha=alpha).require_valid(m, n)
+        for m, n, alpha in _freeness_cells(config):
+            ArbitrageFreeContract(alpha=alpha).require_valid(m, n)
     return [_SUITES[name](config) for name in selected]

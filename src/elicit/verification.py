@@ -322,22 +322,16 @@ def monotonicity_check(
         sums[1 - j] = c - s
         deviation = profile_with_coalition_sums(profile, coalition, sums)
         points.append((s, coalition_total(contract, deviation, coalition, j)))
-    increasing = all(a[1] < b[1] for a, b in zip(points, points[1:]))
-    if increasing:
-        return MonotonicityReport(Monotonicity.INCREASING, None)
-    decreasing = all(a[1] > b[1] for a, b in zip(points, points[1:]))
-    if decreasing:
-        return MonotonicityReport(Monotonicity.DECREASING, None)
-    direction = None
+    # The witness is the first adjacent pair that is flat or turns
+    # against the direction of the first step.
+    first = None
     for a, b in zip(points, points[1:]):
-        if a[1] == b[1]:
+        sign = (b[1] > a[1]) - (b[1] < a[1])
+        first = first or sign
+        if sign == 0 or sign != first:
             return MonotonicityReport(Monotonicity.VIOLATION, (a, b))
-        step = 1 if b[1] > a[1] else -1
-        if direction is None:
-            direction = step
-        elif step != direction:
-            return MonotonicityReport(Monotonicity.VIOLATION, (a, b))
-    raise AssertionError("sweep was neither monotone nor violated")
+    verdict = Monotonicity.INCREASING if first > 0 else Monotonicity.DECREASING
+    return MonotonicityReport(verdict, None)
 
 
 def hurting_outcome(

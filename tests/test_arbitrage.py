@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,7 @@ from elicit import (
     coalition_totals,
     mean_collusion,
     search_arbitrage,
+    simplex_lattice,
     uniform_report_arbitrage_interval,
 )
 from elicit import arbitrage
@@ -50,6 +53,7 @@ from conftest import (
 INTRO = ReportProfile.of(("2/5", "3/5"), ("1/2", "1/2"), ("9/10", "1/10"))
 ALL_HALF = ReportProfile.of(("1/2", "1/2"), ("1/2", "1/2"), ("1/2", "1/2"))
 QUADRATIC = IndependentScoring(rule=QuadraticRule())
+LOG = IndependentScoring(rule=LogRule())
 
 
 def uniform_deviation(profile, coalition, report):
@@ -144,6 +148,37 @@ class TestExpectedArbitrage:
                 check_expected_arbitrage(QUADRATIC, profile, deviation, coalition)
                 is not None
             )
+
+    @pytest.mark.parametrize("n,steps", [(2, 4), (3, 3)])
+    def test_log_dominance_implies_expected_when_beliefs_allow(self, n, steps):
+        # Under the log rule an outcome a member ruled out can gain +inf.
+        # That member gives the outcome no weight, so every pair of lattice
+        # profiles where each member believes in some strictly improved
+        # outcome must certify expected arbitrage too.
+        coalition = Coalition.full(2)
+        lattice = list(simplex_lattice(n, steps))
+        profiles = [ReportProfile(pair) for pair in product(lattice, repeat=2)]
+        infinite = 0
+        for baseline in profiles:
+            for deviation in profiles:
+                cert = check_dominance(LOG, baseline, deviation, coalition)
+                if cert is None:
+                    continue
+                strict = {
+                    j for j, d in enumerate(cert.deltas)
+                    if d > arbitrage.NUMERIC_TOLERANCE
+                }
+                if not all(
+                    any(baseline.reports[i][j] > 0 for j in strict)
+                    for i in coalition
+                ):
+                    continue
+                infinite += math.inf in cert.deltas
+                assert (
+                    check_expected_arbitrage(LOG, baseline, deviation, coalition)
+                    is not None
+                )
+        assert infinite > 0
 
 
 class TestMeanCollusion:

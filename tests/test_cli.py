@@ -80,12 +80,23 @@ class TestScore:
         )
         assert both.exit_code == 2
 
-    def test_malformed_profile_exits_64(self, runner, tmp_path):
+    @pytest.mark.parametrize(
+        "first_row,message",
+        [
+            ('["49/100", "1/2"]', "row 1 sums to 99/100, not 1"),
+            ("[true, false]", "row 1 entry 1: cannot parse True as a rational"),
+        ],
+    )
+    def test_malformed_profile_exits_64(
+        self, runner, tmp_path, first_row, message
+    ):
         path = tmp_path / "bad.json"
-        path.write_text('{"n": 2, "reports": [["49/100", "1/2"], ["1/2", "1/2"]]}')
+        path.write_text(
+            f'{{"n": 2, "reports": [{first_row}, ["1/2", "1/2"]]}}'
+        )
         result = invoke(runner, "score", "--input", str(path))
         assert result.exit_code == 64
-        assert "row 1 sums to 99/100" in result.output
+        assert result.output == f"error: {message}\n"
 
     def test_missing_file_exits_64(self, runner):
         result = invoke(runner, "score", "--input", "/nonexistent/p.json")
@@ -313,6 +324,24 @@ class TestSearch:
         (cert,) = payload["certificates"]
         assert cert["kind"] == "expected"
         assert cert["member_expected_gains"] == ["9/2", "9/2", "9/2"]
+
+    def test_log_expected_skips_ruled_out_outcomes(self, runner, tmp_path):
+        # Expert 1 rules out outcome 1, where the coalition's gain is +inf;
+        # that outcome carries no weight in expert 1's expectation.
+        deviation = tmp_path / "deviation.json"
+        deviation.write_text(
+            '{"n": 2, "reports": [["1/4", "3/4"], ["1/4", "3/4"]]}'
+        )
+        args = (
+            "search", "--reports", "0,1; 1/2,1/2", "--contract",
+            "independent-log", "--deviation", str(deviation),
+        )
+        assert invoke(runner, *args).exit_code == 3
+        expected = invoke(runner, *args, "--expected", "--format", "json")
+        assert expected.exit_code == 3
+        (cert,) = json.loads(expected.output)["certificates"]
+        assert cert["kind"] == "expected"
+        assert cert["certainty"] == "numeric"
 
     def test_budget_flags_are_exclusive(self, runner):
         neither = invoke(runner, "search", "--reports", INTRO_ARG)

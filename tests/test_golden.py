@@ -5,9 +5,10 @@ seed and budget.  Each case below runs one CLI command in-process and
 compares its standard output with ``tests/golden/<name>.json`` byte for
 byte, together with the exit code.  The table and CSV renderings of
 every command are pinned the same way, in ``<name>.txt`` and
-``<name>.csv``.  Speed-ups and refactors must leave these files
-untouched; a change that is meant to alter the output regenerates them
-with
+``<name>.csv``, and the ``--help`` text of the group and of every
+command in ``help_<command>.txt``.  Speed-ups and refactors must leave
+these files untouched; a change that is meant to alter the output
+regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -130,10 +131,24 @@ def _text_case(file: str) -> tuple[int, tuple]:
 
 TEXT_FILES = [f"{name}.{ext}" for name in TEXT_CASES for ext in TEXT_FORMATS]
 
+# The --help text of the group and of each command, as the installed
+# console script prints it to a pipe (80 columns, so 78 for click's text).
+HELP_COMMANDS = ("elicit", "score", "reward", "demo-intro", "search", "verify")
+
 
 def _run(args) -> tuple[int, bytes]:
     result = CliRunner().invoke(main, list(args), catch_exceptions=False)
     return result.exit_code, result.stdout_bytes
+
+
+def _help(command: str) -> bytes:
+    args = ["--help"] if command == "elicit" else [command, "--help"]
+    result = CliRunner().invoke(
+        main, args, prog_name="elicit", terminal_width=78,
+        catch_exceptions=False,
+    )
+    assert result.exit_code == 0
+    return result.stdout_bytes
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -152,6 +167,11 @@ def test_text_output_matches_golden(file):
     assert got == (GOLDEN / file).read_bytes()
 
 
+@pytest.mark.parametrize("command", HELP_COMMANDS)
+def test_help_matches_golden(command):
+    assert _help(command) == (GOLDEN / f"help_{command}.txt").read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, (code, args) in sorted(CASES.items()):
@@ -167,3 +187,7 @@ if __name__ == "__main__":
             raise SystemExit(f"{file}: exit {got_code}, expected {code}")
         (GOLDEN / file).write_bytes(got)
         print(f"wrote {file} ({len(got)} bytes)")
+    for command in HELP_COMMANDS:
+        got = _help(command)
+        (GOLDEN / f"help_{command}.txt").write_bytes(got)
+        print(f"wrote help_{command}.txt ({len(got)} bytes)")

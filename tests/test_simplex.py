@@ -14,9 +14,9 @@ from elicit import (
     Coalition,
     Distribution,
     ReportProfile,
-    coalition_mean,
     coalition_sums,
     leave_one_out_mean,
+    mean_collusion,
     simplex_lattice,
     vertex,
 )
@@ -258,10 +258,15 @@ class TestAggregates:
     @given(profiles_with_coalitions())
     def test_coalition_mean_is_scaled_sum(self, pc):
         profile, coalition = pc
-        mean = coalition_mean(profile, coalition)
+        deviation = mean_collusion(profile, coalition)
         sums = coalition_sums(profile, coalition)
-        for j in range(profile.n):
-            assert mean[j] == sums[j] / coalition.size
+        for i in range(profile.m):
+            if i in coalition:
+                assert deviation.reports[i].weights == tuple(
+                    s / coalition.size for s in sums
+                )
+            else:
+                assert deviation.reports[i] == profile.reports[i]
 
     @given(profiles())
     def test_leave_one_out_mean(self, p):

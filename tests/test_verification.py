@@ -249,6 +249,19 @@ class TestMonotonicity:
         (s1, t1), (s2, t2) = report.witness
         assert t1 == t2
 
+    def test_direction_change_is_a_violation(self):
+        # alpha = 6 puts the vertex of the coalition polynomial at s = 3/2,
+        # inside [0, 3]: the total falls until there and then rises, and
+        # the witness is the first rising pair.
+        contract = ArbitrageFreeContract(alpha=6, permissive=True)
+        profile = ReportProfile.of(*([("1/2", "1/2")] * 3))
+        report = monotonicity_check(contract, profile, Coalition.full(3), 0)
+        assert report.verdict is Monotonicity.VIOLATION
+        assert report.witness == (
+            (Fraction(3, 2), Fraction(9, 2)),
+            (Fraction(15, 8), Fraction(153, 32)),
+        )
+
     def test_requires_two_outcomes(self):
         contract = ArbitrageFreeContract(alpha=-1)
         wide = ReportProfile.of(*([("1/3", "1/3", "1/3")] * 3))
