@@ -99,8 +99,12 @@ def ensure_agreement_outside(
             f"outcomes) does not match baseline ({baseline.m}, {baseline.n})"
         )
     coalition.validate_for(baseline.m)
-    for i in coalition.complement(baseline.m):
-        if baseline.reports[i] != deviation.reports[i]:
+    members = coalition.members
+    pairs = zip(baseline.reports, deviation.reports)
+    for i, (before, after) in enumerate(pairs):
+        if before is after or i in members:
+            continue
+        if before != after:
             raise DeviationMismatchError(
                 f"expert {i + 1} (1-based) is outside the coalition but "
                 f"reports differ between baseline and deviation"
@@ -174,8 +178,10 @@ def _witnesses(
         values = deltas
     else:
         values = _member_gains(baseline, coalition, deltas, exact)
-    # NaN deltas (both totals -inf under the log rule) fail the weak test,
-    # as does a member gain that weighs one, and yield no certificate.
+    # Two -inf totals under the log rule tie (``_deltas`` makes their delta
+    # zero).  A NaN delta or member gain that still reaches here, say
+    # from deltas passed to the certificate directly, fails the weak test
+    # and yields no certificate.
     slack = 0 if exact else NUMERIC_TOLERANCE
     return all(v >= -slack for v in values) and any(v > slack for v in values)
 
@@ -196,8 +202,19 @@ def _passes(
         # built for a deviation that does not dominate.
         pairs = tuple(zip(after, before))
         return all(a >= b for a, b in pairs) and any(a > b for a, b in pairs)
-    deltas = tuple(a - b for a, b in zip(after, before))
-    return _witnesses(kind, baseline, coalition, deltas, exact)
+    return _witnesses(kind, baseline, coalition, _deltas(after, before), exact)
+
+
+def _deltas(after: Sequence, before: Sequence) -> tuple:
+    """Per-outcome change in the coalition total, deviation minus baseline.
+
+    Equal totals give a zero delta of the totals' own type, so two -inf
+    totals under the log rule are a tie rather than NaN; every other
+    delta is the plain difference, a Fraction on exact contracts.
+    """
+    return tuple(
+        [a - b if a != b else type(a)(0) for a, b in zip(after, before)]
+    )
 
 
 def _check(
@@ -224,7 +241,7 @@ def _check(
         baseline=baseline,
         deviation=deviation,
         coalition=coalition,
-        deltas=tuple(a - b for a, b in zip(after, before)),
+        deltas=_deltas(after, before),
         kind=kind,
         exact=exact,
     )

@@ -23,8 +23,10 @@ depend on alpha (the integer column totals and one sum per expert) are
 cached once per profile in ``ReportProfile.scaled_totals``, so one
 outcome's payments cost O(m) integer operations and a coalition's totals
 need only its members' rows; each payment becomes a ``Fraction`` once, at
-the boundary.  The tests keep the plain ``Fraction`` formula as an oracle
-and check the kernel against it.
+the boundary.  The four alpha-dependent coefficients are cached on the
+contract per (m, n, D), and the band is checked once per such shape.  The
+tests keep the plain ``Fraction`` formula as an oracle and check the
+kernel against it.
 """
 
 from __future__ import annotations
@@ -139,6 +141,12 @@ def validate_alpha(alpha, m: int, n: int) -> AlphaVerdict:
     return AlphaVerdict.INVALID
 
 
+# Entries of one contract's coefficient cache before it starts over: enough
+# for every (m, n, D) the verification suites meet, bounded for a caller
+# that evaluates profiles of ever new denominators.
+_COEFFICIENT_CACHE_SIZE = 1024
+
+
 class ContractFunction:
     """Interface: evaluate(profile, outcome) -> per-expert payment tuple."""
 
@@ -176,7 +184,8 @@ class IndependentScoring(ContractFunction):
 
     def evaluate(self, profile: ReportProfile, j: int) -> tuple:
         _check_eval_args(profile, j)
-        return tuple(self.rule.score(r, j) for r in profile.reports)
+        score = self.rule.score
+        return tuple([score(r, j) for r in profile.reports])
 
     def expert_view(self, profile: ReportProfile, i: int) -> ScoringRule:
         if not 0 <= i < profile.m:
@@ -258,6 +267,9 @@ class ArbitrageFreeContract(ContractFunction):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _as_fraction(self.alpha))
+        # _coefficients per (m, n, D).  Not a dataclass field, so eq, hash
+        # and repr ignore it.
+        object.__setattr__(self, "_coefficient_cache", {})
 
     def require_valid(self, m: int, n: int) -> None:
         """Raise AlphaRangeError unless alpha is safe for m experts, n outcomes.
@@ -285,23 +297,32 @@ class ArbitrageFreeContract(ContractFunction):
             N[i][j] = q*k*G[i] + (2*q*k*m - p)*D*A[i][j]
                       - (2*q*k**2 - p)*D*T[j].
 
-        Returns (q * k * D**2, q * k, (2*q*k*m - p) * D, (2*q*k**2 - p) * D).
+        Returns (q * k * D**2, q * k, (2*q*k*m - p) * D, (2*q*k**2 - p) * D),
+        cached per (m, n, D); the shape is validated on each cache miss.
         """
-        if profile.m < 2:
-            raise ValueError(
-                f"need at least 2 experts, got m={profile.m}"
-            )
-        self.require_valid(profile.m, profile.n)
-        k = profile.m - 1
-        p, q = self.alpha.numerator, self.alpha.denominator
+        m, n = profile.m, profile.n
         scale = profile.scaled[0]
+        cache = self._coefficient_cache
+        key = (m, n, scale)
+        coefficients = cache.get(key)
+        if coefficients is not None:
+            return coefficients
+        if m < 2:
+            raise ValueError(f"need at least 2 experts, got m={m}")
+        self.require_valid(m, n)
+        k = m - 1
+        p, q = self.alpha.numerator, self.alpha.denominator
         qk = q * k
-        return (
+        coefficients = (
             qk * scale * scale,
             qk,
-            (2 * qk * profile.m - p) * scale,
+            (2 * qk * m - p) * scale,
             (2 * qk * k - p) * scale,
         )
+        if len(cache) >= _COEFFICIENT_CACHE_SIZE:
+            cache.clear()
+        cache[key] = coefficients
+        return coefficients
 
     def evaluate(self, profile: ReportProfile, j: int) -> tuple:
         _check_eval_args(profile, j)
@@ -360,8 +381,9 @@ def coalition_totals(
             Fraction(base + a_coef * sum(column) - t_coef * t, denominator)
             for column, t in zip(zip(*[rows[i] for i in coalition]), totals)
         )
+    first, *rest = coalition.members
     rows = [contract.evaluate(profile, j) for j in range(profile.n)]
-    return tuple(sum(row[i] for i in coalition) for row in rows)
+    return tuple([sum([row[i] for i in rest], row[first]) for row in rows])
 
 
 def expected_reward(

@@ -10,8 +10,10 @@ of it runs in floats, while the quadratic rule stays exact.
 The quadratic score is computed on integers.  Each report caches its
 weights once as integer counts c over the lcm D of their denominators
 (``Distribution.scaled``), together with the sum of the squared counts, so
-a score is (2*D*c_j - sum(c**2)) / D**2: one ``Fraction`` per call, built
-at the boundary, however many outcomes the report has.
+a score is (2*D*c_j - sum(c**2)) / D**2.  The report also caches its n
+scores (``Distribution.quadratic_scores``), built on first use, so scoring
+a report again costs a range check and a tuple lookup and builds no
+``Fraction``.
 
 ``properness_probe`` gives an empirical check of properness over any finite
 candidate set of reports, used by the verification suites rather than a
@@ -47,11 +49,10 @@ def quadratic_score(report: Distribution, j: int) -> Fraction:
     proper; range is [-1, 1] on the simplex, with 1 attained only by the
     vertex at j.
     """
+    # The range check stays: the cached tuple would accept j = -1.
     if not 0 <= j < report.n:
         raise IndexError(f"outcome {j} out of range for n={report.n}")
-    # With w = c / D: 2*w_j - sum(w**2) = (2*D*c_j - sum(c**2)) / D**2.
-    scale, counts, square = report.scaled
-    return Fraction(2 * scale * counts[j] - square, scale * scale)
+    return report.quadratic_scores[j]
 
 
 def quadratic_score_float(weights: Sequence[float], j: int) -> float:

@@ -10,10 +10,14 @@ Validation runs on integers.  A ``Distribution`` reads each weight's
 numerator and denominator, takes the lcm D of the denominators and checks
 that the integer counts D * weight sum to exactly D; the counts it built
 are kept as ``scaled``, set at construction, so every later integer
-computation on the report (a quadratic score, a profile's rows) starts
-from them.  ``ReportProfile.scaled`` rescales the reports' counts to one
-common D, and ``ReportProfile.scaled_totals`` holds the integer column
-totals and per-expert sums the contract kernel needs, once per profile.
+computation on the report (its quadratic scores, a profile's rows) starts
+from them.  A report's quadratic scores are cached on it
+(``Distribution.quadratic_scores``), built on first use, so a report
+scored again and again, such as a lattice point a grid search reuses in
+every combination, builds its n scores once.  ``ReportProfile.scaled``
+rescales the reports' counts to one common D, and
+``ReportProfile.scaled_totals`` holds the integer column totals and
+per-expert sums the contract kernel needs, once per profile.
 
 Expert and outcome indices are 0-based throughout the library.  The
 command-line layer translates to and from 1-based labels for display.
@@ -58,7 +62,8 @@ class Distribution:
 
     Construction also sets ``scaled`` = (D, counts, square): D the lcm of
     the weight denominators, counts[j] = D * weight j as an integer, and
-    square the sum of the squared counts.
+    square the sum of the squared counts.  ``quadratic_scores`` is derived
+    from it on first use and cached on the report.
     """
 
     weights: tuple[Fraction, ...]
@@ -100,6 +105,20 @@ class Distribution:
     @property
     def n(self) -> int:
         return len(self.weights)
+
+    @cached_property
+    def quadratic_scores(self) -> tuple[Fraction, ...]:
+        """The quadratic score of this report at every outcome.
+
+        With (D, c, square) = ``scaled``, the score at j is
+        2*w_j - sum(w**2) = (2*D*c_j - square) / D**2: one ``Fraction``
+        per outcome, built once per report on first use.
+        """
+        scale, counts, square = self.scaled
+        denominator = scale * scale
+        return tuple(
+            [Fraction(2 * scale * c - square, denominator) for c in counts]
+        )
 
     def __len__(self) -> int:
         return len(self.weights)

@@ -79,6 +79,25 @@ class TestAgreementGuard:
         with pytest.raises(DeviationMismatchError, match="shape"):
             ensure_agreement_outside(INTRO, narrow, Coalition.of([0]))
 
+    def test_equal_but_distinct_report_outside_agrees(self):
+        copy = Distribution.of("9/10", "1/10")
+        dev = INTRO.replace({0: Distribution.of(1, 0), 2: copy})
+        assert dev.reports[2] is not INTRO.reports[2]
+        ensure_agreement_outside(INTRO, dev, Coalition.of([0, 1]))
+
+    def test_names_the_first_differing_non_member(self):
+        four = ReportProfile.of(*[("1/2", "1/2")] * 4)
+        # Expert 1 (a member) and experts 2 and 4 (outsiders) all move.
+        dev = four.replace(
+            {i: Distribution.of(1, 0) for i in (0, 1, 3)}
+        )
+        with pytest.raises(DeviationMismatchError) as raised:
+            ensure_agreement_outside(four, dev, Coalition.of([0, 2]))
+        assert str(raised.value) == (
+            "expert 2 (1-based) is outside the coalition but reports "
+            "differ between baseline and deviation"
+        )
+
 
 class TestCheckDominance:
     def test_intro_mean_collusion_certifies(self):
@@ -148,6 +167,36 @@ class TestExpectedArbitrage:
                 check_expected_arbitrage(QUADRATIC, profile, deviation, coalition)
                 is not None
             )
+
+    def test_log_ties_at_minus_inf(self):
+        # Both members rule out outcome 1 before and after, so its total
+        # is -inf on both sides: a tie, not a NaN that fails the weak test.
+        baseline = ReportProfile.of(("0", "1/4", "3/4"), ("0", "3/4", "1/4"))
+        half = Distribution.of("0", "1/2", "1/2")
+        deviation = baseline.replace({0: half, 1: half})
+        coalition = Coalition.full(2)
+        totals = coalition_totals(LOG, baseline, coalition)
+        assert totals[0] == -math.inf
+        gain = -math.log(3 / 4)
+        for cached in (None, totals):
+            cert = check_dominance(LOG, baseline, deviation, coalition, cached)
+            assert cert is not None and not cert.exact
+            assert cert.deltas[0] == 0.0 and type(cert.deltas[0]) is float
+            assert cert.deltas[1:] == (pytest.approx(gain), pytest.approx(gain))
+        # Each member believes in both improved outcomes.
+        expected = check_expected_arbitrage(LOG, baseline, deviation, coalition)
+        assert expected is not None
+
+    def test_deltas_of_equal_totals_are_zero(self):
+        inf = math.inf
+        assert arbitrage._deltas((-inf, -inf, 1.5), (-inf, 0.5, 1.5)) == (
+            0.0, -inf, 0.0
+        )
+        exact = arbitrage._deltas(
+            (Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 2), Fraction(1, 4))
+        )
+        assert exact == (0, Fraction(1, 12))
+        assert all(type(d) is Fraction for d in exact)
 
     @pytest.mark.parametrize("n,steps", [(2, 4), (3, 3)])
     def test_log_dominance_implies_expected_when_beliefs_allow(self, n, steps):

@@ -343,6 +343,22 @@ class TestSearch:
         assert cert["kind"] == "expected"
         assert cert["certainty"] == "numeric"
 
+    def test_log_tie_at_minus_inf_certifies(self, runner, tmp_path):
+        # Both experts rule out outcome 1 before and after the move: its
+        # -inf totals tie, and outcomes 2 and 3 each gain -ln(3/4).
+        deviation = tmp_path / "deviation.json"
+        deviation.write_text(
+            '{"n": 3, "reports": [["0", "1/2", "1/2"], ["0", "1/2", "1/2"]]}'
+        )
+        result = invoke(
+            runner, "search", "--reports", "0,1/4,3/4; 0,3/4,1/4",
+            "--contract", "independent-log", "--deviation", str(deviation),
+        )
+        assert result.exit_code == 3
+        rows = [line.split() for line in result.output.splitlines()]
+        assert ["1", "0"] in rows
+        assert ["2", "0.287682"] in rows and ["3", "0.287682"] in rows
+
     def test_budget_flags_are_exclusive(self, runner):
         neither = invoke(runner, "search", "--reports", INTRO_ARG)
         assert neither.exit_code == 2

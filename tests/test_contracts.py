@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -305,6 +306,101 @@ class TestCoalitionTotal:
         for j in (-1, profile.n):
             with pytest.raises(IndexError, match="out of range"):
                 coalition_total(contract, profile, coalition, j)
+
+
+GENERIC_TAGS = ["independent-log", "independent-quadratic", "zero-sum-pair"]
+
+
+class TestGenericCoalitionTotals:
+    """Contracts outside the alpha family sum the members' payments."""
+
+    @pytest.mark.parametrize("tag", GENERIC_TAGS)
+    @given(data=st.data())
+    def test_equals_member_sum_of_evaluate(self, tag, data):
+        contract = CLI_CONTRACTS[tag]
+        m = 2 if tag == "zero-sum-pair" else None
+        profile = data.draw(profiles(m=m))
+        members = data.draw(
+            st.lists(st.integers(0, profile.m - 1), min_size=1, unique=True)
+        )
+        coalition = Coalition.of(members)
+        assert coalition_totals(contract, profile, coalition) == tuple(
+            sum(contract.evaluate(profile, j)[i] for i in coalition)
+            for j in range(profile.n)
+        )
+
+    @pytest.mark.parametrize("tag", GENERIC_TAGS)
+    def test_one_member_total_is_its_payment(self, tag):
+        contract = CLI_CONTRACTS[tag]
+        profile = ReportProfile.of(("1/4", "3/4"), ("2/3", "1/3"))
+        for i in range(2):
+            totals = coalition_totals(contract, profile, Coalition.of([i]))
+            assert totals == tuple(
+                contract.evaluate(profile, j)[i] for j in range(2)
+            )
+
+    def test_log_total_of_ruled_out_outcome_is_minus_inf(self):
+        contract = CLI_CONTRACTS["independent-log"]
+        profile = ReportProfile.of(("0", "1"), ("1/2", "1/2"), ("0", "1"))
+        totals = coalition_totals(contract, profile, Coalition.of([0, 2]))
+        assert totals == (float("-inf"), 0.0)
+        assert coalition_totals(
+            contract, profile, Coalition.of([0, 1, 2])
+        ) == (float("-inf"), sum(contract.evaluate(profile, 1)))
+
+
+class TestCoefficientCache:
+    """The alpha family's coefficients, cached per (m, n, D)."""
+
+    def test_band_is_still_checked_for_a_new_shape(self):
+        contract = ArbitrageFreeContract(alpha=16)
+        assert contract.evaluate(ALL_HALF, 0) == tuple(
+            plain_reward(ALL_HALF, i, 0, Fraction(16)) for i in range(3)
+        )
+        # Same m and D as ALL_HALF; only n differs.
+        three = ReportProfile.of(
+            ("1/2", "1/2", "0"), ("0", "1/2", "1/2"), ("1/2", "0", "1/2")
+        )
+        with pytest.raises(AlphaRangeError) as fresh:
+            ArbitrageFreeContract(alpha=16).evaluate(three, 0)
+        assert "[0, 24) for m=3, n=3" in str(fresh.value)
+        for _ in range(2):
+            with pytest.raises(AlphaRangeError) as raised:
+                contract.evaluate(three, 0)
+            assert str(raised.value) == str(fresh.value)
+            with pytest.raises(AlphaRangeError) as raised:
+                coalition_totals(contract, three, Coalition.full(3))
+            assert str(raised.value) == str(fresh.value)
+        assert coalition_totals(contract, ALL_HALF, Coalition.of([0, 2])) == (
+            Fraction(13),
+            Fraction(13),
+        )
+
+    @given(fine_profiles(), fine_profiles(), fine_alphas)
+    def test_shapes_and_denominators_in_turn(self, first, second, alpha):
+        contract = ArbitrageFreeContract(alpha=alpha, permissive=True)
+        # A, then B, then A again on the same contract object.
+        for profile in (first, second, first):
+            want = [
+                tuple(plain_reward(profile, i, j, alpha) for i in range(profile.m))
+                for j in range(profile.n)
+            ]
+            for j in range(profile.n):
+                assert contract.evaluate(profile, j) == want[j]
+            assert coalition_totals(
+                contract, profile, Coalition.full(profile.m)
+            ) == tuple(sum(row) for row in want)
+
+    def test_cache_leaves_eq_hash_and_repr_alone(self):
+        used = ArbitrageFreeContract(alpha=16)
+        used.evaluate(ALL_HALF, 0)
+        fresh = ArbitrageFreeContract(alpha=16)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert [f.name for f in dataclasses.fields(used)] == [
+            "alpha",
+            "permissive",
+        ]
 
 
 class TestInducedExpertRule:

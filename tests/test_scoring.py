@@ -21,7 +21,7 @@ from elicit import (
 )
 from elicit.scoring import quadratic_score_float
 
-from conftest import distributions, mixed_denominator_reports
+from conftest import distributions, mixed_denominator_reports, plain_quadratic
 
 
 class TestQuadraticScore:
@@ -61,6 +61,26 @@ class TestQuadraticScore:
         assert all(scale % p.denominator == 0 for p in w)
         assert counts == tuple(p * scale for p in w)
         assert square == sum(c * c for c in counts)
+
+    @given(mixed_denominator_reports())
+    def test_cached_scores_match_plain_formula(self, d):
+        scores = d.quadratic_scores
+        assert scores is d.quadratic_scores
+        assert scores == tuple(plain_quadratic(d.weights, j) for j in range(d.n))
+        for j in range(d.n):
+            assert quadratic_score(d, j) is scores[j]
+        # A tuple index would accept -1; the range check refuses it.
+        for j in (-1, d.n):
+            with pytest.raises(IndexError) as raised:
+                quadratic_score(d, j)
+            assert str(raised.value) == f"outcome {j} out of range for n={d.n}"
+
+    def test_cached_scores_leave_equality_and_hash_alone(self):
+        scored = Distribution.of("1/3", "2/3")
+        quadratic_score(scored, 0)
+        fresh = Distribution.of("1/3", "2/3")
+        assert scored == fresh and hash(scored) == hash(fresh)
+        assert repr(scored) == repr(fresh)
 
     def test_float_variant_accepts_off_simplex_points(self):
         assert quadratic_score_float([0.5, 0.5], 0) == pytest.approx(0.5)
