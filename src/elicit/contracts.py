@@ -18,15 +18,17 @@ explicitly told to proceed.
 
 Payments of the family are computed as integers.  With D the lcm of the
 report denominators, k = m - 1 and alpha = p / q, every payment of a
-profile is an integer numerator over q * k * D**2.  The terms that do not
-depend on alpha (the integer column totals and one sum per expert) are
-cached once per profile in ``ReportProfile.scaled_totals``, so one
-outcome's payments cost O(m) integer operations and a coalition's totals
-need only its members' rows; each payment becomes a ``Fraction`` once, at
-the boundary.  The four alpha-dependent coefficients are cached on the
-contract per (m, n, D), and the band is checked once per such shape.  The
-tests keep the plain ``Fraction`` formula as an oracle and check the
-kernel against it.
+profile is an integer numerator over q * k * D**2.  The terms of
+``evaluate`` that do not depend on alpha (the integer column totals and
+one sum per expert) are cached once per profile in
+``ReportProfile.scaled_totals``, so one outcome's payments cost O(m)
+integer operations.  A coalition's totals need no per-expert term at
+all: as the paper's construction says, they depend only on two integer
+column-sum vectors, T over all experts and S over the members.  Each
+payment becomes a ``Fraction`` once, at the boundary.  The four
+alpha-dependent coefficients are cached on the contract per (m, n, D),
+and the band is checked once per such shape.  The tests keep the plain
+``Fraction`` formula as an oracle and check the kernel against it.
 """
 
 from __future__ import annotations
@@ -297,6 +299,13 @@ class ArbitrageFreeContract(ContractFunction):
             N[i][j] = q*k*G[i] + (2*q*k*m - p)*D*A[i][j]
                       - (2*q*k**2 - p)*D*T[j].
 
+        Summed over a coalition C of c members, with S the members' rows
+        summed, the sum of G[i] is c*sum(T**2) - 2*sum(T * S), so the
+        coalition's numerator on outcome j needs only T and S:
+
+            q*k*(c*sum(T**2) - 2*sum(T * S)) + (2*q*k*m - p)*D*S[j]
+            - c*(2*q*k**2 - p)*D*T[j].
+
         Returns (q * k * D**2, q * k, (2*q*k*m - p) * D, (2*q*k**2 - p) * D),
         cached per (m, n, D); the shape is validated on each cache miss.
         """
@@ -367,19 +376,31 @@ def coalition_totals(
     profile: ReportProfile,
     coalition: Coalition,
 ) -> tuple:
-    """Combined coalition payment for every outcome, as a length-n tuple."""
+    """Combined coalition payment for every outcome, as a length-n tuple.
+
+    For the alpha family the totals come from the integer column sums T
+    (all experts) and S (the members) of ``profile.scaled`` alone, as
+    ``ArbitrageFreeContract._coefficients`` derives; the per-expert sums
+    of ``ReportProfile.scaled_totals`` are not needed.  Other contracts
+    sum the members' ``evaluate`` payments.
+    """
     coalition.validate_for(profile.m)
     if isinstance(contract, ArbitrageFreeContract):
-        # Summed over the members, N[i][j] needs only the members' sums
-        # of A[i][j] and G[i].
         denominator, qk, a_coef, t_coef = contract._coefficients(profile)
         rows = profile.scaled[1]
-        totals, gaps = profile.scaled_totals
-        base = qk * sum([gaps[i] for i in coalition])
-        t_coef *= coalition.size
+        totals = [sum(column) for column in zip(*rows)]
+        sums = [sum(column) for column in zip(*[rows[i] for i in coalition])]
+        size = coalition.size
+        base = qk * (
+            size * sum([t * t for t in totals])
+            - 2 * sum([t * s for t, s in zip(totals, sums)])
+        )
+        t_coef *= size
         return tuple(
-            Fraction(base + a_coef * sum(column) - t_coef * t, denominator)
-            for column, t in zip(zip(*[rows[i] for i in coalition]), totals)
+            [
+                Fraction(base + a_coef * s - t_coef * t, denominator)
+                for s, t in zip(sums, totals)
+            ]
         )
     first, *rest = coalition.members
     rows = [contract.evaluate(profile, j) for j in range(profile.n)]

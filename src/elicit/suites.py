@@ -247,8 +247,12 @@ def _suite_freeness(config: VerifyConfig) -> SuiteResult:
                 deviation = random_deviation(rng, baseline, coalition)
                 before = totals.get(coalition)
                 if before is None:
+                    first, *rest = coalition.members
                     before = totals[coalition] = tuple(
-                        sum(row[i] for i in coalition) for row in rewards
+                        [
+                            sum([row[i] for i in rest], row[first])
+                            for row in rewards
+                        ]
                     )
                 cert = check_dominance(
                     contract, baseline, deviation, coalition, before

@@ -251,6 +251,64 @@ class TestIntegerKernel:
                 contract.expert_view(profile, 0)
 
 
+class TestSumVectorKernel:
+    """Alpha-family coalition totals from the column sums T and S alone."""
+
+    @given(fine_profiles(), st.data())
+    def test_matches_plain_reward_sums(self, profile, data):
+        cutoff = 2 * (profile.m - 1) ** 2 * profile.n
+        safe = st.one_of(
+            fine_alphas.filter(lambda a: a < 0),
+            st.fractions(
+                min_value=cutoff, max_value=cutoff + 300, max_denominator=10**6
+            ),
+        )
+        prone = st.fractions(
+            min_value=0,
+            max_value=cutoff - Fraction(1, 10**6),
+            max_denominator=10**6,
+        )
+        permissive = data.draw(st.booleans())
+        alpha = data.draw(st.one_of(safe, prone) if permissive else safe)
+        size = data.draw(st.integers(1, profile.m))
+        coalition = Coalition.of(
+            data.draw(st.permutations(range(profile.m)))[:size]
+        )
+        contract = ArbitrageFreeContract(alpha=alpha, permissive=permissive)
+        want = tuple(
+            sum(plain_reward(profile, i, j, alpha) for i in coalition)
+            for j in range(profile.n)
+        )
+        assert coalition_totals(contract, profile, coalition) == want
+        # The same totals on an equal profile whose per-expert sums were
+        # built first.
+        primed = ReportProfile(profile.reports)
+        primed.scaled_totals
+        assert coalition_totals(contract, primed, coalition) == want
+
+    @given(st.one_of(profiles(max_m=6, max_n=5), fine_profiles()), st.data())
+    def test_member_sums_of_g_need_only_t_and_s(self, profile, data):
+        rows = profile.scaled[1]
+        totals, gaps = profile.scaled_totals
+        size = data.draw(st.integers(1, profile.m))
+        members = data.draw(st.permutations(range(profile.m)))[:size]
+        sums = [sum(rows[i][j] for i in members) for j in range(profile.n)]
+        assert size * sum(t * t for t in totals) - 2 * sum(
+            t * s for t, s in zip(totals, sums)
+        ) == sum(gaps[i] for i in members)
+
+    def test_leaves_per_expert_sums_unbuilt(self):
+        profile = ReportProfile.of(
+            ("1/3", "2/3"), ("1/2", "1/2"), ("1/5", "4/5")
+        )
+        contract = ArbitrageFreeContract(alpha=-1)
+        coalition_totals(contract, profile, Coalition.of([0, 2]))
+        assert "scaled" in vars(profile)
+        assert "scaled_totals" not in vars(profile)
+        contract.evaluate(profile, 0)
+        assert "scaled_totals" in vars(profile)
+
+
 class TestPaymentTermsCache:
     """Per-profile payment terms hold no alpha, so reuse is sound."""
 

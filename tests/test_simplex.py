@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -206,6 +207,69 @@ class TestReportProfile:
             p.replace({0: Distribution.of("1/3", "1/3", "1/3")})
         with pytest.raises(IndexError):
             p.replace({2: Distribution.of(1, 0)})
+
+    def test_replace_error_texts(self):
+        p = ReportProfile.of(("1/2", "1/2"), ("1/2", "1/2"))
+        with pytest.raises(IndexError, match=r"^expert 2 out of range for m=2$"):
+            p.replace({2: Distribution.of(1, 0)})
+        with pytest.raises(IndexError, match=r"^expert -1 out of range for m=2$"):
+            p.replace({-1: Distribution.of(1, 0)})
+        with pytest.raises(
+            ValueError,
+            match=r"^replacement for expert 0 has 3 outcomes, expected 2$",
+        ):
+            p.replace({0: Distribution.of("1/3", "1/3", "1/3")})
+
+    def test_replace_reports_first_bad_key_and_leaves_source(self):
+        p = ReportProfile.of(("2/5", "3/5"), ("1/2", "1/2"))
+        reports = p.reports
+        good = Distribution.of(1, 0)
+        three = Distribution.of("1/3", "1/3", "1/3")
+        with pytest.raises(IndexError, match=r"^expert 5 out of range"):
+            p.replace({0: good, 5: good, 1: three})
+        with pytest.raises(ValueError, match=r"^replacement for expert 1 "):
+            p.replace({0: good, 1: three, 5: good})
+        assert p.reports is reports
+        assert p == ReportProfile.of(("2/5", "3/5"), ("1/2", "1/2"))
+
+
+# The first-use caches and the first line of each one's docstring.
+FIRST_USE_CACHES = [
+    (Distribution, "quadratic_scores", "The quadratic score of this report"),
+    (ReportProfile, "scaled", "The reports as integers over one common"),
+    (ReportProfile, "scaled_totals", "The column totals over the same D"),
+]
+
+
+class TestFirstUseCaches:
+    @pytest.mark.parametrize("cls, name, doc", FIRST_USE_CACHES)
+    def test_class_access_returns_the_descriptor(self, cls, name, doc):
+        descriptor = getattr(cls, name)
+        assert descriptor is cls.__dict__[name]
+        assert descriptor.__doc__.startswith(doc)
+        assert descriptor.__doc__ == descriptor.func.__doc__
+
+    def test_value_is_stored_on_the_instance(self):
+        p = ReportProfile.of(("2/5", "3/5"), ("1/3", "2/3"))
+        d = p.reports[0]
+        cached = ((p, "scaled"), (p, "scaled_totals"), (d, "quadratic_scores"))
+        for obj, name in cached:
+            assert name not in vars(obj)
+            value = getattr(obj, name)
+            assert vars(obj)[name] is value
+            assert getattr(obj, name) is value
+
+    def test_caches_leave_fields_eq_hash_and_repr_alone(self):
+        rows = (("2/5", "3/5"), ("1/3", "2/3"))
+        used, fresh = ReportProfile.of(*rows), ReportProfile.of(*rows)
+        used.scaled_totals
+        for r in used.reports:
+            r.quadratic_scores
+        pairs = [(used, fresh)] + list(zip(used.reports, fresh.reports))
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert [f.name for f in dataclasses.fields(ReportProfile)] == ["reports"]
+        assert [f.name for f in dataclasses.fields(Distribution)] == ["weights"]
 
 
 class TestCoalition:
