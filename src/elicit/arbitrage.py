@@ -197,12 +197,34 @@ def _passes(
     """Whether the coalition totals ``after`` against ``before`` witness
     arbitrage of this kind."""
     if exact and kind is CertificateKind.DOMINANCE:
-        # Compare the totals themselves: a Fraction comparison
-        # cross-multiplies numerators and denominators, so no delta is
-        # built for a deviation that does not dominate.
-        pairs = tuple(zip(after, before))
-        return all(a >= b for a, b in pairs) and any(a > b for a, b in pairs)
+        return _dominates(after, before)
     return _witnesses(kind, baseline, coalition, _deltas(after, before), exact)
+
+
+# Total types whose ratio ``as_integer_ratio`` reads exactly.
+_RATIONALS = frozenset((Fraction, int))
+
+
+def _dominates(after: Sequence, before: Sequence) -> bool:
+    """Whether ``after`` is weakly above ``before`` everywhere and strictly
+    above somewhere, deciding at the first outcome that loses.
+
+    No delta is built.  A pair of Fraction or int totals is compared by
+    integer cross-products of their ratios, each ratio read once; any
+    other pair, such as float totals handed in as a screen, is compared
+    as it is.
+    """
+    strict = False
+    for a, b in zip(after, before):
+        if type(a) in _RATIONALS and type(b) in _RATIONALS:
+            p, q = a.as_integer_ratio()
+            r, s = b.as_integer_ratio()
+            a, b = p * s, r * q
+        if a > b:
+            strict = True
+        elif not a >= b:
+            return False
+    return strict
 
 
 def _deltas(after: Sequence, before: Sequence) -> tuple:
@@ -266,9 +288,10 @@ def check_dominance(
     many deviations of one baseline computes it once and saves scoring
     the baseline on every check.  On an exact contract the deviation's
     totals are compared with the baseline's directly, without building a
-    delta: a Fraction comparison cross-multiplies, so a >= b is decided
-    by the sign of a.numerator * b.denominator - b.numerator *
-    a.denominator.  The totals only screen deviations: before a
+    delta: for Fraction or int totals a >= b is decided on the integers
+    a.numerator * b.denominator and b.numerator * a.denominator, and the
+    comparison stops at the first outcome that loses.  The totals only
+    screen deviations: before a
     certificate is returned its deltas are recomputed from the baseline,
     so totals that are wrong can hide a certificate but never make one.
     """

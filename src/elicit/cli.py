@@ -44,6 +44,7 @@ from .formats import (
     InputError,
     csv_text,
     decimal_str,
+    decimal_value,
     dumps,
     parse_coalition,
     parse_inline_profile,
@@ -164,7 +165,7 @@ def _vcell(value) -> str:
 
 def _value_obj(value) -> dict:
     if isinstance(value, Fraction):
-        return {"fraction": str(value), "decimal": float(value)}
+        return {"fraction": str(value), "decimal": decimal_value(value)}
     return {"decimal": value}
 
 

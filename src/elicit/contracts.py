@@ -9,11 +9,15 @@ score, minus a scaled quadratic score of the other experts' mean report,
 plus a linear bonus ``alpha`` times the mean probability the others put on
 the realized outcome.
 
-The linear coefficient decides everything.  With m experts on n outcomes
-the family is arbitrage-free exactly when ``alpha < 0`` or
-``alpha >= safe_cutoff(m, n) = 2 * (m - 1)**2 * n``; anything in between
-admits coalitions with a riskless joint gain.  ``validate_alpha``
-classifies a coefficient, and evaluation refuses invalid ones unless
+The linear coefficient is what the paper's guarantee rests on.  With m
+experts on n outcomes, ``alpha < 0`` or
+``alpha >= safe_cutoff(m, n) = 2 * (m - 1)**2 * n`` is *sufficient* for
+the family to be arbitrage-free; the band in between is where that
+guarantee does not hold, not a band where arbitrage is proven.  At m = 2
+no alpha admits dominance: the pair's total on outcome j is alpha times
+their summed report on j, which no move raises everywhere unless alpha
+= 0, where it is always 0.  ``validate_alpha`` classifies a coefficient
+against the paper's band, and evaluation refuses one outside it unless
 explicitly told to proceed.
 
 Payments of the family are computed as integers.  With D the lcm of the
@@ -123,9 +127,12 @@ def safe_cutoff(m: int, n: int) -> int:
 def validate_alpha(alpha, m: int, n: int) -> AlphaVerdict:
     """Classify alpha as valid-negative, valid-large, or invalid.
 
+    Valid means inside the paper's sufficient band, where the family is
+    arbitrage-free; invalid means outside it, not that arbitrage exists.
     The large-side cutoff ``safe_cutoff(m, n)`` is itself valid (the bound
-    is inclusive).  alpha = 0 is invalid: it admits arbitrage whenever all
-    but two experts rule out some outcome.  The band is tested on
+    is inclusive).  alpha = 0 is invalid: with m >= 3 experts it admits
+    arbitrage whenever all but two experts rule out some outcome (at
+    m = 2 no alpha does).  The band is tested on
     integers alone: alpha = p / q is valid-negative when p < 0 and
     valid-large when p >= safe_cutoff(m, n) * q.  Floats raise TypeError.
     """

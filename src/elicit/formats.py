@@ -13,6 +13,7 @@ byte-deterministic so runs with identical configuration diff clean.
 
 from __future__ import annotations
 
+import decimal
 import io
 import json
 import math
@@ -31,6 +32,7 @@ __all__ = [
     "profile_to_obj",
     "fraction_str",
     "decimal_str",
+    "decimal_value",
     "dumps",
     "csv_text",
 ]
@@ -166,10 +168,34 @@ def fraction_str(value) -> str:
 
 def decimal_str(value) -> str:
     """Short decimal rendering of a rational or float, for table cells."""
-    x = float(value)
+    x = decimal_value(value)
+    if isinstance(x, str):
+        return x
     if math.isfinite(x):
         return f"{x:.6g}"
     return str(x)
+
+
+def decimal_value(value):
+    """The value as a float, or as ``%.6g`` text when no float holds it.
+
+    A rational beyond float range (a payment at alpha = 1e400, say) is
+    rounded exactly, half to even, to 6 significant digits and written in
+    the style ``%.6g`` gives a float of that size, such as ``1e+400``.
+    """
+    try:
+        return float(value)
+    except OverflowError:
+        pass
+    with decimal.localcontext() as ctx:
+        ctx.prec = 6
+        ctx.rounding = decimal.ROUND_HALF_EVEN
+        ctx.Emax = decimal.MAX_EMAX
+        x = (decimal.Decimal(value.numerator) / value.denominator).normalize()
+    sign, digits, _ = x.as_tuple()
+    head, tail = digits[0], "".join(map(str, digits[1:]))
+    point = "." + tail if tail else ""
+    return f"{'-' * sign}{head}{point}e{x.adjusted():+03d}"
 
 
 def _clean(value):

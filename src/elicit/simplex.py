@@ -22,6 +22,13 @@ profile.  These first-use caches (``_cached``) store their value in the
 instance ``__dict__`` and take no lock, so a cache hit is a plain
 attribute lookup and a miss costs only the computation.
 
+Shapes are set once: construction stores a report's outcome count ``n``
+and a profile's ``m`` and ``n`` as plain instance attributes, the way
+``scaled`` is stored, so reading them calls nothing.  ``replace`` checks
+each swapped-in report's index, outcome count and type, and trusts the
+reports it keeps, which come from a valid profile: the copy is built
+without validating them again.
+
 Expert and outcome indices are 0-based throughout the library.  The
 command-line layer translates to and from 1-based labels for display.
 """
@@ -86,10 +93,11 @@ class Distribution:
     Invariants: every weight is >= 0 and the weights sum to exactly 1.
     Construction rejects anything else; there is no silent renormalization.
 
-    Construction also sets ``scaled`` = (D, counts, square): D the lcm of
-    the weight denominators, counts[j] = D * weight j as an integer, and
-    square the sum of the squared counts.  ``quadratic_scores`` is derived
-    from it on first use and cached on the report.
+    Construction also sets ``n``, the number of outcomes, and ``scaled`` =
+    (D, counts, square): D the lcm of the weight denominators, counts[j] =
+    D * weight j as an integer, and square the sum of the squared counts.
+    ``quadratic_scores`` is derived from it on first use and cached on the
+    report.
     """
 
     weights: tuple[Fraction, ...]
@@ -122,15 +130,12 @@ class Distribution:
         object.__setattr__(
             self, "scaled", (scale, counts, sum([c * c for c in counts]))
         )
+        object.__setattr__(self, "n", len(weights))
 
     @classmethod
     def of(cls, *values) -> "Distribution":
         """Build from ints, Fractions, or exact strings like '2/5' / '0.4'."""
         return cls(tuple(_as_fraction(v) for v in values))
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
 
     @_cached
     def quadratic_scores(self) -> tuple[Fraction, ...]:
@@ -167,23 +172,30 @@ def vertex(n: int, j: int) -> Distribution:
 
 @dataclass(frozen=True)
 class ReportProfile:
-    """An ordered tuple of expert reports sharing one outcome space."""
+    """An ordered tuple of expert reports sharing one outcome space.
+
+    Construction sets ``m``, the number of experts, and ``n``, the number
+    of outcomes.
+    """
 
     reports: tuple[Distribution, ...]
 
     def __post_init__(self) -> None:
-        if not self.reports:
+        reports = self.reports
+        if not reports:
             raise ValueError("a profile needs at least one expert")
-        n = self.reports[0].n
+        n = reports[0].n
         if n < 2:
             raise ValueError(f"need at least 2 outcomes, got n={n}")
-        for i, r in enumerate(self.reports):
+        for i, r in enumerate(reports):
             if not isinstance(r, Distribution):
                 raise TypeError(f"report {i} is not a Distribution")
             if r.n != n:
                 raise ValueError(
                     f"report {i} has {r.n} outcomes, expected {n}"
                 )
+        object.__setattr__(self, "m", len(reports))
+        object.__setattr__(self, "n", n)
 
     @classmethod
     def of(cls, *rows) -> "ReportProfile":
@@ -193,14 +205,6 @@ class ReportProfile:
             for row in rows
         )
         return cls(dists)
-
-    @property
-    def m(self) -> int:
-        return len(self.reports)
-
-    @property
-    def n(self) -> int:
-        return self.reports[0].n
 
     @_cached
     def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -256,9 +260,17 @@ class ReportProfile:
         return tuple(Fraction(sum(column), scale) for column in zip(*rows))
 
     def replace(self, changes: Mapping[int, Distribution]) -> "ReportProfile":
-        """A copy with the given experts' reports swapped out."""
+        """A copy with the given experts' reports swapped out.
+
+        Each swapped-in value is checked here; the reports it keeps come
+        from this valid profile, so the copy is built without re-running
+        ``__post_init__`` over them.  A value that is not a
+        ``Distribution`` goes through the validating constructor, which
+        refuses it as it refuses any other profile.
+        """
         reports = list(self.reports)
-        m, n = len(reports), reports[0].n
+        m, n = self.m, self.n
+        valid = True
         for i, d in changes.items():
             if not 0 <= i < m:
                 raise IndexError(f"expert {i} out of range for m={m}")
@@ -267,8 +279,14 @@ class ReportProfile:
                     f"replacement for expert {i} has {d.n} outcomes, "
                     f"expected {n}"
                 )
+            if not isinstance(d, Distribution):
+                valid = False
             reports[i] = d
-        return ReportProfile(tuple(reports))
+        if not valid:
+            return ReportProfile(tuple(reports))
+        copy = object.__new__(ReportProfile)
+        copy.__dict__.update(reports=tuple(reports), m=m, n=n)
+        return copy
 
 
 @dataclass(frozen=True)
@@ -282,8 +300,7 @@ class Coalition:
             raise ValueError("a coalition must be nonempty")
         prev = -1
         for i in self.members:
-            if not isinstance(i, int) or i < 0:
-                raise ValueError(f"bad expert index {i!r}")
+            _check_expert_index(i)
             if i <= prev:
                 raise ValueError(
                     f"members must be strictly increasing, got {self.members}"
@@ -292,7 +309,14 @@ class Coalition:
 
     @classmethod
     def of(cls, indices: Iterable[int]) -> "Coalition":
-        """Build from any iterable of indices; sorts and deduplicates."""
+        """Build from any iterable of indices; sorts and deduplicates.
+
+        Every index is checked before deduplication, which would let
+        ``True`` or ``1.0`` pass as the equal ``1`` it meets first.
+        """
+        indices = tuple(indices)
+        for i in indices:
+            _check_expert_index(i)
         return cls(tuple(sorted(set(indices))))
 
     @classmethod
@@ -324,6 +348,12 @@ class Coalition:
         self.validate_for(m)
         inside = set(self.members)
         return tuple(i for i in range(m) if i not in inside)
+
+
+def _check_expert_index(i) -> None:
+    # bool is an int subclass, but True is no expert index.
+    if not isinstance(i, int) or isinstance(i, bool) or i < 0:
+        raise ValueError(f"bad expert index {i!r}")
 
 
 def coalition_sums(profile: ReportProfile, coalition: Coalition) -> tuple[Fraction, ...]:

@@ -596,6 +596,14 @@ def screen_cases(draw):
     return contract, baseline, coalition, deviation
 
 
+def exact_screen(after, before):
+    """The dominance screen of an exact contract on the given totals."""
+    return arbitrage._passes(
+        CertificateKind.DOMINANCE, INTRO, Coalition.of([0, 1]),
+        after, before, True,
+    )
+
+
 class TestDominanceScreen:
     """The comparison screen behind check_dominance's cached totals."""
 
@@ -732,6 +740,46 @@ class TestDominanceScreen:
         cert = check_dominance(QUADRATIC, INTRO, deviation, coalition, totals)
         assert cert is not None
         assert cert == check_dominance(QUADRATIC, INTRO, deviation, coalition)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_integer_screen_equals_fraction_comparison(self, data):
+        # Ties, a single strict gain and float totals are all drawn: each
+        # outcome's total is the other side's, nudged up or down, or new.
+        n = data.draw(st.integers(1, 5))
+        exact = st.one_of(
+            st.integers(-50, 50),
+            st.fractions(max_denominator=10**6),
+        )
+        total = st.one_of(
+            exact, exact, st.floats(allow_nan=True, allow_infinity=True)
+        )
+        before = data.draw(st.lists(total, min_size=n, max_size=n))
+        after = []
+        for b in before:
+            move = data.draw(st.sampled_from(["tie", "up", "down", "new"]))
+            if move == "new" or (move != "tie" and not math.isfinite(b)):
+                after.append(data.draw(total))
+            elif move == "tie":
+                same = [b, Fraction(b)] if math.isfinite(b) else [b]
+                after.append(data.draw(st.sampled_from(same)))
+            else:
+                step = data.draw(st.fractions(min_value=0, max_value=1))
+                after.append(b + step if move == "up" else b - step)
+        want = all(a >= b for a, b in zip(after, before)) and any(
+            a > b for a, b in zip(after, before)
+        )
+        assert exact_screen(after, before) is want
+
+    def test_integer_screen_cases(self):
+        half = Fraction(1, 2)
+        assert not exact_screen((half, 1), (half, 1))
+        assert exact_screen((half, Fraction(10**30 + 1, 10**30)), (half, 1))
+        assert not exact_screen((half, Fraction(10**30 - 1, 10**30)), (Fraction(0), 1))
+        assert exact_screen((1, 2), (half, 2.0))
+        assert not exact_screen((1, 2), (half, math.nan))
+        assert exact_screen((1, -math.inf), (half, -math.inf))
+        assert exact_screen((1, Fraction(3, 2)), (-math.inf, 1.5))
 
     def test_screen_accepts_float_totals(self):
         # Averaging gains the same positive amount on every outcome, far

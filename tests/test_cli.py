@@ -186,6 +186,40 @@ class TestReward:
         assert by_key[(1, 1)] == "-7/10"
         assert by_key[(2, 1)] == "7/10"
 
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_payments_beyond_float_range_render(self, runner, fmt):
+        # Each payment is 5 * 10**399, which no float holds.
+        result = invoke(
+            runner,
+            "reward",
+            "--reports",
+            "1/2,1/2; 1/2,1/2",
+            "--contract",
+            "nr",
+            "--alpha",
+            "1e400",
+            "--coalition",
+            "1,2",
+            "--format",
+            fmt,
+        )
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        payment, total = str(5 * 10**399), str(10**400)
+        if fmt == "table":
+            assert f"{payment} (5e+399)" in result.stdout
+            assert f"{total} (1e+400)" in result.stdout
+        elif fmt == "json":
+            results = json.loads(result.stdout)["results"]
+            for entry in results["rewards"]:
+                assert entry["reward"] == {"decimal": "5e+399", "fraction": payment}
+            for entry in results["coalition_totals"]:
+                assert entry["total"] == {"decimal": "1e+400", "fraction": total}
+        else:
+            rows = result.stdout.splitlines()
+            assert rows[1] == f"1,1,{payment}"
+            assert rows[-1] == f"coalition,2,{total}"
+
     def test_zero_sum_pair_needs_two_experts(self, runner):
         result = invoke(
             runner, "reward", "--reports", INTRO_ARG, "--contract", "zero-sum-pair"

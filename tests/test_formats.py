@@ -13,6 +13,7 @@ from elicit.formats import (
     InputError,
     csv_text,
     decimal_str,
+    decimal_value,
     dumps,
     fraction_str,
     parse_coalition,
@@ -122,6 +123,31 @@ class TestRendering:
         assert decimal_str(Fraction(1, 3)) == "0.333333"
         assert decimal_str(Fraction(13, 2)) == "6.5"
         assert decimal_str(-math.inf) == "-inf"
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (Fraction(10**400), "1e+400"),
+            (10**400, "1e+400"),
+            (Fraction(-3 * 10**400, 7), "-4.28571e+399"),
+            (Fraction(15 * 10**399), "1.5e+400"),
+            (Fraction(1234565 * 10**394), "1.23456e+400"),
+            (Fraction(1234575 * 10**394), "1.23458e+400"),
+            (Fraction(1234565 * 10**394 + 1), "1.23457e+400"),
+            (Fraction(10**1000, 3), "3.33333e+999"),
+        ],
+    )
+    def test_values_beyond_float_range_round_exactly(self, value, text):
+        with pytest.raises(OverflowError):
+            float(value)
+        assert decimal_value(value) == text
+        assert decimal_str(value) == text
+
+    def test_values_in_float_range_keep_the_float_path(self):
+        big = Fraction(10**300, 7)
+        assert decimal_value(big) == float(big)
+        assert decimal_str(big) == f"{float(big):.6g}" == "1.42857e+299"
+        assert decimal_value(Fraction(1, 3)) == 1 / 3
 
     def test_dumps_is_sorted_and_exact(self):
         text = dumps({"b": Fraction(1, 3), "a": [Fraction(2), -math.inf]})

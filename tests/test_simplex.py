@@ -7,6 +7,7 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 from numbers import Rational
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -233,6 +234,92 @@ class TestReportProfile:
         assert p == ReportProfile.of(("2/5", "3/5"), ("1/2", "1/2"))
 
 
+def reference_replace(profile, changes):
+    """``replace`` as a copy through the validating constructor."""
+    reports = list(profile.reports)
+    m, n = len(reports), reports[0].n
+    for i, d in changes.items():
+        if not 0 <= i < m:
+            raise IndexError(f"expert {i} out of range for m={m}")
+        if d.n != n:
+            raise ValueError(
+                f"replacement for expert {i} has {d.n} outcomes, expected {n}"
+            )
+        reports[i] = d
+    return ReportProfile(tuple(reports))
+
+
+# A stand-in report with the right outcome count that is no Distribution.
+NOT_A_REPORT = SimpleNamespace(n=2)
+GOOD = Distribution.of(1, 0)
+THREE = Distribution.of("1/3", "1/3", "1/3")
+
+
+class TestReplaceOracle:
+    """``replace`` trusts the reports it keeps and checks the rest."""
+
+    @given(st.one_of(profiles(max_m=5, max_n=4), fine_profiles()), st.data())
+    def test_copy_equals_validated_profile(self, p, data):
+        members = data.draw(st.sets(st.integers(0, p.m - 1)))
+        changes = {i: data.draw(distributions(n=p.n)) for i in members}
+        want = reference_replace(p, changes)
+        calls = []
+        original = ReportProfile.__post_init__
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                ReportProfile,
+                "__post_init__",
+                lambda self: calls.append(self) or original(self),
+            )
+            got = p.replace(changes)
+        assert calls == []
+        assert type(got) is ReportProfile
+        assert got.reports == want.reports
+        assert all(a is b for a, b in zip(got.reports, want.reports))
+        assert (got.m, got.n) == (want.m, want.n) == (p.m, p.n)
+        assert got.scaled == want.scaled
+        assert got.scaled_totals == want.scaled_totals
+        assert got == want and hash(got) == hash(want)
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {2: GOOD},
+            {-1: GOOD},
+            {0: THREE},
+            {0: ("1", "0")},
+            {1: NOT_A_REPORT},
+            {1: NOT_A_REPORT, 0: NOT_A_REPORT},
+            {0: NOT_A_REPORT, 5: GOOD},
+            {0: GOOD, 5: GOOD, 1: THREE},
+            {0: GOOD, 1: THREE, 5: GOOD},
+            {"a": GOOD},
+        ],
+        ids=[
+            "index-past-end", "negative-index", "outcome-count", "no-n",
+            "not-a-distribution", "first-non-distribution",
+            "bad-index-after-non-distribution", "first-bad-key-index",
+            "first-bad-key-shape", "non-int-key",
+        ],
+    )
+    def test_refusals_match_validated_profile(self, changes):
+        p = ReportProfile.of(("2/5", "3/5"), ("1/2", "1/2"))
+        with pytest.raises(Exception) as want:
+            reference_replace(p, changes)
+        with pytest.raises(want.type) as got:
+            p.replace(changes)
+        assert type(got.value) is want.type
+        assert str(got.value) == str(want.value)
+
+    def test_shapes_are_instance_attributes(self):
+        p = ReportProfile.of(("2/5", "3/5"), ("1/2", "1/2"), ("1", "0"))
+        assert (vars(p)["m"], vars(p)["n"]) == (3, 2)
+        assert vars(p.replace({0: GOOD}))["n"] == 2
+        assert vars(p.reports[0])["n"] == 2
+        assert "n" not in vars(Distribution) and "m" not in vars(ReportProfile)
+
+
 # The first-use caches and the first line of each one's docstring.
 FIRST_USE_CACHES = [
     (Distribution, "quadratic_scores", "The quadratic score of this report"),
@@ -292,6 +379,19 @@ class TestCoalition:
     def test_rejects_negative_member(self):
         with pytest.raises(ValueError):
             Coalition.of([-1, 0])
+
+    def test_rejects_bool_members(self):
+        for make in (
+            lambda: Coalition((False, True)),
+            lambda: Coalition.of([True, 2]),
+            lambda: Coalition((0, True)),
+            lambda: Coalition.of([1, True]),
+            lambda: Coalition.of(iter([2, 1, False])),
+        ):
+            with pytest.raises(ValueError, match=r"^bad expert index (True|False)$"):
+                make()
+        with pytest.raises(ValueError, match=r"^bad expert index 1\.0$"):
+            Coalition.of([1, 1.0])
 
     def test_complement(self):
         assert Coalition.of([0, 2]).complement(4) == (1, 3)
