@@ -4,12 +4,16 @@ Everything downstream compares exact rationals, so draws are snapped to a
 fixed denominator instead of staying as floats.  A point is drawn uniformly
 on the simplex by normalizing exponential spacings, scaled by the
 denominator, floored, and the leftover units handed to the coordinates
-with the largest fractional parts (ties to the lowest index).  The snap
-yields integer counts that sum to the denominator; bounds are compared
-as integer counts too, and each weight becomes a ``Fraction`` once, when
-the ``Distribution`` is built (which re-checks the sum on integers).  All
-randomness flows through an explicit ``random.Random`` instance, so any
-result is reproducible from one seed.
+with the largest fractional parts (ties to the lowest index).  One routine,
+``_draw_counts``, does this on integers: it yields counts that sum to the
+denominator, and bounds are compared as integer counts too.  Bounds that
+no integer count can meet are refused before anything is drawn.
+``random_distribution`` turns one count row into a ``Distribution``
+through the validating constructor (which re-checks the sum on
+integers); ``random_deviation`` draws one count row per coalition member,
+with the same generator use, and builds each report from counts it knows
+are valid.  All randomness flows through an explicit ``random.Random``
+instance, so any result is reproducible from one seed.
 """
 
 from __future__ import annotations
@@ -47,20 +51,6 @@ def derived_rng(seed: int, label: str) -> random.Random:
     return random.Random(f"{seed}:{label}")
 
 
-def _snap(weights: list[float], denominator: int) -> list[int]:
-    """Integer counts summing to ``denominator``, one per weight."""
-    scaled = [w * denominator for w in weights]
-    base = list(map(int, scaled))
-    leftover = denominator - sum(base)
-    if leftover:
-        # leftover in [0, n): give one unit each to the largest fractional
-        # parts; the sort is stable, so ties go to the lowest index
-        gaps = [b - s for b, s in zip(base, scaled)]
-        for k in sorted(range(len(gaps)), key=gaps.__getitem__)[:leftover]:
-            base[k] += 1
-    return base
-
-
 def exact_bounds(bounds) -> tuple[Fraction, Fraction]:
     """``bounds`` as an exact pair (lo, hi) with 0 <= lo <= hi <= 1.
 
@@ -75,6 +65,71 @@ def exact_bounds(bounds) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def _count_limits(
+    n: int, denominator: int, bounds: Optional[tuple[Fraction, Fraction]]
+) -> Optional[tuple[int, int]]:
+    """The integer counts (low, high) that ``bounds`` allow, or None.
+
+    count / denominator lies in [lo, hi] exactly when the integer count
+    lies in [ceil(lo * denominator), floor(hi * denominator)].  Counts in
+    [low, high] summing to the denominator exist exactly when
+    n * low <= denominator <= n * high (which also rules out low > high),
+    so bounds that fail this are refused before anything is drawn.
+    """
+    if n < 2:
+        raise ValueError(f"need at least 2 outcomes, got n={n}")
+    if denominator < 1:
+        raise ValueError(f"denominator must be >= 1, got {denominator}")
+    if bounds is None:
+        return None
+    lo, hi = exact_bounds(bounds)
+    low = math.ceil(lo * denominator)
+    high = math.floor(hi * denominator)
+    if not n * low <= denominator <= n * high:
+        raise ValueError(
+            f"bounds [{lo}, {hi}] admit no distribution over {n} outcomes "
+            f"at denominator {denominator}"
+        )
+    return low, high
+
+
+def _draw_counts(
+    rng: random.Random,
+    n: int,
+    denominator: int,
+    limits: Optional[tuple[int, int]],
+) -> list[int]:
+    """n integer counts summing to ``denominator``, within ``limits``.
+
+    Each attempt normalizes n exponential spacings, scales them by the
+    denominator and floors them; the leftover units, fewer than n, go one
+    each to the largest fractional parts (the sort is stable, so ties go
+    to the lowest index).  Attempts outside ``limits`` = (low, high) are
+    rejected and drawn again.  A spacing is ``rng.expovariate(1.0)``
+    written out: -log(1.0 - random()), since dividing by 1.0 changes no
+    float; the draw uses the generator exactly as that call does.
+    """
+    low, high = limits if limits is not None else (0, denominator)
+    log, uniform = math.log, rng.random
+    for _ in range(_MAX_REJECTS):
+        spacings = [-log(1.0 - uniform()) for _ in range(n)]
+        total = sum(spacings)
+        scaled = [s / total * denominator for s in spacings]
+        counts = list(map(int, scaled))
+        leftover = denominator - sum(counts)
+        if leftover:
+            gaps = [c - x for c, x in zip(counts, scaled)]
+            for k in sorted(range(n), key=gaps.__getitem__)[:leftover]:
+                counts[k] += 1
+        if limits is None or low <= min(counts) and max(counts) <= high:
+            return counts
+    raise RuntimeError(
+        f"could not draw a distribution with counts in [{low}, {high}] "
+        f"over {denominator} after {_MAX_REJECTS} attempts; widen the "
+        f"bounds or the denominator"
+    )
+
+
 def random_distribution(
     rng: random.Random,
     n: int,
@@ -85,34 +140,13 @@ def random_distribution(
 
     With ``bounds = (lo, hi)`` every snapped weight is forced into
     [lo, hi] by rejection; bounds must be exact rationals (floats are
-    refused) and leave the simplex reachable (n*lo <= 1 <= n*hi).
+    refused) and some count row at this denominator must meet them
+    (n * ceil(lo * denominator) <= denominator <= n * floor(hi *
+    denominator)), or ValueError is raised before anything is drawn.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 outcomes, got n={n}")
-    if denominator < 1:
-        raise ValueError(f"denominator must be >= 1, got {denominator}")
-    if bounds is not None:
-        lo, hi = exact_bounds(bounds)
-        if n * lo > 1 or n * hi < 1:
-            raise ValueError(
-                f"bounds [{lo}, {hi}] admit no distribution over {n} outcomes"
-            )
-        # count / denominator lies in [lo, hi] exactly when the integer
-        # count lies in [ceil(lo * denominator), floor(hi * denominator)]
-        low = math.ceil(lo * denominator)
-        high = math.floor(hi * denominator)
-    for _ in range(_MAX_REJECTS):
-        spacings = [rng.expovariate(1.0) for _ in range(n)]
-        total = sum(spacings)
-        counts = _snap([s / total for s in spacings], denominator)
-        if bounds is None or all(low <= c <= high for c in counts):
-            return Distribution(
-                tuple([Fraction(c, denominator) for c in counts])
-            )
-    raise RuntimeError(
-        f"could not draw a distribution within bounds {bounds} after "
-        f"{_MAX_REJECTS} attempts; widen the bounds or the denominator"
-    )
+    limits = _count_limits(n, denominator, bounds)
+    counts = _draw_counts(rng, n, denominator, limits)
+    return Distribution(tuple([Fraction(c, denominator) for c in counts]))
 
 
 def random_profile(rng: random.Random, m: int, n: int) -> ReportProfile:
@@ -144,11 +178,19 @@ def random_deviation(
 ) -> ReportProfile:
     """The baseline with a fresh random report for every coalition member.
 
-    Members draw in coalition order, one ``random_distribution`` each.
+    Members draw in coalition order, one count row each, using the
+    generator exactly as one ``random_distribution`` each would, so the
+    reports are the ones those calls return.  The bounds are checked once
+    per deviation, and each report is built from its counts without
+    validating them again.
     """
+    n = baseline.n
+    limits = _count_limits(n, denominator, bounds)
     return baseline.replace(
         {
-            i: random_distribution(rng, baseline.n, denominator, bounds)
+            i: Distribution._from_counts(
+                _draw_counts(rng, n, denominator, limits), denominator
+            )
             for i in coalition
         }
     )

@@ -25,9 +25,13 @@ attribute lookup and a miss costs only the computation.
 Shapes are set once: construction stores a report's outcome count ``n``
 and a profile's ``m`` and ``n`` as plain instance attributes, the way
 ``scaled`` is stored, so reading them calls nothing.  ``replace`` checks
-each swapped-in report's index, outcome count and type, and trusts the
-reports it keeps, which come from a valid profile: the copy is built
-without validating them again.
+each swapped-in report's index (an int, not a bool), outcome count and
+type, and trusts the reports it keeps, which come from a valid profile:
+the copy is built without validating them again.  In the same way
+``Distribution._from_counts`` builds a report from integer counts its
+caller knows are valid (a random draw's count row): one gcd of the
+denominator and the counts gives the reduced scale D, and ``weights``,
+``scaled`` and ``n`` are set without the validating pass.
 
 Expert and outcome indices are 0-based throughout the library.  The
 command-line layer translates to and from 1-based labels for display.
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping
 
@@ -136,6 +140,29 @@ class Distribution:
     def of(cls, *values) -> "Distribution":
         """Build from ints, Fractions, or exact strings like '2/5' / '0.4'."""
         return cls(tuple(_as_fraction(v) for v in values))
+
+    @classmethod
+    def _from_counts(cls, counts, denominator: int) -> "Distribution":
+        """The report with weights count / denominator, for valid counts.
+
+        The caller guarantees nonnegative integer counts that sum to
+        ``denominator``; nothing is checked.  One gcd of the denominator
+        and every count gives the lcm of the reduced weights'
+        denominators, so ``scaled`` equals what the validating
+        constructor builds from the same weights.
+        """
+        common = gcd(denominator, *counts)
+        if common > 1:
+            denominator //= common
+            counts = [c // common for c in counts]
+        counts = tuple(counts)
+        report = object.__new__(cls)
+        report.__dict__.update(
+            weights=tuple([Fraction(c, denominator) for c in counts]),
+            scaled=(denominator, counts, sum([c * c for c in counts])),
+            n=len(counts),
+        )
+        return report
 
     @_cached
     def quadratic_scores(self) -> tuple[Fraction, ...]:
@@ -262,16 +289,21 @@ class ReportProfile:
     def replace(self, changes: Mapping[int, Distribution]) -> "ReportProfile":
         """A copy with the given experts' reports swapped out.
 
-        Each swapped-in value is checked here; the reports it keeps come
-        from this valid profile, so the copy is built without re-running
-        ``__post_init__`` over them.  A value that is not a
-        ``Distribution`` goes through the validating constructor, which
-        refuses it as it refuses any other profile.
+        Each key must be an int expert index (a bool is refused, as
+        ``Coalition`` refuses it), and each swapped-in value is checked
+        here; the reports it keeps come from this valid profile, so the
+        copy is built without re-running ``__post_init__`` over them.  A
+        value that is not a ``Distribution`` goes through the validating
+        constructor, which refuses it as it refuses any other profile.
         """
         reports = list(self.reports)
         m, n = self.m, self.n
         valid = True
         for i, d in changes.items():
+            if type(i) is not int and (
+                isinstance(i, bool) or not isinstance(i, int)
+            ):
+                raise TypeError(f"expert index {i!r} is not an int")
             if not 0 <= i < m:
                 raise IndexError(f"expert {i} out of range for m={m}")
             if d.n != n:

@@ -11,10 +11,11 @@ from elicit.sampling import (
     DEFAULT_DENOMINATOR,
     derived_rng,
     random_coalition,
+    random_deviation,
     random_distribution,
     random_profile,
 )
-from elicit.simplex import Distribution
+from elicit.simplex import Coalition, Distribution, ReportProfile
 
 
 def reference_draw(rng, n, denominator, bounds=None):
@@ -109,6 +110,44 @@ class TestRandomDistribution:
             assert got == reference_draw(ref, n, denominator, bounds)
         assert rng.random() == ref.random()
 
+    @pytest.mark.parametrize(
+        "n, denominator, bounds, shown",
+        [
+            # n * lo = 1, but no count lies in [3334, 3333].
+            (3, 10**4, (Fraction(1, 3), Fraction(1, 3)), "1/3, 1/3"),
+            # Counts in [0, 3] cannot reach 10 over 3 outcomes.
+            (3, 10, (0, Fraction(1, 3)), "0, 1/3"),
+            # Counts in [4, 10] overshoot 10 over 3 outcomes.
+            (3, 10, (Fraction(3, 10) + Fraction(1, 100), 1), "31/100, 1"),
+            # A unit denominator puts every weight at 0 or 1.
+            (2, 1, (Fraction(1, 10), 1), "1/10, 1"),
+        ],
+        ids=["one-third", "high-too-low", "low-too-high", "unit-denominator"],
+    )
+    def test_refuses_bounds_no_count_row_meets_before_drawing(
+        self, n, denominator, bounds, shown
+    ):
+        rng = derived_rng(1, "t")
+        state = rng.getstate()
+        message = (
+            f"bounds [{shown}] admit no distribution over {n} outcomes "
+            f"at denominator {denominator}"
+        )
+        with pytest.raises(ValueError) as caught:
+            random_distribution(rng, n, denominator, bounds)
+        assert str(caught.value) == message
+        baseline = random_profile(derived_rng(2, "t"), 2, n)
+        with pytest.raises(ValueError) as caught:
+            random_deviation(rng, baseline, Coalition.full(2), denominator, bounds)
+        assert str(caught.value) == message
+        assert rng.getstate() == state
+
+    def test_bounds_met_by_one_count_row_draw_it(self):
+        rng = derived_rng(3, "t")
+        half = Fraction(1, 2)
+        d = random_distribution(rng, 2, denominator=2, bounds=(half, half))
+        assert d.weights == (half, half)
+
     def test_refuses_float_bounds(self):
         rng = derived_rng(1, "t")
         with pytest.raises(TypeError, match="float"):
@@ -130,6 +169,113 @@ class TestRandomDistribution:
             random_distribution(rng, 1)
         with pytest.raises(ValueError):
             random_distribution(rng, 2, denominator=0)
+
+
+def reference_deviation(rng, baseline, coalition, denominator, bounds):
+    """The deviation through ``reference_draw`` and the validating profile."""
+    reports = list(baseline.reports)
+    for i in coalition:
+        reports[i] = reference_draw(rng, baseline.n, denominator, bounds)
+    return ReportProfile(tuple(reports))
+
+
+@st.composite
+def deviation_cases(draw):
+    """A baseline, a coalition of any size, a denominator and bounds."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(2, 5))
+    baseline = random_profile(derived_rng(draw(st.integers(0, 10**6)), "b"), m, n)
+    size = draw(st.integers(1, m))
+    coalition = Coalition.of(draw(st.permutations(range(m)))[:size])
+    denominator = draw(st.sampled_from([1, 7, 10**4]))
+    bounds = None
+    if draw(st.booleans()):
+        a = draw(st.fractions(0, 1, max_denominator=30))
+        b = draw(st.fractions(0, 1, max_denominator=30))
+        # lo <= 1/(2n) and hi >= 2/n keep a draw likely; at denominator
+        # 1 or 7 some of these bounds meet no count row.
+        bounds = (min(a, b, Fraction(1, 2 * n)), max(a, b, Fraction(2, n)))
+    return baseline, coalition, denominator, bounds
+
+
+def feasible(n, denominator, bounds):
+    """Whether some count row over ``denominator`` meets ``bounds``."""
+    if bounds is None:
+        return True
+    low = -(-bounds[0].numerator * denominator // bounds[0].denominator)
+    high = bounds[1].numerator * denominator // bounds[1].denominator
+    return n * low <= denominator <= n * high
+
+
+class TestRandomDeviation:
+    @given(st.integers(0, 10**6), deviation_cases())
+    def test_matches_plain_fraction_reference(self, seed, case):
+        baseline, coalition, denominator, bounds = case
+        rng, ref = derived_rng(seed, "d"), derived_rng(seed, "d")
+        if not feasible(baseline.n, denominator, bounds):
+            with pytest.raises(ValueError, match="admit no distribution"):
+                random_deviation(rng, baseline, coalition, denominator, bounds)
+            assert rng.getstate() == ref.getstate()
+            return
+        for _ in range(2):
+            got = random_deviation(rng, baseline, coalition, denominator, bounds)
+            want = reference_deviation(ref, baseline, coalition, denominator, bounds)
+            assert got.reports == want.reports
+            assert (got.m, got.n) == (want.m, want.n)
+            for a, b in zip(got.reports, want.reports):
+                assert a.scaled == b.scaled and a.n == b.n
+                assert hash(a) == hash(b) and repr(a) == repr(b)
+                assert all(type(w) is Fraction for w in a.weights)
+            assert got.scaled == want.scaled
+            assert got == want and hash(got) == hash(want)
+            assert repr(got) == repr(want)
+            # Members draw and nobody else does: the others keep their
+            # baseline report objects.
+            assert all(
+                got.reports[i] is baseline.reports[i]
+                for i in range(baseline.m)
+                if i not in coalition
+            )
+        assert rng.getstate() == ref.getstate()
+
+
+@st.composite
+def count_rows(draw):
+    """Nonnegative counts summing to a denominator, often sharing a factor."""
+    n = draw(st.integers(1, 6))
+    total = draw(st.integers(1, 10**4))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+    counts = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    factor = draw(st.sampled_from([1, 1, 2, 6, 10**4]))
+    return [c * factor for c in counts], total * factor
+
+
+class TestFromCounts:
+    @given(count_rows())
+    def test_equals_validated_distribution(self, row):
+        counts, denominator = row
+        got = Distribution._from_counts(counts, denominator)
+        want = Distribution(tuple(Fraction(c, denominator) for c in counts))
+        assert type(got) is Distribution
+        assert got.weights == want.weights
+        assert all(type(w) is Fraction for w in got.weights)
+        assert got.scaled == want.scaled and got.n == want.n
+        assert got == want and hash(got) == hash(want)
+        assert repr(got) == repr(want)
+        assert vars(got).keys() == vars(want).keys()
+        assert got.quadratic_scores == want.quadratic_scores
+
+    @pytest.mark.parametrize(
+        "counts, denominator, scaled",
+        [
+            ((0, 10, 0), 10, (1, (0, 1, 0), 1)),
+            ((2, 4, 4), 10, (5, (1, 2, 2), 9)),
+            ((3, 3, 4), 10, (10, (3, 3, 4), 34)),
+            ((5000, 0, 5000), 10**4, (2, (1, 0, 1), 2)),
+        ],
+        ids=["vertex", "shared-factor", "coprime", "zero-count"],
+    )
+    def test_scale_is_reduced(self, counts, denominator, scaled):
+        assert Distribution._from_counts(counts, denominator).scaled == scaled
 
 
 class TestRandomProfile:

@@ -294,13 +294,12 @@ class TestReplaceOracle:
             {0: NOT_A_REPORT, 5: GOOD},
             {0: GOOD, 5: GOOD, 1: THREE},
             {0: GOOD, 1: THREE, 5: GOOD},
-            {"a": GOOD},
         ],
         ids=[
             "index-past-end", "negative-index", "outcome-count", "no-n",
             "not-a-distribution", "first-non-distribution",
             "bad-index-after-non-distribution", "first-bad-key-index",
-            "first-bad-key-shape", "non-int-key",
+            "first-bad-key-shape",
         ],
     )
     def test_refusals_match_validated_profile(self, changes):
@@ -311,6 +310,32 @@ class TestReplaceOracle:
             p.replace(changes)
         assert type(got.value) is want.type
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "key", [True, False, 1.0, "a", None, Fraction(1)],
+        ids=["true", "false", "float", "str", "none", "fraction"],
+    )
+    def test_refuses_keys_that_are_not_int_indices(self, key):
+        p = ReportProfile.of(("2/5", "3/5"), ("1/2", "1/2"))
+        with pytest.raises(TypeError) as caught:
+            p.replace({key: GOOD})
+        assert str(caught.value) == f"expert index {key!r} is not an int"
+
+    def test_keys_are_checked_in_order(self):
+        p = ReportProfile.of(("2/5", "3/5"), ("1/2", "1/2"))
+        with pytest.raises(ValueError, match=r"^replacement for expert 0 has 3"):
+            p.replace({0: THREE, "a": GOOD})
+        with pytest.raises(TypeError, match=r"^expert index 'a' is not an int$"):
+            p.replace({"a": THREE, 0: THREE})
+
+    def test_int_subclass_keys_still_index(self):
+        class Index(int):
+            pass
+
+        p = ReportProfile.of(("2/5", "3/5"), ("1/2", "1/2"))
+        assert p.replace({Index(1): GOOD}).reports == (p.reports[0], GOOD)
+        with pytest.raises(IndexError, match=r"^expert 2 out of range for m=2$"):
+            p.replace({Index(2): GOOD})
 
     def test_shapes_are_instance_attributes(self):
         p = ReportProfile.of(("2/5", "3/5"), ("1/2", "1/2"), ("1", "0"))

@@ -5,10 +5,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from elicit import suites
-from elicit.contracts import AlphaRangeError
+from elicit.contracts import (
+    AlphaRangeError,
+    ArbitrageFreeContract,
+    coalition_totals,
+    safe_cutoff,
+    validate_alpha,
+)
+from elicit.simplex import Coalition
 from elicit.suites import SUITE_NAMES, VerifyConfig, run_suites
+
+from conftest import fine_profiles
 
 
 @pytest.mark.parametrize("name", ["m_max", "n_max"])
@@ -88,3 +98,46 @@ def test_prone_alpha_without_freeness_still_runs():
     config = VerifyConfig(m_max=3, n_max=2, alphas=(Fraction(5, 3),), profiles=5)
     (result,) = run_suites(["identities"], config)
     assert result.passed and result.checks > 0
+
+
+@st.composite
+def alpha_cases(draw):
+    """A mixed-denominator profile, a coalition and a safe or prone alpha."""
+    profile = draw(fine_profiles())
+    m, n = profile.m, profile.n
+    size = draw(st.integers(1, m))
+    coalition = Coalition.of(draw(st.permutations(range(m)))[:size])
+    cutoff = safe_cutoff(m, n)
+    alpha = draw(
+        st.sampled_from(
+            [
+                Fraction(-1), Fraction(-10), Fraction(-7, 3),
+                Fraction(cutoff), Fraction(cutoff + 5), Fraction(cutoff * 7, 3),
+                Fraction(0), Fraction(5, 3), Fraction(cutoff) - Fraction(1, 7),
+            ]
+        )
+    )
+    return profile, coalition, alpha
+
+
+class TestFreenessBaselineTotals:
+    @given(alpha_cases())
+    def test_integer_member_sums_equal_fraction_sums(self, case):
+        profile, coalition, alpha = case
+        prone = not validate_alpha(alpha, profile.m, profile.n).valid
+        contract = ArbitrageFreeContract(alpha=alpha, permissive=prone)
+        rewards = [contract.evaluate(profile, j) for j in range(profile.n)]
+        got = suites._member_totals(suites._integer_rows(rewards), coalition)
+        want = tuple(
+            sum(contract.evaluate(profile, j)[i] for i in coalition)
+            for j in range(profile.n)
+        )
+        assert got == want
+        assert all(type(t) is Fraction for t in got)
+        assert got == coalition_totals(contract, profile, coalition)
+
+    def test_rows_hold_numerators_over_their_lcm(self):
+        rows = suites._integer_rows(
+            [(Fraction(1, 6), Fraction(-3, 4), Fraction(2)), (Fraction(0), Fraction(5))]
+        )
+        assert rows == [(12, [2, -9, 24]), (1, [0, 5])]
