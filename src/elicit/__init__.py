@@ -35,7 +35,6 @@ from .contracts import (
     ArbitrageFreeContract,
     ContractFunction,
     IndependentScoring,
-    ZeroSumPair,
     coalition_total,
     coalition_totals,
     expected_reward,

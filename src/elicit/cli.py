@@ -36,7 +36,6 @@ from .contracts import (
     ArbitrageFreeContract,
     ContractFunction,
     IndependentScoring,
-    ZeroSumPair,
     coalition_totals,
 )
 from .demo import InternalInconsistencyError, run_intro
@@ -116,8 +115,13 @@ def _outcomes(profile: ReportProfile, outcome: Optional[int]) -> Sequence[int]:
 
 
 def _build_contract(
-    tag: str, alpha: Optional[str], permissive: bool
+    tag: str, alpha: Optional[str], permissive: bool, m: int
 ) -> ContractFunction:
+    """The contract behind --contract for a profile of m experts.
+
+    zero-sum-pair is the alpha family at alpha = 0 with two experts: each
+    is paid their own quadratic score minus the other's.
+    """
     if tag == "nr":
         if alpha is None:
             raise ValueError("--contract nr requires --alpha")
@@ -130,7 +134,11 @@ def _build_contract(
         return IndependentScoring(rule=QuadraticRule())
     if tag == "independent-log":
         return IndependentScoring(rule=LogRule())
-    return ZeroSumPair()
+    if m != 2:
+        raise ValueError(
+            f"zero-sum pair contract needs exactly 2 experts, got m={m}"
+        )
+    return ArbitrageFreeContract(alpha=Fraction(0), permissive=True)
 
 
 def _contract_config(tag: str, alpha: Optional[str], permissive: bool) -> dict:
@@ -300,7 +308,7 @@ def main() -> None:
 def score(input_path, inline, tag, outcome, fmt) -> None:
     """Per-expert scores under an independent scoring rule."""
     profile = _load_profile(input_path, inline)
-    contract = _build_contract(tag, None, False)
+    contract = _build_contract(tag, None, False, profile.m)
     config = {"contract": tag, "outcome": outcome}
     _emit_expert_values("score", contract, profile, outcome, None, config, fmt)
 
@@ -336,7 +344,7 @@ def reward(
 ) -> None:
     """Per-expert contract payments, optionally with coalition totals."""
     profile = _load_profile(input_path, inline)
-    contract = _build_contract(tag, alpha, permissive)
+    contract = _build_contract(tag, alpha, permissive, profile.m)
     coalition = None
     if coalition_text is not None:
         coalition = parse_coalition(coalition_text, profile.m)
@@ -518,7 +526,7 @@ def search(
 ) -> None:
     """Hunt for a coalition arbitrage certificate (exit 3 when found)."""
     profile = _load_profile(input_path, inline)
-    contract = _build_contract(tag, alpha, permissive)
+    contract = _build_contract(tag, alpha, permissive, profile.m)
     if coalition_text is None:
         coalition = Coalition.full(profile.m)
     else:

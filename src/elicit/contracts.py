@@ -16,7 +16,9 @@ the family to be arbitrage-free; the band in between is where that
 guarantee does not hold, not a band where arbitrage is proven.  At m = 2
 no alpha admits dominance: the pair's total on outcome j is alpha times
 their summed report on j, which no move raises everywhere unless alpha
-= 0, where it is always 0.  ``validate_alpha`` classifies a coefficient
+= 0, where it is always 0.  That alpha = 0 pair pays each expert their
+own score minus the other's: the zero-sum pair contract, which is why it
+needs no class of its own.  ``validate_alpha`` classifies a coefficient
 against the paper's band, and evaluation refuses one outside it unless
 explicitly told to proceed.
 
@@ -60,7 +62,6 @@ __all__ = [
     "threshold_general",
     "ContractFunction",
     "IndependentScoring",
-    "ZeroSumPair",
     "ArbitrageFreeContract",
     "InducedExpertRule",
     "coalition_total",
@@ -219,41 +220,6 @@ class InducedExpertRule(ScoringRule):
                 f"{len(self.offsets)}"
             )
         return quadratic_score(report, j) + self.offsets[j]
-
-
-@dataclass(frozen=True)
-class ZeroSumPair(ContractFunction):
-    """Two-expert zero-sum contract: each paid own minus the other's score.
-
-    Uses the quadratic rule.  Budget-balanced by construction, truthful,
-    and arbitrage-free: any joint deviation just shuffles payment between
-    the two members, so the pair's total is identically zero.
-    """
-
-    def evaluate(self, profile: ReportProfile, j: int) -> tuple:
-        _check_eval_args(profile, j)
-        if profile.m != 2:
-            raise ValueError(
-                f"zero-sum pair contract needs exactly 2 experts, "
-                f"got m={profile.m}"
-            )
-        a = quadratic_score(profile.reports[0], j)
-        b = quadratic_score(profile.reports[1], j)
-        return (a - b, b - a)
-
-    def expert_view(self, profile: ReportProfile, i: int) -> ScoringRule:
-        if profile.m != 2:
-            raise ValueError(
-                f"zero-sum pair contract needs exactly 2 experts, "
-                f"got m={profile.m}"
-            )
-        if not 0 <= i < 2:
-            raise IndexError(f"expert {i} out of range for m=2")
-        other = profile.reports[1 - i]
-        offsets = tuple(
-            -quadratic_score(other, j) for j in range(profile.n)
-        )
-        return InducedExpertRule(offsets=offsets)
 
 
 @dataclass(frozen=True)

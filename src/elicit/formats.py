@@ -42,14 +42,36 @@ class InputError(ValueError):
     """Malformed user input: bad file, bad number, bad shape."""
 
 
+# Python's default limit on the digits of an int converted to or from
+# text (sys.get_int_max_str_digits).
+_MAX_EXPONENT = 4300
+
+
 def parse_rational(text: str) -> Fraction:
-    """Exact rational from "2/5", "0.4", or "-3" style text."""
+    """Exact rational from "2/5", "0.4", or "-3" style text.
+
+    A decimal exponent above 4300 in magnitude is refused before the
+    value is built: building 10**e takes seconds for e near 10**7, and
+    the result is too long to print.
+    """
     if isinstance(text, float):
         raise InputError(
             f"refusing float {text!r}; write the value as a string"
         )
+    value = str(text).strip()
+    exponent = value.lower().partition("e")[2]
+    if exponent[:1] in ("+", "-"):
+        exponent = exponent[1:]
+    digits = exponent.replace("_", "").lstrip("0")
+    if digits.isdecimal() and (
+        len(digits) > 4 or int(digits) > _MAX_EXPONENT
+    ):
+        raise InputError(
+            f"refusing {text!r}: its exponent exceeds {_MAX_EXPONENT} in "
+            f"magnitude"
+        )
     try:
-        return Fraction(str(text).strip())
+        return Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise InputError(
             f"cannot parse {text!r} as a rational; use a fraction like "

@@ -21,7 +21,6 @@ from elicit import (
     QuadraticRule,
     RandomSearch,
     ReportProfile,
-    ZeroSumPair,
     check_dominance,
     check_expected_arbitrage,
     coalition_totals,
@@ -431,12 +430,13 @@ class TestSearch:
         assert all(g >= 0 for g in gains) and any(g > 0 for g in gains)
 
 
-# The CLI's four contracts; the alpha-family one sits in the prone band
-# so that searches have certificates to find.
+# The CLI's four contracts; zero-sum-pair is the alpha family at alpha = 0
+# on two experts, and nr sits in the prone band so that searches have
+# certificates to find.
 CONTRACTS = {
     "independent-quadratic": QUADRATIC,
     "independent-log": IndependentScoring(rule=LogRule()),
-    "zero-sum-pair": ZeroSumPair(),
+    "zero-sum-pair": ArbitrageFreeContract(alpha=Fraction(0), permissive=True),
     "nr": ArbitrageFreeContract(alpha=Fraction(3), permissive=True),
 }
 CHECKS = {

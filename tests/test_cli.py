@@ -85,6 +85,11 @@ class TestScore:
         [
             ('["49/100", "1/2"]', "row 1 sums to 99/100, not 1"),
             ("[true, false]", "row 1 entry 1: cannot parse True as a rational"),
+            # Refused before 10**10000000 is built.
+            (
+                '["1e-10000000", "1"]',
+                "row 1 entry 1: cannot parse '1e-10000000' as a rational",
+            ),
         ],
     )
     def test_malformed_profile_exits_64(
@@ -220,11 +225,42 @@ class TestReward:
             assert rows[1] == f"1,1,{payment}"
             assert rows[-1] == f"coalition,2,{total}"
 
-    def test_zero_sum_pair_needs_two_experts(self, runner):
+    @pytest.mark.parametrize(
+        "command,extra",
+        [
+            ("reward", ()),
+            # The expert count is checked before the coalition is parsed.
+            ("reward", ("--coalition", "4")),
+            ("search", ("--grid", "5")),
+            ("search", ("--coalition", "4", "--grid", "5")),
+        ],
+    )
+    def test_zero_sum_pair_needs_two_experts(self, runner, command, extra):
         result = invoke(
-            runner, "reward", "--reports", INTRO_ARG, "--contract", "zero-sum-pair"
+            runner, command, "--reports", INTRO_ARG, "--contract",
+            "zero-sum-pair", *extra,
         )
         assert result.exit_code == 2
+        assert result.output == (
+            "error: zero-sum pair contract needs exactly 2 experts, got m=3\n"
+        )
+
+    @pytest.mark.parametrize(
+        "args,text",
+        [
+            (("--alpha", "1e10000000"), "'1e10000000'"),
+            (("--alpha", "-1E-99999"), "'-1E-99999'"),
+        ],
+    )
+    def test_huge_alpha_exponent_is_malformed_input(self, runner, args, text):
+        result = invoke(
+            runner, "reward", "--reports", "1/2,1/2; 1/2,1/2", "--contract",
+            "nr", *args,
+        )
+        assert result.exit_code == 64
+        assert result.output == (
+            f"error: refusing {text}: its exponent exceeds 4300 in magnitude\n"
+        )
 
 
 class TestDemoIntro:
@@ -309,6 +345,16 @@ class TestSearch:
             runner, "search", "--reports", INTRO_ARG, "--grid", "10"
         )
         assert result.exit_code == 3
+
+    def test_zero_sum_pair_grid_enumerates_sum_vectors(self, runner):
+        # 1002 sum vectors; 1002**2 member products would pass the cap.
+        result = invoke(
+            runner, "search", "--reports", "1/2,1/2; 1/2,1/2", "--contract",
+            "zero-sum-pair", "--coalition", "1,2", "--grid", "1001",
+            "--format", "json",
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.output)["results"] == {"found": False}
 
     def test_alpha_zero_edge_case_with_permissive(self, runner):
         result = invoke(
@@ -530,6 +576,17 @@ class TestVerify:
         result = invoke(runner, "verify", "--suite", "bogus")
         assert result.exit_code == 2
         assert "bogus" in result.output
+
+    def test_huge_alpha_exponent_is_malformed_input(self, runner):
+        result = invoke(
+            runner, "verify", "--suite", "freeness", *self.SMALL,
+            "--alpha", "1e10000000",
+        )
+        assert result.exit_code == 64
+        assert result.output == (
+            "error: refusing '1e10000000': its exponent exceeds 4300 in "
+            "magnitude\n"
+        )
 
     def test_invalid_custom_alpha_needs_permissive(self, runner):
         result = invoke(

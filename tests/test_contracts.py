@@ -17,7 +17,6 @@ from elicit import (
     LogRule,
     QuadraticRule,
     ReportProfile,
-    ZeroSumPair,
     coalition_total,
     coalition_totals,
     expected_reward,
@@ -137,22 +136,55 @@ class TestIndependentScoring:
         assert not IndependentScoring(rule=LogRule()).exact
 
 
-class TestZeroSumPair:
-    def test_antisymmetric_payments(self):
-        profile = ReportProfile.of(("2/5", "3/5"), ("9/10", "1/10"))
-        contract = ZeroSumPair()
-        for j in range(2):
-            a, b = contract.evaluate(profile, j)
-            assert a == -b
-            diff = quadratic_score(profile.reports[0], j) - quadratic_score(
-                profile.reports[1], j
-            )
-            assert a == diff
+# The CLI's zero-sum-pair contract: the alpha family at alpha = 0, m = 2.
+ZERO_SUM_PAIR = ArbitrageFreeContract(alpha=Fraction(0), permissive=True)
 
-    def test_requires_two_experts(self):
-        contract = ZeroSumPair()
-        with pytest.raises(ValueError, match="exactly 2 experts"):
-            contract.evaluate(ALL_HALF, 0)
+
+def zero_sum_reference(profile, i, j):
+    """Own quadratic score minus the other's, the pair's plain formula."""
+    return quadratic_score(profile.reports[i], j) - quadratic_score(
+        profile.reports[1 - i], j
+    )
+
+
+class TestZeroSumPair:
+    """The alpha family at alpha = 0 pays a pair own minus other's score."""
+
+    @given(st.one_of(profiles(m=2, max_n=5), fine_profiles(m=2, max_n=5)))
+    def test_evaluate_matches_plain_formula(self, profile):
+        for j in range(profile.n):
+            payments = ZERO_SUM_PAIR.evaluate(profile, j)
+            assert payments == tuple(
+                zero_sum_reference(profile, i, j) for i in range(2)
+            )
+            assert payments[0] == -payments[1]
+
+    @given(data=st.data())
+    def test_expert_view_matches_plain_formula(self, data):
+        profile = data.draw(profiles(m=2, max_n=5))
+        report = data.draw(distributions(n=profile.n))
+        for i in range(2):
+            # The rule expert i faces scores any own report like the pair.
+            view = ZERO_SUM_PAIR.expert_view(profile, i)
+            moved = profile.replace({i: report})
+            for j in range(profile.n):
+                assert view.score(report, j) == zero_sum_reference(
+                    moved, i, j
+                )
+
+    @given(profiles(m=2, max_n=5))
+    def test_coalition_totals_match_plain_formula(self, profile):
+        for members in ([0], [1], [0, 1]):
+            assert coalition_totals(
+                ZERO_SUM_PAIR, profile, Coalition.of(members)
+            ) == tuple(
+                sum(zero_sum_reference(profile, i, j) for i in members)
+                for j in range(profile.n)
+            )
+        # The pair's total is identically zero.
+        assert coalition_totals(
+            ZERO_SUM_PAIR, profile, Coalition.full(2)
+        ) == (0,) * profile.n
 
 
 class TestArbitrageFreeContract:
@@ -341,7 +373,7 @@ class TestPaymentTermsCache:
 CLI_CONTRACTS = {
     "independent-quadratic": IndependentScoring(rule=QuadraticRule()),
     "independent-log": IndependentScoring(rule=LogRule()),
-    "zero-sum-pair": ZeroSumPair(),
+    "zero-sum-pair": ZERO_SUM_PAIR,
     "nr": ArbitrageFreeContract(alpha=-1),
 }
 
@@ -366,7 +398,7 @@ class TestCoalitionTotal:
                 coalition_total(contract, profile, coalition, j)
 
 
-GENERIC_TAGS = ["independent-log", "independent-quadratic", "zero-sum-pair"]
+GENERIC_TAGS = ["independent-log", "independent-quadratic"]
 
 
 class TestGenericCoalitionTotals:
@@ -376,8 +408,7 @@ class TestGenericCoalitionTotals:
     @given(data=st.data())
     def test_equals_member_sum_of_evaluate(self, tag, data):
         contract = CLI_CONTRACTS[tag]
-        m = 2 if tag == "zero-sum-pair" else None
-        profile = data.draw(profiles(m=m))
+        profile = data.draw(profiles())
         members = data.draw(
             st.lists(st.integers(0, profile.m - 1), min_size=1, unique=True)
         )

@@ -39,6 +39,34 @@ class TestParseRational:
         with pytest.raises(InputError, match="rational"):
             parse_rational("1/0")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1e10000000",
+            "1e-10000000",
+            " 2.5E+4301 ",
+            "1e4_301",
+            "-1e-0004301",
+            "1e" + "9" * 5000,
+        ],
+    )
+    def test_refuses_huge_exponents_before_building(self, text):
+        # Fraction("1e10000000") alone takes seconds, and its digits
+        # exceed the int-to-text limit.
+        with pytest.raises(InputError) as info:
+            parse_rational(text)
+        assert str(info.value) == (
+            f"refusing {text!r}: its exponent exceeds 4300 in magnitude"
+        )
+
+    def test_exponents_up_to_the_limit_parse(self):
+        assert parse_rational("1e400") == 10**400
+        assert parse_rational("1E+4300") == 10**4300
+        assert parse_rational("-1e-0004300") == Fraction(-1, 10**4300)
+        assert parse_rational("1.5e0_3") == 1500
+        with pytest.raises(InputError, match="cannot parse"):
+            parse_rational("1e99999x")
+
 
 class TestParseProfileJson:
     def test_round_trip(self):
