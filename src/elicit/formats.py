@@ -21,7 +21,14 @@ from csv import writer as csv_writer
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .simplex import Coalition, Distribution, ReportProfile
+from .simplex import (
+    Coalition,
+    Distribution,
+    ReportProfile,
+    _as_fraction,
+    _DigitLimitError,
+    _MAX_DIGITS,
+)
 
 __all__ = [
     "InputError",
@@ -42,36 +49,23 @@ class InputError(ValueError):
     """Malformed user input: bad file, bad number, bad shape."""
 
 
-# Python's default limit on the digits of an int converted to or from
-# text (sys.get_int_max_str_digits).
-_MAX_EXPONENT = 4300
-
-
 def parse_rational(text: str) -> Fraction:
     """Exact rational from "2/5", "0.4", or "-3" style text.
 
-    A decimal exponent above 4300 in magnitude is refused before the
-    value is built: building 10**e takes seconds for e near 10**7, and
-    the result is too long to print.
+    A value whose numerator or denominator has more than 4300 digits is
+    refused, since it could not be printed, and a decimal exponent above
+    4300 in magnitude is refused before the value is built: building
+    10**e takes seconds for e near 10**7.  The rule is the library's
+    (``simplex._as_fraction``); here it raises ``InputError``.
     """
     if isinstance(text, float):
         raise InputError(
             f"refusing float {text!r}; write the value as a string"
         )
-    value = str(text).strip()
-    exponent = value.lower().partition("e")[2]
-    if exponent[:1] in ("+", "-"):
-        exponent = exponent[1:]
-    digits = exponent.replace("_", "").lstrip("0")
-    if digits.isdecimal() and (
-        len(digits) > 4 or int(digits) > _MAX_EXPONENT
-    ):
-        raise InputError(
-            f"refusing {text!r}: its exponent exceeds {_MAX_EXPONENT} in "
-            f"magnitude"
-        )
     try:
-        return Fraction(value)
+        return _as_fraction(str(text))
+    except _DigitLimitError as exc:
+        raise InputError(str(exc)) from None
     except (ValueError, ZeroDivisionError):
         raise InputError(
             f"cannot parse {text!r} as a rational; use a fraction like "
@@ -125,6 +119,16 @@ def parse_profile_json(text: str) -> ReportProfile:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from None
+    except ValueError:
+        # json.loads builds each JSON integer with int(), which refuses
+        # more digits than the int-to-text limit.
+        raise InputError(
+            f"invalid JSON: a number has more than {_MAX_DIGITS} digits"
+        ) from None
+    except RecursionError:
+        raise InputError(
+            "invalid JSON: arrays or objects nest too deeply"
+        ) from None
     if not isinstance(obj, dict):
         raise InputError("top-level JSON value must be an object")
     if "reports" not in obj:

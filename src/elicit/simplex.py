@@ -29,9 +29,18 @@ each swapped-in report's index (an int, not a bool), outcome count and
 type, and trusts the reports it keeps, which come from a valid profile:
 the copy is built without validating them again.  In the same way
 ``Distribution._from_counts`` builds a report from integer counts its
-caller knows are valid (a random draw's count row): one gcd of the
-denominator and the counts gives the reduced scale D, and ``weights``,
-``scaled`` and ``n`` are set without the validating pass.
+caller knows are valid (a random draw's count row, a lattice point): one
+gcd of the denominator and the counts gives the reduced scale D, and
+``scaled`` and ``n`` are set without the validating pass.  Such a report
+builds its n weight ``Fraction``s only when ``weights`` is first read, so
+a deviation that is only scored on its integer counts never builds them.
+
+A value that could not be printed is refused: by default Python will not
+convert an int of more than 4300 digits to or from text
+(``sys.get_int_max_str_digits``), so ``_as_fraction`` refuses a
+numerator or denominator that long.  Text with a decimal exponent above
+4300 in magnitude is refused before it is built, since 10**e takes a
+noticeable fraction of a second for e in the millions.
 
 Expert and outcome indices are 0-based throughout the library.  The
 command-line layer translates to and from 1-based labels for display.
@@ -80,14 +89,57 @@ class _cached:
         return value
 
 
+# Python's default limit on the digits of an int converted to or from text
+# (sys.get_int_max_str_digits): a rational whose numerator or denominator
+# has more digits cannot be printed.
+_MAX_DIGITS = 4300
+_DIGITS_BOUND = 10**_MAX_DIGITS
+
+
+class _DigitLimitError(ValueError):
+    """A rational too long to print."""
+
+    def __init__(self, value, reason: str) -> None:
+        # Text is quoted; any other value is too long to print itself.
+        shown = repr(value) if isinstance(value, str) else type(value).__name__
+        super().__init__(f"refusing {shown}: {reason}")
+
+
 def _as_fraction(value) -> Fraction:
-    """Coerce to Fraction, refusing floats (binary rounding is not exact)."""
+    """Coerce to Fraction, refusing floats and values too long to print.
+
+    Floats raise TypeError (binary rounding is not exact).  A value whose
+    numerator or denominator has more than _MAX_DIGITS digits raises
+    ``_DigitLimitError``, a ValueError.  Text whose decimal exponent
+    exceeds _MAX_DIGITS in magnitude is refused before it is built, since
+    10**e takes seconds for e near 10**7.
+    """
     if isinstance(value, float):
         raise TypeError(
             f"refusing float {value!r}: pass a Fraction, int, or string "
             f"(e.g. '2/5' or '0.4') so the value stays exact"
         )
-    return Fraction(value)
+    if isinstance(value, str):
+        # Fraction allows surrounding whitespace; the exponent is last.
+        exponent = value.lower().partition("e")[2].rstrip()
+        if exponent[:1] in ("+", "-"):
+            exponent = exponent[1:]
+        digits = exponent.replace("_", "").lstrip("0")
+        if digits.isdecimal() and (
+            len(digits) > 4 or int(digits) > _MAX_DIGITS
+        ):
+            raise _DigitLimitError(
+                value, f"its exponent exceeds {_MAX_DIGITS} in magnitude"
+            )
+    result = Fraction(value)
+    if result.denominator >= _DIGITS_BOUND or (
+        abs(result.numerator) >= _DIGITS_BOUND
+    ):
+        raise _DigitLimitError(
+            value,
+            f"its numerator or denominator has more than {_MAX_DIGITS} digits",
+        )
+    return result
 
 
 @dataclass(frozen=True)
@@ -101,7 +153,10 @@ class Distribution:
     (D, counts, square): D the lcm of the weight denominators, counts[j] =
     D * weight j as an integer, and square the sum of the squared counts.
     ``quadratic_scores`` is derived from it on first use and cached on the
-    report.
+    report.  ``weights`` is set at construction, except for a report
+    built by ``_from_counts``: there it is built from ``scaled`` on first
+    read and stored on the report, so eq, hash, repr, copies and pickles
+    see the same weights either way.
     """
 
     weights: tuple[Fraction, ...]
@@ -149,7 +204,8 @@ class Distribution:
         ``denominator``; nothing is checked.  One gcd of the denominator
         and every count gives the lcm of the reduced weights'
         denominators, so ``scaled`` equals what the validating
-        constructor builds from the same weights.
+        constructor builds from the same weights.  Only ``scaled`` and
+        ``n`` are set here; ``weights`` is built on its first read.
         """
         common = gcd(denominator, *counts)
         if common > 1:
@@ -158,7 +214,6 @@ class Distribution:
         counts = tuple(counts)
         report = object.__new__(cls)
         report.__dict__.update(
-            weights=tuple([Fraction(c, denominator) for c in counts]),
             scaled=(denominator, counts, sum([c * c for c in counts])),
             n=len(counts),
         )
@@ -179,13 +234,33 @@ class Distribution:
         )
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return self.n
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.weights)
 
     def __getitem__(self, j: int) -> Fraction:
         return self.weights[j]
+
+
+def _weights_from_counts(report: Distribution) -> tuple[Fraction, ...]:
+    """The weights of a report built by ``Distribution._from_counts``.
+
+    Such a report holds only ``scaled``; its weights, counts[j] / D, are
+    built on first read and stored on the report.  A report built by the
+    constructor holds its weights in the instance ``__dict__``, which
+    attribute lookup finds before this class-level descriptor.
+    """
+    scale, counts, _ = report.scaled
+    return tuple([Fraction(c, scale) for c in counts])
+
+
+# Set once the dataclass exists: in the class body a class attribute named
+# like a field would be taken as the field's default.  A class-level
+# descriptor keeps attribute lookup on reports generic, which the
+# interpreter's attribute caches need; a ``__getattr__`` would not.
+Distribution.weights = _cached(_weights_from_counts)
+Distribution.weights.__set_name__(Distribution, "weights")
 
 
 def vertex(n: int, j: int) -> Distribution:
@@ -432,11 +507,12 @@ def simplex_lattice(n: int, steps: int) -> Iterator[Distribution]:
 
     Enumerates every (k_1/g, ..., k_n/g) with nonnegative integers summing
     to g = steps.  The count is C(g + n - 1, n - 1); keep g modest for
-    n > 3.
+    n > 3.  Each point is built from its counts (``_from_counts``), which
+    are valid by construction.
     """
     if n < 2:
         raise ValueError(f"need at least 2 outcomes, got n={n}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     for ks in _compositions(steps, n):
-        yield Distribution(tuple(Fraction(k, steps) for k in ks))
+        yield Distribution._from_counts(ks, steps)

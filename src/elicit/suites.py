@@ -622,6 +622,8 @@ def _suite_witness(config: VerifyConfig) -> SuiteResult:
     rng = derived_rng(config.seed, "witness")
     skipped_invalid = 0
     safe_alphas: dict[tuple[int, int], list[Fraction]] = {}
+    # One contract per alpha, so its coefficient cache serves every trial.
+    contracts: dict[Fraction, ArbitrageFreeContract] = {}
     for t in range(config.trials):
         m = rng.randint(2, config.m_max)
         n = rng.randint(2, config.n_max)
@@ -636,7 +638,9 @@ def _suite_witness(config: VerifyConfig) -> SuiteResult:
             skipped_invalid += 1
             continue
         alpha = rng.choice(candidates)
-        contract = ArbitrageFreeContract(alpha=alpha)
+        contract = contracts.get(alpha)
+        if contract is None:
+            contract = contracts[alpha] = ArbitrageFreeContract(alpha=alpha)
         baseline = random_profile(rng, m, n)
         coalition = random_coalition(rng, m)
         deviation = random_deviation(rng, baseline, coalition)

@@ -16,7 +16,12 @@ of the contract's kernel, from the integer rows of ``profile.scaled`` (D,
 and the counts A, whose column sums are the totals T) and the threshold
 d = dn / dd.  Scaled by D**2 * dd**2 the structured part is an integer,
 so a residual costs one ``Fraction``, built when it is returned.  The
-tests check both residuals against the plain ``Fraction`` rewrites.
+payment row is evaluated once per (profile, outcome) and shared across
+experts: the residuals keep the last (profile, outcome, alpha, rewrite)
+they met, with its ``evaluate`` row, T and d, so a report that walks
+every expert of one profile and outcome, as the identity reports do,
+evaluates the contract once, not once per expert.  The tests check both
+residuals against the plain ``Fraction`` rewrites.
 
 The same threshold parameter drives a monotonicity law for the coalition
 total and an explicit per-deviation witness: an outcome under which no
@@ -105,6 +110,43 @@ def general_form_residual(
     return _form_residual(profile, i, j, alpha, two_outcome=False)
 
 
+# The last (profile, j, alpha, two_outcome) the residuals met and its
+# shared part (row, T, dn, dd).  The key is compared by identity, so a hit
+# means the very objects that built the entry; it is replaced whole, so a
+# reader sees either the old entry or the new one.
+_last_row = None
+
+
+def _shared_row(profile: ReportProfile, j: int, alpha, two_outcome: bool):
+    """The contract's payment row, T and d for one (profile, outcome).
+
+    Returns (row, T, dn, dd): row = the permissive contract's
+    ``evaluate(profile, j)``, T the column sums of ``profile.scaled`` and
+    d = dn / dd the rewrite's threshold.  The last entry is kept, so the m
+    experts of one profile and outcome share one evaluation.
+    """
+    global _last_row
+    last = _last_row
+    if (
+        last is not None
+        and last[0] is profile
+        and last[1] is j
+        and last[2] is alpha
+        and last[3] is two_outcome
+    ):
+        return last[4]
+    # The rewrites are pure algebra and hold for every alpha, including
+    # the arbitrage-prone band, so evaluation is always permissive here.
+    contract = ArbitrageFreeContract(alpha, permissive=True)
+    row = contract.evaluate(profile, j)
+    threshold = threshold_two_outcome if two_outcome else threshold_general
+    d = threshold(profile.m, contract.alpha)
+    totals = tuple([sum(column) for column in zip(*profile.scaled[1])])
+    shared = (row, totals, d.numerator, d.denominator)
+    _last_row = (profile, j, alpha, two_outcome, shared)
+    return shared
+
+
 def _form_residual(
     profile: ReportProfile, i: int, j: int, alpha, two_outcome: bool
 ) -> Fraction:
@@ -114,20 +156,15 @@ def _form_residual(
     the structured part times D**2 * dd**2 is the integer X * Y, where
     X = T_j*dd - dn*D - D*dd and Y = (T_j - 2*A_i[j])*dd - dn*D + D*dd;
     the two-outcome rewrite doubles it, and the general one adds
-    dd**2 * T_l * (T_l - 2*A_i[l]) for every other outcome l.
+    dd**2 * T_l * (T_l - 2*A_i[l]) for every other outcome l.  The
+    payment is entry i of the row ``_shared_row`` holds for (P, j).
     """
     if not 0 <= i < profile.m:
         raise IndexError(f"expert {i} out of range for m={profile.m}")
-    # The rewrites are pure algebra and hold for every alpha, including
-    # the arbitrage-prone band, so evaluation is always permissive here.
-    contract = ArbitrageFreeContract(alpha, permissive=True)
-    reward = contract.evaluate(profile, j)[i]
-    threshold = threshold_two_outcome if two_outcome else threshold_general
-    d = threshold(profile.m, contract.alpha)
-    dn, dd = d.numerator, d.denominator
+    row, totals, dn, dd = _shared_row(profile, j, alpha, two_outcome)
+    reward = row[i]
     scale, rows = profile.scaled
     own = rows[i]
-    totals = [sum(column) for column in zip(*rows)]
     t = totals[j] * dd
     shift = dn * scale
     edge = scale * dd

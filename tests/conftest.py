@@ -108,10 +108,10 @@ def plain_reward(profile: ReportProfile, i: int, j: int, alpha: Fraction):
     )
 
 
-def plain_form_residual(
+def plain_structured(
     profile: ReportProfile, i: int, j: int, alpha: Fraction, two_outcome: bool
 ):
-    """A payment minus its product rewrite, in plain Fractions.
+    """A payment's product rewrite, in plain Fractions.
 
     The two-outcome rewrite is 2 * (t - d - 1) * (t - 2p - d + 1) with
     d = (m - 1) - alpha / (4 * (m - 1)); the general one is
@@ -129,4 +129,13 @@ def plain_form_residual(
         structured *= 2
     else:
         structured += sum(t[k] * (t[k] - 2 * p[k]) for k in range(n) if k != j)
-    return plain_reward(profile, i, j, alpha) - structured
+    return structured
+
+
+def plain_form_residual(
+    profile: ReportProfile, i: int, j: int, alpha: Fraction, two_outcome: bool
+):
+    """A payment minus its product rewrite (``plain_structured``)."""
+    return plain_reward(profile, i, j, alpha) - plain_structured(
+        profile, i, j, alpha, two_outcome
+    )

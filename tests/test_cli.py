@@ -103,6 +103,17 @@ class TestScore:
         assert result.exit_code == 64
         assert result.output == f"error: {message}\n"
 
+    def test_json_integer_past_the_digit_limit_exits_64(self, runner, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(
+            f'{{"n": 2, "reports": [[{"1" * 5000}, 0], ["1/2", "1/2"]]}}'
+        )
+        result = invoke(runner, "score", "--input", str(path))
+        assert result.exit_code == 64
+        assert result.output == (
+            "error: invalid JSON: a number has more than 4300 digits\n"
+        )
+
     def test_missing_file_exits_64(self, runner):
         result = invoke(runner, "score", "--input", "/nonexistent/p.json")
         assert result.exit_code == 64
@@ -261,6 +272,18 @@ class TestReward:
         assert result.output == (
             f"error: refusing {text}: its exponent exceeds 4300 in magnitude\n"
         )
+
+    def test_alpha_too_long_to_print_is_malformed_input(self, runner):
+        args = ("reward", "--reports", "1/2,1/2; 1/2,1/2", "--contract", "nr")
+        result = invoke(runner, *args, "--alpha", "1e4300")
+        assert result.exit_code == 64
+        assert result.output == (
+            "error: refusing '1e4300': its numerator or denominator has "
+            "more than 4300 digits\n"
+        )
+        printed = invoke(runner, *args, "--alpha", "1e4290")
+        assert printed.exit_code == 0
+        assert str(10**4290 // 2) in printed.output
 
 
 class TestDemoIntro:

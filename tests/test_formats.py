@@ -61,11 +61,46 @@ class TestParseRational:
 
     def test_exponents_up_to_the_limit_parse(self):
         assert parse_rational("1e400") == 10**400
-        assert parse_rational("1E+4300") == 10**4300
-        assert parse_rational("-1e-0004300") == Fraction(-1, 10**4300)
+        assert parse_rational("1E+4299") == 10**4299
+        assert parse_rational("-1e-0004299") == Fraction(-1, 10**4299)
         assert parse_rational("1.5e0_3") == 1500
         with pytest.raises(InputError, match="cannot parse"):
             parse_rational("1e99999x")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1e4300",
+            "1E+4300",
+            "-1e-0004300",
+            "12e4299",
+            "0.5e-4300",
+            pytest.param("1" * 4000 + "e301", id="4000-digits-e301"),
+        ],
+    )
+    def test_refuses_values_too_long_to_print(self, text):
+        # 10**4300 has 4301 digits: str() of it raises ValueError.
+        with pytest.raises(InputError) as info:
+            parse_rational(text)
+        assert str(info.value) == (
+            f"refusing {text!r}: its numerator or denominator has more "
+            f"than 4300 digits"
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1e4290",
+            "-9.99e4297",
+            "1e-4299",
+            # 5/10**4300 reduces to 1/(2 * 10**4299): 4300 digits.
+            "5e-4300",
+            pytest.param("1" * 4300, id="4300-digits"),
+        ],
+    )
+    def test_values_that_print_parse(self, text):
+        value = parse_rational(text)
+        assert parse_rational(str(value)) == value
 
 
 class TestParseProfileJson:
@@ -110,6 +145,24 @@ class TestParseProfileJson:
             parse_profile_json('{"reports": ["1/2"]}')
         with pytest.raises(InputError, match="no expert reports"):
             parse_profile_json('{"reports": []}')
+
+    def test_json_integer_past_the_digit_limit_is_input_error(self):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for
+        # an integer of more than 4300 digits.
+        text = f'{{"n": 2, "reports": [[{"1" * 5000}, 0], ["1/2", "1/2"]]}}'
+        with pytest.raises(InputError) as info:
+            parse_profile_json(text)
+        assert str(info.value) == (
+            "invalid JSON: a number has more than 4300 digits"
+        )
+
+    def test_deep_nesting_is_input_error(self):
+        text = '{"reports": ' + "[" * 100000 + "]" * 100000 + "}"
+        with pytest.raises(InputError) as info:
+            parse_profile_json(text)
+        assert str(info.value) == (
+            "invalid JSON: arrays or objects nest too deeply"
+        )
 
     @given(profiles())
     def test_profile_to_obj_round_trips(self, profile):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -263,6 +266,41 @@ class TestFromCounts:
         assert repr(got) == repr(want)
         assert vars(got).keys() == vars(want).keys()
         assert got.quadratic_scores == want.quadratic_scores
+
+    @given(count_rows())
+    def test_weights_are_built_on_first_read(self, row):
+        counts, denominator = row
+        got = Distribution._from_counts(counts, denominator)
+        assert "weights" not in vars(got)
+        assert len(got) == got.n == len(counts)
+        assert "weights" not in vars(got)
+        weights = got.weights
+        assert vars(got)["weights"] is weights and got.weights is weights
+        assert weights == tuple(Fraction(c, denominator) for c in counts)
+
+    @given(count_rows())
+    def test_unread_weights_match_in_every_copy(self, row):
+        # Each check starts from a report whose weights were never read.
+        counts, denominator = row
+        want = Distribution(tuple(Fraction(c, denominator) for c in counts))
+
+        def fresh():
+            return Distribution._from_counts(counts, denominator)
+
+        assert fresh().weights == want.weights
+        assert fresh().scaled == want.scaled
+        assert fresh() == want and want == fresh()
+        assert hash(fresh()) == hash(want)
+        assert repr(fresh()) == repr(want)
+        assert dataclasses.replace(fresh()) == want
+        assert dataclasses.asdict(fresh()) == dataclasses.asdict(want)
+        for clone in (copy.deepcopy(fresh()), copy.copy(fresh())):
+            assert clone == want and clone.scaled == want.scaled
+        for original in (fresh(), want):
+            clone = pickle.loads(pickle.dumps(original))
+            assert type(clone) is Distribution
+            assert clone.weights == want.weights
+            assert clone.scaled == want.scaled and clone.n == want.n
 
     @pytest.mark.parametrize(
         "counts, denominator, scaled",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from elicit import (
+    ArbitrageFreeContract,
     Coalition,
     Distribution,
     ReportProfile,
@@ -42,6 +44,42 @@ class TestDistribution:
     def test_rejects_floats(self):
         with pytest.raises(TypeError, match="float"):
             Distribution.of(0.4, 0.6)
+
+    @pytest.mark.parametrize(
+        "value, reason",
+        [
+            ("1e1000000", "its exponent exceeds 4300 in magnitude"),
+            ("-1E-4301", "its exponent exceeds 4300 in magnitude"),
+            (" 1e10000000\n", "its exponent exceeds 4300 in magnitude"),
+            ("1e4300", "its numerator or denominator has more than 4300 digits"),
+            (10**4300, "its numerator or denominator has more than 4300 digits"),
+            (
+                Fraction(1, 10**4300),
+                "its numerator or denominator has more than 4300 digits",
+            ),
+        ],
+        ids=[
+            "huge-exponent",
+            "negative-exponent",
+            "padded",
+            "text",
+            "int",
+            "fraction",
+        ],
+    )
+    def test_refuses_values_too_long_to_print(self, value, reason):
+        # The library shares the CLI's input limit, as a ValueError, and
+        # refuses a huge exponent before building 10**e.
+        for build in (
+            lambda: Distribution.of(value, 1),
+            lambda: ArbitrageFreeContract(alpha=value),
+        ):
+            with pytest.raises(ValueError) as info:
+                build()
+            shown = repr(value) if isinstance(value, str) else type(value).__name__
+            assert str(info.value) == f"refusing {shown}: {reason}"
+        assert ArbitrageFreeContract(alpha="1e4290").alpha == 10**4290
+        assert Distribution.of("1e-4299", 1 - Fraction(1, 10**4299)).n == 2
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError, match="sum"):
@@ -348,6 +386,7 @@ class TestReplaceOracle:
 # The first-use caches and the first line of each one's docstring.
 FIRST_USE_CACHES = [
     (Distribution, "quadratic_scores", "The quadratic score of this report"),
+    (Distribution, "weights", "The weights of a report built by"),
     (ReportProfile, "scaled", "The reports as integers over one common"),
     (ReportProfile, "scaled_totals", "The column totals over the same D"),
 ]
@@ -486,6 +525,21 @@ class TestLattice:
         assert len(set(pts)) == len(pts)
         for p in pts:
             assert all((w * steps).denominator == 1 for w in p.weights)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_points_equal_the_validated_construction(self, n):
+        for steps in range(1, 9):
+            got = list(simplex_lattice(n, steps))
+            want = [
+                Distribution(tuple(Fraction(k, steps) for k in ks))
+                for ks in itertools.product(range(steps + 1), repeat=n)
+                if sum(ks) == steps
+            ]
+            assert got == want
+            for g, w in zip(got, want):
+                assert type(g) is Distribution
+                assert g.scaled == w.scaled and g.n == w.n
+                assert g.weights == w.weights
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):

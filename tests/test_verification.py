@@ -31,7 +31,12 @@ from elicit.verification import (
     two_outcome_identity_report,
 )
 
-from conftest import fine_profiles, plain_form_residual, profiles
+from conftest import (
+    fine_profiles,
+    plain_form_residual,
+    plain_structured,
+    profiles,
+)
 
 BOUNDARY = ReportProfile.of(("1/2", "1/2"), ("1/2", "1/2"), ("0", "1"))
 
@@ -151,6 +156,108 @@ class TestIntegerRewrites:
             assert (report.constant, report.max_spread, report.samples) == (
                 plain_identity_report(batch, alpha, two_outcome)
             )
+
+
+RESIDUALS = {False: general_form_residual, True: two_outcome_form_residual}
+
+
+@st.composite
+def residual_calls(draw):
+    """Calls (profile, alpha, j, two_outcome) on two profiles of any shape.
+
+    The sequence opens with A, B, A on one outcome and then A on another,
+    so a residual read from a stale shared row would show; the rest mixes
+    A, B, an equal copy of A, and two alphas, one of them an equal but
+    distinct object half of the time.
+    """
+    a = draw(fine_profiles(max_m=5, max_n=4))
+    b = draw(fine_profiles(max_m=5, max_n=4))
+    first = draw(banded_alphas(a.m, a.n))
+    second = draw(st.sampled_from([Fraction(first), draw(alphas)]))
+    pairs = [(a, first), (b, first), (a, first), (a, first)]
+    pairs += draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([a, b, ReportProfile(a.reports)]),
+                st.sampled_from([first, second]),
+            ),
+            max_size=6,
+        )
+    )
+    calls = []
+    for k, (profile, alpha) in enumerate(pairs):
+        if k == 3:
+            j = (calls[2][2] + 1) % profile.n
+        else:
+            j = draw(st.integers(0, profile.n - 1))
+        two = profile.n == 2 and draw(st.booleans())
+        calls.append((profile, alpha, j, two))
+    return calls
+
+
+class TestSharedRow:
+    """The residuals share one payment row per (profile, outcome)."""
+
+    @given(residual_calls())
+    def test_interleaved_calls_match_a_fresh_recomputation(self, calls):
+        for profile, alpha, j, two in calls:
+            for i in range(profile.m):
+                fresh = ArbitrageFreeContract(alpha, permissive=True)
+                want = fresh.evaluate(profile, j)[i] - plain_structured(
+                    profile, i, j, alpha, two
+                )
+                assert RESIDUALS[two](profile, i, j, alpha) == want
+
+    def test_report_evaluates_each_profile_and_outcome_once(self, monkeypatch):
+        calls = []
+        evaluate = ArbitrageFreeContract.evaluate
+
+        def counting(self, profile, j):
+            calls.append((profile, j))
+            return evaluate(self, profile, j)
+
+        monkeypatch.setattr(ArbitrageFreeContract, "evaluate", counting)
+        batch = [
+            ReportProfile.of(("1/2", "1/2"), ("1/3", "2/3"), ("1/4", "3/4")),
+            ReportProfile.of(("1/5", "4/5"), ("1", "0"), ("2/7", "5/7")),
+        ]
+        report = general_identity_report(batch, Fraction(-1))
+        assert report.passed and report.samples == 6
+        assert calls == [(batch[0], 0), (batch[1], 1)]
+
+    @given(profiles(n=2), alphas, st.integers(0, 1))
+    def test_the_two_rewrites_keep_their_own_rows(self, profile, alpha, j):
+        # Alternating rewrites on one (profile, outcome, alpha): each must
+        # use its own threshold.
+        for i in range(profile.m):
+            for two in (False, True, False):
+                assert RESIDUALS[two](profile, i, j, alpha) == (
+                    plain_form_residual(profile, i, j, alpha, two)
+                )
+
+    def test_float_alpha_still_refused_after_an_equal_fraction(self):
+        general_form_residual(BOUNDARY, 0, 0, Fraction(1))
+        with pytest.raises(TypeError, match="float"):
+            general_form_residual(BOUNDARY, 1, 0, 1.0)
+        two_outcome_form_residual(BOUNDARY, 0, 1, Fraction(8))
+        with pytest.raises(TypeError, match="float"):
+            two_outcome_form_residual(BOUNDARY, 1, 1, 8.0)
+
+    @pytest.mark.parametrize("residual", list(RESIDUALS.values()))
+    def test_odd_outcome_indices_behave_as_before(self, residual):
+        alpha = Fraction(5, 3)
+        two = residual is two_outcome_form_residual
+        for i in range(BOUNDARY.m):
+            expected = plain_form_residual(BOUNDARY, i, 1, alpha, two)
+            residual(BOUNDARY, i, 1, alpha)
+            assert residual(BOUNDARY, i, True, alpha) == expected
+            residual(BOUNDARY, i, 0, alpha)
+            assert residual(BOUNDARY, i, True, alpha) == expected
+            for j in (-1, BOUNDARY.n):
+                with pytest.raises(IndexError, match="out of range"):
+                    residual(BOUNDARY, i, j, alpha)
+        with pytest.raises(IndexError, match="expert 3 out of range"):
+            residual(BOUNDARY, BOUNDARY.m, 0, alpha)
 
 
 class TestCoalitionPolynomial:
