@@ -17,6 +17,7 @@ and the diff of the golden files shows exactly what moved.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,16 @@ CASES = {
             "json",
         ),
     ),
+    "search_deviation_expected": (
+        3,
+        (
+            "search", "--reports", INTRO, "--deviation",
+            "intro_mean_deviation.json", "--expected", "--format", "json",
+        ),
+    ),
+    "demo_intro_coalition": (
+        0, ("demo-intro", "--coalition", "1,3", "--format", "json")
+    ),
 }
 
 
@@ -100,16 +111,10 @@ TEXT_CASES = {
          "zero-sum-pair"),
     ),
     "demo_intro": CASES["demo_intro"],
-    "demo_intro_coalition": (0, ("demo-intro", "--coalition", "1,3")),
+    "demo_intro_coalition": CASES["demo_intro_coalition"],
     "search_certificate": CASES["search_certificate"],
     "search_none": CASES["search_none"],
-    "search_deviation_expected": (
-        3,
-        (
-            "search", "--reports", INTRO, "--deviation",
-            str(GOLDEN / "intro_mean_deviation.json"), "--expected",
-        ),
-    ),
+    "search_deviation_expected": CASES["search_deviation_expected"],
     "verify_readme": (
         0,
         (
@@ -137,7 +142,13 @@ HELP_COMMANDS = ("elicit", "score", "reward", "demo-intro", "search", "verify")
 
 
 def _run(args) -> tuple[int, bytes]:
-    result = CliRunner().invoke(main, list(args), catch_exceptions=False)
+    """Run in the golden directory, where --deviation names its file."""
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        result = CliRunner().invoke(main, list(args), catch_exceptions=False)
+    finally:
+        os.chdir(cwd)
     return result.exit_code, result.stdout_bytes
 
 
