@@ -1,9 +1,14 @@
 """Command-line interface: score, reward, demo-intro, search, verify.
 
 All user-facing indices are 1-based (experts 1..m, outcomes 1..n);
-internals are 0-based.  Every rational is printed as an exact fraction,
-with a decimal alongside wherever a human reads the value.  JSON output
-is deterministic byte for byte given the same configuration and seed.
+internals are 0-based.  Every rational is printed as an exact fraction
+by ``formats.fraction_str``, with a decimal alongside wherever a human
+reads the value.  JSON output is deterministic byte for byte given the
+same configuration and seed.
+
+Each command hands its config, results, table text and CSV rows to
+``_emit``, which owns the JSON payload and renders only the format that
+``--format`` asks for.
 
 Exit codes: 0 success or nothing found, 1 verification failure, 2
 configuration error, 3 certificate found, 64 malformed input, 70 internal
@@ -45,6 +50,7 @@ from .formats import (
     decimal_str,
     decimal_value,
     dumps,
+    fraction_str,
     parse_coalition,
     parse_inline_profile,
     parse_profile_json,
@@ -145,7 +151,7 @@ def _contract_config(tag: str, alpha: Optional[str], permissive: bool) -> dict:
     """The config echo of --contract, --alpha and --permissive."""
     return {
         "contract": tag,
-        "alpha": alpha if alpha is None else str(parse_rational(alpha)),
+        "alpha": alpha if alpha is None else fraction_str(parse_rational(alpha)),
         "permissive": permissive,
     }
 
@@ -167,13 +173,13 @@ def _render_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 def _vcell(value) -> str:
     if isinstance(value, Fraction):
-        return f"{value} ({decimal_str(value)})"
+        return f"{fraction_str(value)} ({decimal_str(value)})"
     return decimal_str(value)
 
 
 def _value_obj(value) -> dict:
     if isinstance(value, Fraction):
-        return {"fraction": str(value), "decimal": decimal_value(value)}
+        return {"fraction": fraction_str(value), "decimal": decimal_value(value)}
     return {"decimal": value}
 
 
@@ -236,21 +242,28 @@ def _emit_expert_values(
             {"outcome": j + 1, "total": _value_obj(totals[j])} for j in outcomes
         ]
         csv_rows += [("coalition", j + 1, totals[j]) for j in outcomes]
-    payload = {
-        "command": command,
-        "config": config,
-        "results": results,
-        "certificates": [],
-    }
     table = _render_table(header, rows)
-    _emit(payload, fmt, table, csv_text(csv_header, csv_rows))
+    _emit(fmt, command, config, results, table, (csv_header, csv_rows))
 
 
-def _emit(payload: dict, fmt: str, table: str, csv: str) -> None:
+def _emit(
+    fmt: str, command: str, config: dict, results: dict, table: str,
+    csv: tuple, certificate: Optional[ArbitrageCertificate] = None,
+) -> None:
+    """Print a command's output in the one format that --format asks for.
+
+    JSON is the payload below, CSV is ``csv_text`` of the (header, rows)
+    pair ``csv``, and the table is printed as built; only the printed
+    format is rendered.
+    """
     if fmt == "json":
-        text = dumps(payload)
+        certificates = [] if certificate is None else [_cert_obj(certificate)]
+        text = dumps({
+            "command": command, "config": config, "results": results,
+            "certificates": certificates,
+        })
     elif fmt == "csv":
-        text = csv
+        text = csv_text(*csv)
     else:
         text = table
     # An explicit file: click's default-stdout cache keeps every stream it
@@ -398,7 +411,7 @@ def demo_intro(coalition_text, fmt) -> None:
         f"{_vcell(report.baseline_totals[0])} / "
         f"{_vcell(report.baseline_totals[1])}"
     )
-    mean_text = ", ".join(str(w) for w in report.collusion_report.weights)
+    mean_text = ", ".join(map(fraction_str, report.collusion_report.weights))
     lines.append(f"all report the mean ({mean_text}):")
     lines.append(
         f"collusion coalition totals: "
@@ -434,7 +447,7 @@ def demo_intro(coalition_text, fmt) -> None:
             [_value_obj(v) for v in row] for row in report.expert_scores
         ],
         "baseline_totals": [_value_obj(v) for v in report.baseline_totals],
-        "collusion_report": [str(w) for w in report.collusion_report.weights],
+        "collusion_report": list(report.collusion_report.weights),
         "collusion_totals": [_value_obj(v) for v in report.collusion_totals],
         "deltas": [_value_obj(v) for v in report.deltas],
         "interval": {
@@ -444,16 +457,6 @@ def demo_intro(coalition_text, fmt) -> None:
             "empty": iv.empty,
         },
         "reference_checked": report.reference_checked,
-    }
-    payload = {
-        "command": "demo-intro",
-        "config": {
-            "coalition": [i + 1 for i in report.coalition],
-        },
-        "results": results,
-        "certificates": (
-            [] if report.certificate is None else [_cert_obj(report.certificate)]
-        ),
     }
     csv_rows = [
         ("baseline_total", 1, report.baseline_totals[0]),
@@ -465,8 +468,10 @@ def demo_intro(coalition_text, fmt) -> None:
         ("interval_lower", 1, iv.lower.value()),
         ("interval_upper", 1, iv.upper.value()),
     ]
-    csv = csv_text(("quantity", "outcome", "value"), csv_rows)
-    _emit(payload, fmt, table, csv)
+    _emit(
+        fmt, "demo-intro", {"coalition": results["coalition"]}, results, table,
+        (("quantity", "outcome", "value"), csv_rows), report.certificate,
+    )
 
 
 @main.command()
@@ -559,16 +564,11 @@ def search(
             strategy_obj = {"mode": "random", "trials": trials, "seed": seed}
         cert = search_arbitrage(contract, profile, coalition, strategy, kind)
 
-    payload = {
-        "command": "search",
-        "config": {
-            **_contract_config(tag, alpha, permissive),
-            "coalition": [i + 1 for i in coalition],
-            "kind": kind.value,
-            "strategy": strategy_obj,
-        },
-        "results": {"found": cert is not None},
-        "certificates": [] if cert is None else [_cert_obj(cert)],
+    config = {
+        **_contract_config(tag, alpha, permissive),
+        "coalition": [i + 1 for i in coalition],
+        "kind": kind.value,
+        "strategy": strategy_obj,
     }
     if cert is None:
         table = (
@@ -576,12 +576,12 @@ def search(
             f"(strategy: {strategy_obj}; coalition "
             f"{[i + 1 for i in coalition]})\n"
         )
-        csv = csv_text(("found", "kind"), [("no", kind.value)])
+        csv = (("found", "kind"), [("no", kind.value)])
     else:
         rows = [(str(j + 1), _vcell(d)) for j, d in enumerate(cert.deltas)]
         dev_lines = [
             f"  expert {i + 1}: "
-            + ", ".join(str(w) for w in cert.deviation.reports[i].weights)
+            + ", ".join(map(fraction_str, cert.deviation.reports[i].weights))
             for i in cert.coalition
         ]
         table = (
@@ -593,11 +593,10 @@ def search(
             + "\n"
             + _render_table(("outcome", "coalition delta"), rows)
         )
-        csv = csv_text(
-            ("outcome", "delta"),
-            [(j + 1, d) for j, d in enumerate(cert.deltas)],
+        csv = (
+            ("outcome", "delta"), [(j + 1, d) for j, d in enumerate(cert.deltas)]
         )
-    _emit(payload, fmt, table, csv)
+    _emit(fmt, "search", config, {"found": cert is not None}, table, csv, cert)
     if cert is not None:
         sys.exit(EXIT_FOUND)
 
@@ -665,33 +664,19 @@ def verify(suite_text, fmt, **budget) -> None:
     alphas = tuple(parse_rational(a) for a in budget.pop("alphas"))
     config = VerifyConfig(alphas=alphas or None, **budget)
     results = run_suites(names, config)
-    payload = {
-        "command": "verify",
-        "config": {
-            "suites": list(names) if names else list(SUITE_NAMES),
-            **asdict(config),
-        },
-        "results": {
-            "suites": [asdict(r) for r in results],
-            "all_passed": all(r.passed for r in results),
-        },
-        "certificates": [],
-    }
-    csv = csv_text(
-        ("suite", "status", "checks", "failures", "findings"),
-        [
-            (
-                r.name,
-                "pass" if r.passed else "fail",
-                r.checks,
-                len(r.failures),
-                len(r.findings),
-            )
-            for r in results
-        ],
+    csv_rows = [
+        (r.name, "pass" if r.passed else "fail", r.checks, len(r.failures),
+         len(r.findings))
+        for r in results
+    ]
+    all_passed = all(r.passed for r in results)
+    _emit(
+        fmt, "verify", {"suites": names or list(SUITE_NAMES), **asdict(config)},
+        {"suites": [asdict(r) for r in results], "all_passed": all_passed},
+        _verify_table(results),
+        (("suite", "status", "checks", "failures", "findings"), csv_rows),
     )
-    _emit(payload, fmt, _verify_table(results), csv)
-    if not all(r.passed for r in results):
+    if not all_passed:
         sys.exit(EXIT_VERIFY_FAILED)
 
 

@@ -6,8 +6,9 @@ the same rational.  JSON floats are rejected rather than rounded, since a
 binary float cannot round-trip a decimal probability.  Error messages use
 1-based expert and outcome labels, matching everything the tool prints.
 
-Rendering goes the other way: every rational is emitted as a fraction
-string (and a decimal where a human will read it), and JSON output is
+Rendering goes the other way: ``fraction_str`` is the one renderer of a
+rational, as an exact fraction string, and refuses a value too long to
+print; a decimal goes alongside where a human reads it, and JSON output is
 byte-deterministic so runs with identical configuration diff clean.
 """
 
@@ -27,6 +28,7 @@ from .simplex import (
     ReportProfile,
     _as_fraction,
     _DigitLimitError,
+    _DIGITS_BOUND,
     _MAX_DIGITS,
 )
 
@@ -183,13 +185,17 @@ def profile_to_obj(profile: ReportProfile) -> dict:
     return {
         "n": profile.n,
         "reports": [
-            [str(w) for w in r.weights] for r in profile.reports
+            [fraction_str(w) for w in r.weights] for r in profile.reports
         ],
     }
 
 
 def fraction_str(value) -> str:
-    return str(Fraction(value))
+    """Exact text like "2/5"; ``InputError`` past the int-to-text limit."""
+    value = Fraction(value)
+    if max(value.denominator, abs(value.numerator)) >= _DIGITS_BOUND:
+        raise InputError(f"a result is too long to print: over {_MAX_DIGITS} digits")
+    return str(value)
 
 
 def decimal_str(value) -> str:
@@ -226,7 +232,7 @@ def decimal_value(value):
 
 def _clean(value):
     if isinstance(value, Fraction):
-        return str(value)
+        return fraction_str(value)
     if isinstance(value, float):
         # JSON has no Infinity/NaN; spell them out as strings.
         return value if math.isfinite(value) else str(value)
@@ -243,10 +249,10 @@ def dumps(obj: dict) -> str:
 
 
 def csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """RFC-4180-style CSV (CRLF line endings) from header plus rows."""
+    """RFC-4180-style CSV (CRLF line endings); None is an empty cell."""
     buf = io.StringIO()
     w = csv_writer(buf)
     w.writerow(header)
     for row in rows:
-        w.writerow(["" if v is None else str(v) for v in row])
+        w.writerow([fraction_str(v) if isinstance(v, Fraction) else v for v in row])
     return buf.getvalue()

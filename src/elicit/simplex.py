@@ -286,6 +286,8 @@ class ReportProfile:
         reports = self.reports
         if not reports:
             raise ValueError("a profile needs at least one expert")
+        if not isinstance(reports[0], Distribution):
+            raise TypeError("report 0 is not a Distribution")
         n = reports[0].n
         if n < 2:
             raise ValueError(f"need at least 2 outcomes, got n={n}")
@@ -366,14 +368,12 @@ class ReportProfile:
 
         Each key must be an int expert index (a bool is refused, as
         ``Coalition`` refuses it), and each swapped-in value is checked
-        here; the reports it keeps come from this valid profile, so the
-        copy is built without re-running ``__post_init__`` over them.  A
-        value that is not a ``Distribution`` goes through the validating
-        constructor, which refuses it as it refuses any other profile.
+        here, with the constructor's messages; the reports it keeps come
+        from this valid profile, so the copy is built without re-running
+        ``__post_init__`` over them.
         """
         reports = list(self.reports)
         m, n = self.m, self.n
-        valid = True
         for i, d in changes.items():
             if type(i) is not int and (
                 isinstance(i, bool) or not isinstance(i, int)
@@ -381,16 +381,14 @@ class ReportProfile:
                 raise TypeError(f"expert index {i!r} is not an int")
             if not 0 <= i < m:
                 raise IndexError(f"expert {i} out of range for m={m}")
+            if not isinstance(d, Distribution):
+                raise TypeError(f"report {i} is not a Distribution")
             if d.n != n:
                 raise ValueError(
                     f"replacement for expert {i} has {d.n} outcomes, "
                     f"expected {n}"
                 )
-            if not isinstance(d, Distribution):
-                valid = False
             reports[i] = d
-        if not valid:
-            return ReportProfile(tuple(reports))
         copy = object.__new__(ReportProfile)
         copy.__dict__.update(reports=tuple(reports), m=m, n=n)
         return copy

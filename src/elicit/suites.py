@@ -36,7 +36,6 @@ from .arbitrage import (
     check_dominance,
     check_expected_arbitrage,
     mean_collusion,
-    profile_with_coalition_sums,
     search_arbitrage,
 )
 # coalition_totals is not called here, but stays bound: the benchmark's
@@ -62,6 +61,7 @@ from .scoring import QuadraticRule, properness_probe, quadratic_score_float
 from .simplex import Coalition, ReportProfile, coalition_sums
 from .verification import (
     Monotonicity,
+    _split_total,
     coalition_reward_poly,
     general_identity_report,
     hurting_outcome,
@@ -425,11 +425,7 @@ def _structure_poly(config: VerifyConfig, rec: _Recorder) -> None:
         c = coalition.size
         for t in range(5):
             s = Fraction(c * t, 4)
-            sums = [Fraction(0), Fraction(0)]
-            sums[j] = s
-            sums[1 - j] = c - s
-            deviation = profile_with_coalition_sums(profile, coalition, sums)
-            direct = coalition_total(contract, deviation, coalition, j)
+            direct = _split_total(contract, profile, coalition, j, s)
             rec.checks += 1
             if direct != poly.predict(s):
                 rec.fail(

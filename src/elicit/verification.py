@@ -256,6 +256,15 @@ class CoalitionPolynomial:
         return self.quadratic * s * s + self.linear * s + self.constant
 
 
+def _split_total(contract, profile, coalition, j, s) -> Fraction:
+    """The outcome-j coalition total with sums s, |C| - s split equally (n=2)."""
+    sums = [0, 0]
+    sums[j] = s
+    sums[1 - j] = coalition.size - s
+    deviation = profile_with_coalition_sums(profile, coalition, sums)
+    return coalition_total(contract, deviation, coalition, j)
+
+
 def coalition_reward_poly(
     profile: ReportProfile, coalition: Coalition, j: int, alpha
 ) -> CoalitionPolynomial:
@@ -283,11 +292,8 @@ def coalition_reward_poly(
     complement_sum = profile.totals()[j] - coalition_sums(profile, coalition)[j]
     quadratic = Fraction(2 * (c - 2))
     linear = 4 * ((c - 1) * (complement_sum - d) + 1)
-    sums = [Fraction(0), Fraction(0)]
-    sums[1 - j] = Fraction(c)
-    at_zero = profile_with_coalition_sums(profile, coalition, sums)
     contract = ArbitrageFreeContract(alpha=alpha, permissive=True)
-    constant = coalition_total(contract, at_zero, coalition, j)
+    constant = _split_total(contract, profile, coalition, j, 0)
     return CoalitionPolynomial(
         quadratic=quadratic, linear=linear, constant=constant
     )
@@ -354,11 +360,7 @@ def monotonicity_check(
     points = []
     for k in range(samples):
         s = Fraction(c * k, samples - 1)
-        sums = [Fraction(0), Fraction(0)]
-        sums[j] = s
-        sums[1 - j] = c - s
-        deviation = profile_with_coalition_sums(profile, coalition, sums)
-        points.append((s, coalition_total(contract, deviation, coalition, j)))
+        points.append((s, _split_total(contract, profile, coalition, j, s)))
     # The witness is the first adjacent pair that is flat or turns
     # against the direction of the first step.
     first = None

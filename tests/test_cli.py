@@ -286,6 +286,64 @@ class TestReward:
         assert str(10**4290 // 2) in printed.output
 
 
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_payment_too_long_to_print_is_malformed_input(self, runner, fmt):
+        # The alpha's denominator has 4300 digits, which still prints; the
+        # payments' denominators multiply it by the reports' and do not.
+        result = invoke(
+            runner, "reward", "--reports", "1/3,2/3; 1/7,6/7", "--contract",
+            "nr", "--alpha", "-1e-4299", "--format", fmt,
+        )
+        assert result.exit_code == 64
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: a result is too long to print: over 4300 digits\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_payment_inside_the_digit_limit_prints(self, runner, fmt):
+        result = invoke(
+            runner, "reward", "--reports", "1/2,1/2; 1/2,1/2", "--contract",
+            "nr", "--alpha", "1e4290", "--format", fmt,
+        )
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        payment = str(5 * 10**4289)
+        cells = [(i, j) for i in (1, 2) for j in (1, 2)]
+        if fmt == "table":
+            assert result.stdout == "expert  outcome  reward\n" + "".join(
+                f"{i}       {j}        {payment} (5e+4289)\n" for i, j in cells
+            )
+        elif fmt == "csv":
+            want = "expert,outcome,reward\r\n" + "".join(
+                f"{i},{j},{payment}\r\n" for i, j in cells
+            )
+            assert result.stdout_bytes.decode() == want
+        else:
+            assert json.loads(result.stdout) == {
+                "command": "reward",
+                "config": {
+                    "alpha": str(10**4290),
+                    "coalition": None,
+                    "contract": "nr",
+                    "outcome": None,
+                    "permissive": False,
+                },
+                "results": {
+                    "profile": {"n": 2, "reports": [["1/2", "1/2"]] * 2},
+                    "rewards": [
+                        {
+                            "expert": i,
+                            "outcome": j,
+                            "reward": {"decimal": "5e+4289", "fraction": payment},
+                        }
+                        for i, j in cells
+                    ],
+                },
+                "certificates": [],
+            }
+
+
 class TestDemoIntro:
     def test_default_walkthrough(self, runner):
         result = invoke(runner, "demo-intro")

@@ -178,6 +178,32 @@ def test_text_output_matches_golden(file):
     assert got == (GOLDEN / file).read_bytes()
 
 
+def _refuse(*args):
+    raise AssertionError("rendered a format that is not printed")
+
+
+@pytest.mark.parametrize("name", ["search_none", "verify_all"])
+def test_json_output_renders_no_csv(name, monkeypatch):
+    """JSON output builds no CSV text and no certificate it does not print."""
+    monkeypatch.setattr("elicit.cli.csv_text", _refuse)
+    monkeypatch.setattr("elicit.cli._cert_obj", _refuse)
+    code, args = CASES[name]
+    assert _run(args) == (code, (GOLDEN / f"{name}.json").read_bytes())
+
+
+@pytest.mark.parametrize(
+    "file", ["search_certificate.txt", "search_certificate.csv", "demo_intro.csv"]
+)
+def test_text_output_renders_no_json(file, monkeypatch):
+    """Table and CSV output build no JSON payload and no certificate object."""
+    monkeypatch.setattr("elicit.cli.dumps", _refuse)
+    monkeypatch.setattr("elicit.cli._cert_obj", _refuse)
+    if file.endswith(".txt"):
+        monkeypatch.setattr("elicit.cli.csv_text", _refuse)
+    code, args = _text_case(file)
+    assert _run(args) == (code, (GOLDEN / file).read_bytes())
+
+
 @pytest.mark.parametrize("command", HELP_COMMANDS)
 def test_help_matches_golden(command):
     assert _help(command) == (GOLDEN / f"help_{command}.txt").read_bytes()

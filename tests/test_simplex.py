@@ -273,12 +273,18 @@ class TestReportProfile:
 
 
 def reference_replace(profile, changes):
-    """``replace`` as a copy through the validating constructor."""
+    """``replace`` as a copy through the validating constructor.
+
+    Each change is refused in key order, with the constructor's message
+    for a value that is not a ``Distribution``.
+    """
     reports = list(profile.reports)
     m, n = len(reports), reports[0].n
     for i, d in changes.items():
         if not 0 <= i < m:
             raise IndexError(f"expert {i} out of range for m={m}")
+        if not isinstance(d, Distribution):
+            raise TypeError(f"report {i} is not a Distribution")
         if d.n != n:
             raise ValueError(
                 f"replacement for expert {i} has {d.n} outcomes, expected {n}"
@@ -348,6 +354,20 @@ class TestReplaceOracle:
             p.replace(changes)
         assert type(got.value) is want.type
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda p: p.replace({0: "x"}),
+            lambda p: p.replace({0: ("1/2", "1/2")}),
+            lambda p: ReportProfile(("x",)),
+        ],
+        ids=["replace-str", "replace-tuple", "constructor-str"],
+    )
+    def test_a_value_that_is_no_distribution_is_a_type_error(self, build):
+        p = ReportProfile.of(("1/2", "1/2"), ("1/3", "2/3"))
+        with pytest.raises(TypeError, match=r"^report 0 is not a Distribution$"):
+            build(p)
 
     @pytest.mark.parametrize(
         "key", [True, False, 1.0, "a", None, Fraction(1)],
