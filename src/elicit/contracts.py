@@ -31,10 +31,11 @@ one sum per expert) are cached once per profile in
 integer operations.  A coalition's totals need no per-expert term at
 all: as the paper's construction says, they depend only on two integer
 column-sum vectors, T over all experts and S over the members.  Each
-payment becomes a ``Fraction`` once, at the boundary.  The four
-alpha-dependent coefficients are cached on the contract per (m, n, D),
-and the band is checked once per such shape.  The tests keep the plain
-``Fraction`` formula as an oracle and check the kernel against it.
+payment becomes a ``Fraction`` once, at the boundary.  The
+alpha-dependent coefficients are cached on the contract per (m, n) and
+scaled by D on each call; the band is checked once per (m, n).  The
+tests keep the plain ``Fraction`` formula as an oracle and check the
+kernel against it.
 """
 
 from __future__ import annotations
@@ -151,12 +152,6 @@ def validate_alpha(alpha, m: int, n: int) -> AlphaVerdict:
     return AlphaVerdict.INVALID
 
 
-# Entries of one contract's coefficient cache before it starts over: enough
-# for every (m, n, D) the verification suites meet, bounded for a caller
-# that evaluates profiles of ever new denominators.
-_COEFFICIENT_CACHE_SIZE = 1024
-
-
 class ContractFunction:
     """Interface: evaluate(profile, outcome) -> per-expert payment tuple."""
 
@@ -242,8 +237,8 @@ class ArbitrageFreeContract(ContractFunction):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _as_fraction(self.alpha))
-        # _coefficients per (m, n, D).  Not a dataclass field, so eq, hash
-        # and repr ignore it.
+        # _coefficients per (m, n).  Not a dataclass field, so eq, hash and
+        # repr ignore it.
         object.__setattr__(self, "_coefficient_cache", {})
 
     def require_valid(self, m: int, n: int) -> None:
@@ -279,32 +274,24 @@ class ArbitrageFreeContract(ContractFunction):
             q*k*(c*sum(T**2) - 2*sum(T * S)) + (2*q*k*m - p)*D*S[j]
             - c*(2*q*k**2 - p)*D*T[j].
 
-        Returns (q * k * D**2, q * k, (2*q*k*m - p) * D, (2*q*k**2 - p) * D),
-        cached per (m, n, D); the shape is validated on each cache miss.
+        Returns (q * k * D**2, q * k, (2*q*k*m - p) * D, (2*q*k**2 - p) * D).
+        The three that do not depend on D are cached per (m, n); the shape
+        is validated on each cache miss.
         """
         m, n = profile.m, profile.n
-        scale = profile.scaled[0]
         cache = self._coefficient_cache
-        key = (m, n, scale)
-        coefficients = cache.get(key)
-        if coefficients is not None:
-            return coefficients
-        if m < 2:
-            raise ValueError(f"need at least 2 experts, got m={m}")
-        self.require_valid(m, n)
-        k = m - 1
-        p, q = self.alpha.numerator, self.alpha.denominator
-        qk = q * k
-        coefficients = (
-            qk * scale * scale,
-            qk,
-            (2 * qk * m - p) * scale,
-            (2 * qk * k - p) * scale,
-        )
-        if len(cache) >= _COEFFICIENT_CACHE_SIZE:
-            cache.clear()
-        cache[key] = coefficients
-        return coefficients
+        coefficients = cache.get((m, n))
+        if coefficients is None:
+            if m < 2:
+                raise ValueError(f"need at least 2 experts, got m={m}")
+            self.require_valid(m, n)
+            k = m - 1
+            p, q = self.alpha.numerator, self.alpha.denominator
+            qk = q * k
+            coefficients = cache[m, n] = (qk, 2 * qk * m - p, 2 * qk * k - p)
+        qk, a_coef, t_coef = coefficients
+        scale = profile.scaled[0]
+        return qk * scale * scale, qk, a_coef * scale, t_coef * scale
 
     def evaluate(self, profile: ReportProfile, j: int) -> tuple:
         _check_eval_args(profile, j)

@@ -28,8 +28,8 @@ from .simplex import (
     ReportProfile,
     _as_fraction,
     _DigitLimitError,
-    _DIGITS_BOUND,
     _MAX_DIGITS,
+    _printable,
 )
 
 __all__ = [
@@ -105,6 +105,11 @@ def _parse_rows(rows: Sequence[Sequence], n: Optional[int]) -> ReportProfile:
             raise InputError(f"row {r} has fewer than 2 outcomes")
         total = sum(weights)
         if total != 1:
+            if not _printable(total):
+                raise InputError(
+                    f"row {r} does not sum to 1 (its sum has more than "
+                    f"{_MAX_DIGITS} digits)"
+                )
             raise InputError(f"row {r} sums to {total}, not 1")
         dists.append(Distribution(tuple(weights)))
     lengths = {d.n for d in dists}
@@ -193,7 +198,7 @@ def profile_to_obj(profile: ReportProfile) -> dict:
 def fraction_str(value) -> str:
     """Exact text like "2/5"; ``InputError`` past the int-to-text limit."""
     value = Fraction(value)
-    if max(value.denominator, abs(value.numerator)) >= _DIGITS_BOUND:
+    if not _printable(value):
         raise InputError(f"a result is too long to print: over {_MAX_DIGITS} digits")
     return str(value)
 

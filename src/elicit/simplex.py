@@ -96,6 +96,11 @@ _MAX_DIGITS = 4300
 _DIGITS_BOUND = 10**_MAX_DIGITS
 
 
+def _printable(value: Fraction) -> bool:
+    """Whether the int-to-text limit lets ``str(value)`` print a Fraction."""
+    return max(value.denominator, abs(value.numerator)) < _DIGITS_BOUND
+
+
 class _DigitLimitError(ValueError):
     """A rational too long to print."""
 
@@ -132,9 +137,7 @@ def _as_fraction(value) -> Fraction:
                 value, f"its exponent exceeds {_MAX_DIGITS} in magnitude"
             )
     result = Fraction(value)
-    if result.denominator >= _DIGITS_BOUND or (
-        abs(result.numerator) >= _DIGITS_BOUND
-    ):
+    if not _printable(result):
         raise _DigitLimitError(
             value,
             f"its numerator or denominator has more than {_MAX_DIGITS} digits",
@@ -185,7 +188,13 @@ class Distribution:
         counts = tuple([p * (scale // d) for p, d in ratios])
         total = sum(counts)
         if total != scale:
-            raise ValueError(f"weights sum to {Fraction(total, scale)}, not 1")
+            total = Fraction(total, scale)
+            if not _printable(total):
+                raise ValueError(
+                    f"weights do not sum to 1 (their sum has more than "
+                    f"{_MAX_DIGITS} digits)"
+                )
+            raise ValueError(f"weights sum to {total}, not 1")
         object.__setattr__(
             self, "scaled", (scale, counts, sum([c * c for c in counts]))
         )

@@ -10,17 +10,14 @@ payment; the reports verify that the residual has exactly zero spread over
 sampled profiles.  Constants are always recovered by evaluation, never
 hardcoded, since only their constancy matters.
 
-The residuals are computed on integers.  The payment comes from the
-contract's own ``evaluate``; the structured part is built independently
-of the contract's kernel, from the integer rows of ``profile.scaled`` (D,
-and the counts A, whose column sums are the totals T) and the threshold
-d = dn / dd.  Scaled by D**2 * dd**2 the structured part is an integer,
-so a residual costs one ``Fraction``, built when it is returned.  The
-payment row is evaluated once per (profile, outcome) and shared across
-experts: the residuals keep the last (profile, outcome, alpha, rewrite)
-they met, with its ``evaluate`` row, T and d, so a report that walks
-every expert of one profile and outcome, as the identity reports do,
-evaluates the contract once, not once per expert.  The tests check both
+The residuals are computed on integers, one outcome of one profile per
+call: each call evaluates the contract's payment row once, with its own
+``evaluate``, and returns the residual of every expert on that outcome.
+The structured part is built independently of the contract's kernel,
+from the integer rows of ``profile.scaled`` (D, and the counts A, whose
+column sums are the totals T) and the threshold d = dn / dd.  Scaled by
+D**2 * dd**2 the structured part is an integer, so each expert's residual
+costs one ``Fraction``, built when it is returned.  The tests check both
 residuals against the plain ``Fraction`` rewrites.
 
 The same threshold parameter drives a monotonicity law for the coalition
@@ -83,107 +80,82 @@ class IdentityReport:
 
 
 def two_outcome_form_residual(
-    profile: ReportProfile, i: int, j: int, alpha
-) -> Fraction:
-    """Payment minus its two-outcome product rewrite; constant in (P, i, j).
+    profile: ReportProfile, j: int, alpha
+) -> tuple[Fraction, ...]:
+    """Every expert's payment on outcome j minus its two-outcome rewrite.
 
-    With t the all-expert probability sum on outcome j, p the expert's own
-    probability on j, and d the two-outcome threshold, the structured part
-    is 2 * (t - d - 1) * (t - 2p - d + 1).
+    Entry i is constant in (P, i, j).  With t the all-expert probability
+    sum on outcome j, p expert i's own probability on j, and d the
+    two-outcome threshold, the structured part is
+    2 * (t - d - 1) * (t - 2p - d + 1).
     """
     if profile.n != 2:
         raise ValueError(
             f"two-outcome rewrite needs n=2, got n={profile.n}"
         )
-    return _form_residual(profile, i, j, alpha, two_outcome=True)
+    return _residual_row(profile, j, alpha, two_outcome=True)
 
 
 def general_form_residual(
-    profile: ReportProfile, i: int, j: int, alpha
-) -> Fraction:
-    """Payment minus its general-n rewrite; constant in (P, i, j).
+    profile: ReportProfile, j: int, alpha
+) -> tuple[Fraction, ...]:
+    """Every expert's payment on outcome j minus its general-n rewrite.
 
-    The structured part is (t_j - d - 1) * (t_j - 2p_j - d + 1) plus, for
-    every other outcome l, t_l * (t_l - 2p_l), where t is the all-expert
-    sum vector, p the expert's own report, and d the general threshold.
+    Entry i is constant in (P, i, j).  The structured part is
+    (t_j - d - 1) * (t_j - 2p_j - d + 1) plus, for every other outcome l,
+    t_l * (t_l - 2p_l), where t is the all-expert sum vector, p expert i's
+    own report, and d the general threshold.
     """
-    return _form_residual(profile, i, j, alpha, two_outcome=False)
+    return _residual_row(profile, j, alpha, two_outcome=False)
 
 
-# The last (profile, j, alpha, two_outcome) the residuals met and its
-# shared part (row, T, dn, dd).  The key is compared by identity, so a hit
-# means the very objects that built the entry; it is replaced whole, so a
-# reader sees either the old entry or the new one.
-_last_row = None
+def _residual_row(
+    profile: ReportProfile, j: int, alpha, two_outcome: bool
+) -> tuple[Fraction, ...]:
+    """The payment row on outcome j minus its rewrite, one Fraction each.
 
-
-def _shared_row(profile: ReportProfile, j: int, alpha, two_outcome: bool):
-    """The contract's payment row, T and d for one (profile, outcome).
-
-    Returns (row, T, dn, dd): row = the permissive contract's
-    ``evaluate(profile, j)``, T the column sums of ``profile.scaled`` and
-    d = dn / dd the rewrite's threshold.  The last entry is kept, so the m
-    experts of one profile and outcome share one evaluation.
+    With D, A = profile.scaled, T the column sums of A and d = dn / dd,
+    expert i's structured part times D**2 * dd**2 is the integer X * Y,
+    where X = T_j*dd - dn*D - D*dd and Y = (T_j - 2*A_i[j])*dd - dn*D + D*dd;
+    the two-outcome rewrite doubles it, and the general one adds
+    dd**2 * T_l * (T_l - 2*A_i[l]) for every other outcome l.  The
+    payments are the permissive contract's ``evaluate(profile, j)``.
     """
-    global _last_row
-    last = _last_row
-    if (
-        last is not None
-        and last[0] is profile
-        and last[1] is j
-        and last[2] is alpha
-        and last[3] is two_outcome
-    ):
-        return last[4]
     # The rewrites are pure algebra and hold for every alpha, including
     # the arbitrage-prone band, so evaluation is always permissive here.
     contract = ArbitrageFreeContract(alpha, permissive=True)
     row = contract.evaluate(profile, j)
     threshold = threshold_two_outcome if two_outcome else threshold_general
     d = threshold(profile.m, contract.alpha)
-    totals = tuple([sum(column) for column in zip(*profile.scaled[1])])
-    shared = (row, totals, d.numerator, d.denominator)
-    _last_row = (profile, j, alpha, two_outcome, shared)
-    return shared
-
-
-def _form_residual(
-    profile: ReportProfile, i: int, j: int, alpha, two_outcome: bool
-) -> Fraction:
-    """The payment minus a product rewrite, with one Fraction at the end.
-
-    With D, A = profile.scaled, T the column sums of A and d = dn / dd,
-    the structured part times D**2 * dd**2 is the integer X * Y, where
-    X = T_j*dd - dn*D - D*dd and Y = (T_j - 2*A_i[j])*dd - dn*D + D*dd;
-    the two-outcome rewrite doubles it, and the general one adds
-    dd**2 * T_l * (T_l - 2*A_i[l]) for every other outcome l.  The
-    payment is entry i of the row ``_shared_row`` holds for (P, j).
-    """
-    if not 0 <= i < profile.m:
-        raise IndexError(f"expert {i} out of range for m={profile.m}")
-    row, totals, dn, dd = _shared_row(profile, j, alpha, two_outcome)
-    reward = row[i]
+    dn, dd = d.numerator, d.denominator
     scale, rows = profile.scaled
-    own = rows[i]
+    totals = [sum(column) for column in zip(*rows)]
     t = totals[j] * dd
     shift = dn * scale
     edge = scale * dd
-    structured = (t - shift - edge) * (t - 2 * own[j] * dd - shift + edge)
-    if two_outcome:
-        structured *= 2
-    else:
-        structured += dd * dd * sum(
-            [
-                x * (x - 2 * a)
-                for ell, (x, a) in enumerate(zip(totals, own))
-                if ell != j
-            ]
-        )
+    x = t - shift - edge
     denominator = edge * edge
-    return Fraction(
-        reward.numerator * denominator - structured * reward.denominator,
-        reward.denominator * denominator,
-    )
+    residuals = []
+    for reward, own in zip(row, rows):
+        structured = x * (t - 2 * own[j] * dd - shift + edge)
+        if two_outcome:
+            structured *= 2
+        else:
+            structured += dd * dd * sum(
+                [
+                    c * (c - 2 * a)
+                    for ell, (c, a) in enumerate(zip(totals, own))
+                    if ell != j
+                ]
+            )
+        residuals.append(
+            Fraction(
+                reward.numerator * denominator
+                - structured * reward.denominator,
+                reward.denominator * denominator,
+            )
+        )
+    return tuple(residuals)
 
 
 def _constancy_report(
@@ -196,15 +168,12 @@ def _constancy_report(
     count = 0
     for k, profile in enumerate(profiles):
         # Cycle the outcome across profiles; cover every expert each time.
-        j = k % profile.n
-        for i in range(profile.m):
-            r = residual(profile, i, j, alpha)
-            if first is None:
-                first = lo = hi = r
-            else:
-                lo = min(lo, r)
-                hi = max(hi, r)
-            count += 1
+        row = residual(profile, k % profile.n, alpha)
+        if first is None:
+            first = lo = hi = row[0]
+        lo = min(lo, *row)
+        hi = max(hi, *row)
+        count += len(row)
     if first is None:
         raise ValueError("need at least one profile")
     return IdentityReport(

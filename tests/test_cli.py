@@ -84,6 +84,12 @@ class TestScore:
         "first_row,message",
         [
             ('["49/100", "1/2"]', "row 1 sums to 99/100, not 1"),
+            # Each entry prints, but the row's sum has 8598 digits.
+            pytest.param(
+                f'["1/{10**4299 - 1}", "1/{10**4299 - 3}"]',
+                "row 1 does not sum to 1 (its sum has more than 4300 digits)",
+                id="row-sum-too-long-to-print",
+            ),
             ("[true, false]", "row 1 entry 1: cannot parse True as a rational"),
             # Refused before 10**10000000 is built.
             (

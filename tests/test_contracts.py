@@ -439,7 +439,7 @@ class TestGenericCoalitionTotals:
 
 
 class TestCoefficientCache:
-    """The alpha family's coefficients, cached per (m, n, D)."""
+    """The alpha family's coefficients, cached per (m, n)."""
 
     def test_band_is_still_checked_for_a_new_shape(self):
         contract = ArbitrageFreeContract(alpha=16)

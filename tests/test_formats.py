@@ -118,6 +118,13 @@ class TestParseProfileJson:
         text = '{"n": 2, "reports": [["49/100", "1/2"], ["1/2", "1/2"]]}'
         with pytest.raises(InputError, match=r"row 1 sums to 99/100"):
             parse_profile_json(text)
+        # Each entry prints, but the row's sum has 8598 digits.
+        long_sum = f"1/2,1/2; 1/{10**4299 - 1},1/{10**4299 - 3}"
+        with pytest.raises(InputError) as info:
+            parse_inline_profile(long_sum)
+        assert str(info.value) == (
+            "row 2 does not sum to 1 (its sum has more than 4300 digits)"
+        )
 
     def test_json_floats_are_refused(self):
         text = '{"n": 2, "reports": [[0.4, 0.6]]}'

@@ -84,6 +84,13 @@ class TestDistribution:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError, match="sum"):
             Distribution.of("1/2", "1/3")
+        # Each weight prints, but their sum's denominator has 8598 digits.
+        weights = (Fraction(1, 10**4299 - 1), Fraction(1, 10**4299 - 3))
+        with pytest.raises(ValueError) as info:
+            Distribution(weights)
+        assert str(info.value) == (
+            "weights do not sum to 1 (their sum has more than 4300 digits)"
+        )
 
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError, match="negative"):

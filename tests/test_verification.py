@@ -24,6 +24,7 @@ from elicit import (
     threshold_two_outcome,
     two_outcome_form_residual,
 )
+from elicit import verification
 from elicit.arbitrage import profile_with_coalition_sums
 from elicit.contracts import safe_cutoff
 from elicit.verification import (
@@ -51,31 +52,27 @@ class TestIdentityResiduals:
         self, p1, alpha, data
     ):
         p2 = data.draw(profiles(m=p1.m, n=2))
-        i1 = data.draw(st.integers(0, p1.m - 1))
-        i2 = data.draw(st.integers(0, p2.m - 1))
         j1 = data.draw(st.integers(0, 1))
         j2 = data.draw(st.integers(0, 1))
-        r1 = two_outcome_form_residual(p1, i1, j1, alpha)
-        r2 = two_outcome_form_residual(p2, i2, j2, alpha)
-        assert r1 == r2
+        r1 = two_outcome_form_residual(p1, j1, alpha)
+        r2 = two_outcome_form_residual(p2, j2, alpha)
+        assert r1 == r2 == (r1[0],) * p1.m
 
     @given(profiles(), alphas, st.data())
     def test_general_residual_depends_only_on_shape_and_alpha(
         self, p1, alpha, data
     ):
         p2 = data.draw(profiles(m=p1.m, n=p1.n))
-        i1 = data.draw(st.integers(0, p1.m - 1))
-        i2 = data.draw(st.integers(0, p2.m - 1))
         j1 = data.draw(st.integers(0, p1.n - 1))
         j2 = data.draw(st.integers(0, p2.n - 1))
-        assert general_form_residual(p1, i1, j1, alpha) == general_form_residual(
-            p2, i2, j2, alpha
-        )
+        r1 = general_form_residual(p1, j1, alpha)
+        r2 = general_form_residual(p2, j2, alpha)
+        assert r1 == r2 == (r1[0],) * p1.m
 
     def test_two_outcome_requires_n2(self):
         wide = ReportProfile.of(("1/3", "1/3", "1/3"), ("1/3", "1/3", "1/3"))
         with pytest.raises(ValueError):
-            two_outcome_form_residual(wide, 0, 0, Fraction(1))
+            two_outcome_form_residual(wide, 0, Fraction(1))
 
     @given(st.lists(profiles(m=3, n=2), min_size=2, max_size=6), alphas)
     def test_report_builders_find_zero_spread(self, batch, alpha):
@@ -89,8 +86,8 @@ class TestIdentityResiduals:
         batch = [BOUNDARY]
         report = two_outcome_identity_report(batch, Fraction(0))
         assert report.constant == two_outcome_form_residual(
-            BOUNDARY, 0, 0, Fraction(0)
-        )
+            BOUNDARY, 0, Fraction(0)
+        )[0]
 
 
 @st.composite
@@ -111,6 +108,14 @@ def banded_alphas(draw, m: int, n: int):
     return Fraction(num, den)
 
 
+def plain_residual_row(profile, j, alpha, two_outcome):
+    """Every expert's plain-Fraction residual on outcome j."""
+    return tuple(
+        plain_form_residual(profile, i, j, alpha, two_outcome)
+        for i in range(profile.m)
+    )
+
+
 def plain_identity_report(profiles, alpha, two_outcome):
     """(constant, max_spread, samples) over the plain-Fraction residuals."""
     residuals = [
@@ -127,19 +132,17 @@ class TestIntegerRewrites:
     @given(fine_profiles(max_m=6, max_n=5), st.data())
     def test_general_residual_matches_oracle(self, profile, data):
         alpha = data.draw(banded_alphas(profile.m, profile.n))
-        i = data.draw(st.integers(0, profile.m - 1))
         j = data.draw(st.integers(0, profile.n - 1))
-        assert general_form_residual(profile, i, j, alpha) == (
-            plain_form_residual(profile, i, j, alpha, two_outcome=False)
+        assert general_form_residual(profile, j, alpha) == (
+            plain_residual_row(profile, j, alpha, two_outcome=False)
         )
 
     @given(fine_profiles(max_m=6, n=2), st.data())
     def test_two_outcome_residual_matches_oracle(self, profile, data):
         alpha = data.draw(banded_alphas(profile.m, 2))
-        i = data.draw(st.integers(0, profile.m - 1))
         j = data.draw(st.integers(0, 1))
-        assert two_outcome_form_residual(profile, i, j, alpha) == (
-            plain_form_residual(profile, i, j, alpha, two_outcome=True)
+        assert two_outcome_form_residual(profile, j, alpha) == (
+            plain_residual_row(profile, j, alpha, two_outcome=True)
         )
 
     @given(st.integers(2, 6), st.integers(2, 5), st.data())
@@ -166,7 +169,7 @@ def residual_calls(draw):
     """Calls (profile, alpha, j, two_outcome) on two profiles of any shape.
 
     The sequence opens with A, B, A on one outcome and then A on another,
-    so a residual read from a stale shared row would show; the rest mixes
+    so a residual read from another call's row would show; the rest mixes
     A, B, an equal copy of A, and two alphas, one of them an equal but
     distinct object half of the time.
     """
@@ -196,17 +199,18 @@ def residual_calls(draw):
 
 
 class TestSharedRow:
-    """The residuals share one payment row per (profile, outcome)."""
+    """One payment row per (profile, outcome) serves all m residuals."""
 
     @given(residual_calls())
     def test_interleaved_calls_match_a_fresh_recomputation(self, calls):
         for profile, alpha, j, two in calls:
-            for i in range(profile.m):
-                fresh = ArbitrageFreeContract(alpha, permissive=True)
-                want = fresh.evaluate(profile, j)[i] - plain_structured(
-                    profile, i, j, alpha, two
-                )
-                assert RESIDUALS[two](profile, i, j, alpha) == want
+            fresh = ArbitrageFreeContract(alpha, permissive=True)
+            row = fresh.evaluate(profile, j)
+            want = tuple(
+                row[i] - plain_structured(profile, i, j, alpha, two)
+                for i in range(profile.m)
+            )
+            assert RESIDUALS[two](profile, j, alpha) == want
 
     def test_report_evaluates_each_profile_and_outcome_once(self, monkeypatch):
         calls = []
@@ -225,39 +229,63 @@ class TestSharedRow:
         assert report.passed and report.samples == 6
         assert calls == [(batch[0], 0), (batch[1], 1)]
 
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (general_identity_report, "general_form_residual"),
+            (two_outcome_identity_report, "two_outcome_form_residual"),
+        ],
+    )
+    def test_report_calls_its_residual_once_per_profile(
+        self, monkeypatch, build, name
+    ):
+        # The report must reach the residual through the module global.
+        calls = []
+        residual = getattr(verification, name)
+
+        def counting(profile, j, alpha):
+            calls.append((profile, j))
+            return residual(profile, j, alpha)
+
+        monkeypatch.setattr(verification, name, counting)
+        batch = [
+            ReportProfile.of(("1/2", "1/2"), ("1/3", "2/3"), ("1/4", "3/4")),
+            ReportProfile.of(("1/5", "4/5"), ("1", "0"), ("2/7", "5/7")),
+            ReportProfile.of(("1/6", "5/6"), ("3/8", "5/8"), ("0", "1")),
+        ]
+        report = build(batch, Fraction(-1))
+        assert report.passed and report.samples == 9
+        assert calls == [(batch[0], 0), (batch[1], 1), (batch[2], 0)]
+
     @given(profiles(n=2), alphas, st.integers(0, 1))
     def test_the_two_rewrites_keep_their_own_rows(self, profile, alpha, j):
         # Alternating rewrites on one (profile, outcome, alpha): each must
         # use its own threshold.
-        for i in range(profile.m):
-            for two in (False, True, False):
-                assert RESIDUALS[two](profile, i, j, alpha) == (
-                    plain_form_residual(profile, i, j, alpha, two)
-                )
+        for two in (False, True, False):
+            assert RESIDUALS[two](profile, j, alpha) == (
+                plain_residual_row(profile, j, alpha, two)
+            )
 
     def test_float_alpha_still_refused_after_an_equal_fraction(self):
-        general_form_residual(BOUNDARY, 0, 0, Fraction(1))
+        general_form_residual(BOUNDARY, 0, Fraction(1))
         with pytest.raises(TypeError, match="float"):
-            general_form_residual(BOUNDARY, 1, 0, 1.0)
-        two_outcome_form_residual(BOUNDARY, 0, 1, Fraction(8))
+            general_form_residual(BOUNDARY, 0, 1.0)
+        two_outcome_form_residual(BOUNDARY, 1, Fraction(8))
         with pytest.raises(TypeError, match="float"):
-            two_outcome_form_residual(BOUNDARY, 1, 1, 8.0)
+            two_outcome_form_residual(BOUNDARY, 1, 8.0)
 
     @pytest.mark.parametrize("residual", list(RESIDUALS.values()))
     def test_odd_outcome_indices_behave_as_before(self, residual):
         alpha = Fraction(5, 3)
         two = residual is two_outcome_form_residual
-        for i in range(BOUNDARY.m):
-            expected = plain_form_residual(BOUNDARY, i, 1, alpha, two)
-            residual(BOUNDARY, i, 1, alpha)
-            assert residual(BOUNDARY, i, True, alpha) == expected
-            residual(BOUNDARY, i, 0, alpha)
-            assert residual(BOUNDARY, i, True, alpha) == expected
-            for j in (-1, BOUNDARY.n):
-                with pytest.raises(IndexError, match="out of range"):
-                    residual(BOUNDARY, i, j, alpha)
-        with pytest.raises(IndexError, match="expert 3 out of range"):
-            residual(BOUNDARY, BOUNDARY.m, 0, alpha)
+        expected = plain_residual_row(BOUNDARY, 1, alpha, two)
+        residual(BOUNDARY, 1, alpha)
+        assert residual(BOUNDARY, True, alpha) == expected
+        residual(BOUNDARY, 0, alpha)
+        assert residual(BOUNDARY, True, alpha) == expected
+        for j in (-1, BOUNDARY.n):
+            with pytest.raises(IndexError, match="out of range"):
+                residual(BOUNDARY, j, alpha)
 
 
 class TestCoalitionPolynomial:
