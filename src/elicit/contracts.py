@@ -33,9 +33,14 @@ all: as the paper's construction says, they depend only on two integer
 column-sum vectors, T over all experts and S over the members.  Each
 payment becomes a ``Fraction`` once, at the boundary.  The
 alpha-dependent coefficients are cached on the contract per (m, n) and
-scaled by D on each call; the band is checked once per (m, n).  The
-tests keep the plain ``Fraction`` formula as an oracle and check the
-kernel against it.
+scaled by D on each call; the band is checked once per (m, n).
+
+Other exact contracts, such as independent scoring, sum their members'
+payments on integers too (``_member_sums``): numerators are added over a
+running common denominator, and each total becomes one ``Fraction``.
+Inexact contracts, such as the log rule's, keep a float sum.  The tests
+keep the plain ``Fraction`` formulas and sums as oracles and check the
+integer paths against them.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from numbers import Rational
 
 from .scoring import ScoringRule, _expectation, quadratic_score
@@ -203,7 +209,9 @@ class InducedExpertRule(ScoringRule):
     """Quadratic score plus outcome-dependent offsets fixed by the others.
 
     Strictly proper for any offsets: adding a constant per outcome never
-    changes which report maximizes expected score.
+    changes which report maximizes expected score.  The score is built as
+    one ``Fraction`` from the integers of the quadratic score and the
+    offset, which may be a ``Fraction`` or an int.
     """
 
     offsets: tuple[Fraction, ...]
@@ -214,7 +222,13 @@ class InducedExpertRule(ScoringRule):
                 f"report has {report.n} outcomes, offsets cover "
                 f"{len(self.offsets)}"
             )
-        return quadratic_score(report, j) + self.offsets[j]
+        s = quadratic_score(report, j)
+        offset = self.offsets[j]
+        q = offset.denominator
+        return Fraction(
+            s.numerator * q + offset.numerator * s.denominator,
+            s.denominator * q,
+        )
 
 
 @dataclass(frozen=True)
@@ -342,7 +356,9 @@ def coalition_totals(
     (all experts) and S (the members) of ``profile.scaled`` alone, as
     ``ArbitrageFreeContract._coefficients`` derives; the per-expert sums
     of ``ReportProfile.scaled_totals`` are not needed.  Other contracts
-    sum the members' ``evaluate`` payments.
+    sum the members' ``evaluate`` payments: on integers, with one
+    ``Fraction`` per outcome (``_member_sums``), when the contract is
+    exact, and as floats otherwise, where two -inf payments sum to -inf.
     """
     coalition.validate_for(profile.m)
     if isinstance(contract, ArbitrageFreeContract):
@@ -362,9 +378,41 @@ def coalition_totals(
                 for s, t in zip(sums, totals)
             ]
         )
-    first, *rest = coalition.members
     rows = [contract.evaluate(profile, j) for j in range(profile.n)]
+    if contract.exact:
+        return _member_sums(rows, coalition.members)
+    first, *rest = coalition.members
     return tuple([sum([row[i] for i in rest], row[first]) for row in rows])
+
+
+def _member_sums(rows, members) -> tuple:
+    """Each exact payment row summed over the members, one Fraction a row.
+
+    The members' numerators are added over a running common denominator,
+    starting from the first member's: an equal denominator adds the
+    numerator, one that divides the running denominator adds it scaled,
+    and any other grows the running denominator to their lcm.  So a row
+    costs integer operations and one ``Fraction``, however many members
+    it sums.  Entries may be ``Fraction``s or ints.
+    """
+    first, *rest = members
+    totals = []
+    for row in rows:
+        v = row[first]
+        num, den = v.numerator, v.denominator
+        for i in rest:
+            v = row[i]
+            p, q = v.numerator, v.denominator
+            if q == den:
+                num += p
+            elif den % q == 0:
+                num += p * (den // q)
+            else:
+                g = gcd(den, q)
+                num = num * (q // g) + p * (den // g)
+                den = den // g * q
+        totals.append(Fraction(num, den))
+    return tuple(totals)
 
 
 def expected_reward(

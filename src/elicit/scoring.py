@@ -13,7 +13,9 @@ weights once as integer counts c over the lcm D of their denominators
 a score is (2*D*c_j - sum(c**2)) / D**2.  The report also caches its n
 scores (``Distribution.quadratic_scores``), built on first use, so scoring
 a report again costs a range check and a tuple lookup and builds no
-``Fraction``.
+``Fraction``.  An exact expected score is summed on integers as well:
+the belief's counts times the scores' numerators, added over a running
+common denominator, make one ``Fraction`` per expectation.
 
 ``properness_probe`` gives an empirical check of properness over any finite
 candidate set of reports, used by the verification suites rather than a
@@ -129,14 +131,37 @@ def _expectation(
     ``contracts.expected_reward`` and the member gains of an expected
     arbitrage certificate.  value(j) is never asked for an outcome of
     zero belief, so 0 * inf never arises; a float -inf value makes the
-    expectation -inf.  An exact sum starts from Fraction(0), else 0.0.
+    expectation -inf.
+
+    An exact expectation is summed on integers.  With the belief's counts
+    c over D (``Distribution.scaled``) it is sum(c_j * v_j) / D: each
+    value's numerator, times c_j, is added over a running common
+    denominator of the values, and the result is one ``Fraction``.
+    Values may be ``Fraction``s or ints.  An inexact sum starts from 0.0.
     """
-    total = Fraction(0) if exact else 0.0
+    if exact:
+        scale, counts, _ = belief.scaled
+        num, den = 0, 1
+        for j, c in enumerate(counts):
+            if c == 0:
+                continue
+            v = value(j)
+            p, q = c * v.numerator, v.denominator
+            if q == den:
+                num += p
+            elif den % q == 0:
+                num += p * (den // q)
+            else:
+                g = math.gcd(den, q)
+                num = num * (q // g) + p * (den // g)
+                den = den // g * q
+        return Fraction(num, den * scale)
+    total = 0.0
     for j, q in enumerate(belief.weights):
         if q == 0:
             continue
         v = value(j)
-        if not exact and v == float("-inf"):
+        if v == float("-inf"):
             return float("-inf")
         total += q * v
     return total

@@ -181,6 +181,11 @@ class Distribution:
             else:
                 p, d = w.numerator, w.denominator
             if p < 0:
+                if not _printable(w):
+                    raise ValueError(
+                        f"negative weight (it has more than {_MAX_DIGITS} "
+                        f"digits)"
+                    )
                 raise ValueError(f"negative weight {w}")
             if scale % d:
                 scale = lcm(scale, d)

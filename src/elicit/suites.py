@@ -43,6 +43,7 @@ from .arbitrage import (
 from .contracts import (  # noqa: F401
     ArbitrageFreeContract,
     IndependentScoring,
+    _member_sums,
     coalition_total,
     coalition_totals,
     expected_reward,
@@ -221,38 +222,6 @@ def _suite_identities(config: VerifyConfig) -> SuiteResult:
     return rec.result("identities")
 
 
-def _integer_rows(rewards) -> list[tuple[int, list[int]]]:
-    """Each payment row as (L, numerators) over L, the lcm of its denominators.
-
-    Built once per baseline, so a coalition's total on an outcome is one
-    integer sum and one ``Fraction`` (``_member_totals``) instead of a
-    ``Fraction`` addition per further member.
-    """
-    rows = []
-    for row in rewards:
-        scale = 1
-        for r in row:
-            if scale % r.denominator:
-                scale = math.lcm(scale, r.denominator)
-        rows.append(
-            (scale, [r.numerator * (scale // r.denominator) for r in row])
-        )
-    return rows
-
-
-def _member_totals(
-    rows: list[tuple[int, list[int]]], coalition: Coalition
-) -> tuple[Fraction, ...]:
-    """The coalition's summed payment per outcome, from ``_integer_rows``."""
-    members = coalition.members
-    return tuple(
-        [
-            Fraction(sum([numerators[i] for i in members]), scale)
-            for scale, numerators in rows
-        ]
-    )
-
-
 def _suite_freeness(config: VerifyConfig) -> SuiteResult:
     rec = _Recorder()
     # Exactly `trials` deviations per cell: the first trials % baselines
@@ -268,9 +237,7 @@ def _suite_freeness(config: VerifyConfig) -> SuiteResult:
         sizes = cycle(range(2, m + 1))
         for b in range(baselines):
             baseline = random_profile(rng, m, n)
-            rows = _integer_rows(
-                contract.evaluate(baseline, j) for j in range(n)
-            )
+            rows = [contract.evaluate(baseline, j) for j in range(n)]
             # The baseline's coalition totals, once per coalition.
             totals = {}
             for t in range(per_baseline + (b < extra)):
@@ -278,8 +245,8 @@ def _suite_freeness(config: VerifyConfig) -> SuiteResult:
                 deviation = random_deviation(rng, baseline, coalition)
                 before = totals.get(coalition)
                 if before is None:
-                    before = totals[coalition] = _member_totals(
-                        rows, coalition
+                    before = totals[coalition] = _member_sums(
+                        rows, coalition.members
                     )
                 cert = check_dominance(
                     contract, baseline, deviation, coalition, before

@@ -18,7 +18,10 @@ from the integer rows of ``profile.scaled`` (D, and the counts A, whose
 column sums are the totals T) and the threshold d = dn / dd.  Scaled by
 D**2 * dd**2 the structured part is an integer, so each expert's residual
 costs one ``Fraction``, built when it is returned.  The tests check both
-residuals against the plain ``Fraction`` rewrites.
+residuals against the plain ``Fraction`` rewrites.  A report tracks the
+smallest and largest residual with an equality test first: equal
+``Fraction``s compare by numerator and denominator alone, so only a
+residual that differs pays a cross-multiplied comparison.
 
 The same threshold parameter drives a monotonicity law for the coalition
 total and an explicit per-deviation witness: an outcome under which no
@@ -171,8 +174,14 @@ def _constancy_report(
         row = residual(profile, k % profile.n, alpha)
         if first is None:
             first = lo = hi = row[0]
-        lo = min(lo, *row)
-        hi = max(hi, *row)
+        for r in row:
+            # Equal Fractions compare by numerator and denominator alone;
+            # only a residual that differs pays an ordering comparison.
+            if r != lo and r != hi:
+                if r < lo:
+                    lo = r
+                elif r > hi:
+                    hi = r
         count += len(row)
     if first is None:
         raise ValueError("need at least one profile")

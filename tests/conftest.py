@@ -76,6 +76,36 @@ def fine_profiles(
     )
 
 
+# Exact payments, scores or deltas: ints, and fractions whose
+# denominators differ from draw to draw.
+exact_values = st.one_of(
+    st.integers(-1000, 1000),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+)
+
+
+@st.composite
+def int_weighted_distributions(draw, n: int | None = None, max_n: int = 4):
+    """A distribution whose integral weights (its zeros, or a vertex's 1)
+    are ints rather than Fractions."""
+    d = draw(
+        st.one_of(
+            distributions(n=n, max_n=max_n),
+            mixed_denominator_reports(n=n, max_n=max_n),
+        )
+    )
+    return Distribution(
+        tuple(int(w) if w.denominator == 1 else w for w in d.weights)
+    )
+
+
+def plain_expectation(belief: Distribution, values) -> Fraction:
+    """sum of belief[j] * values[j] over the outcomes the belief allows."""
+    return sum(
+        (w * v for w, v in zip(belief.weights, values) if w != 0), Fraction(0)
+    )
+
+
 @st.composite
 def profiles_with_coalitions(draw, max_m: int = 4, max_n: int = 3):
     profile = draw(profiles(max_m=max_m, max_n=max_n))

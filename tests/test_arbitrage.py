@@ -43,6 +43,9 @@ from elicit.arbitrage import (
 
 from conftest import (
     distributions,
+    exact_values,
+    int_weighted_distributions,
+    plain_expectation,
     plain_quadratic,
     plain_reward,
     profiles,
@@ -138,6 +141,28 @@ class TestExpectedArbitrage:
         assert cert.kind is CertificateKind.EXPECTED
         assert cert.deltas == (Fraction(39, 2), Fraction(-21, 2))
         assert cert.member_expected_gains() == (Fraction(9, 2),) * 3
+
+    @given(st.data())
+    def test_member_gains_equal_plain_fraction_sums(self, data):
+        first = data.draw(int_weighted_distributions())
+        reports = [first] + data.draw(
+            st.lists(
+                int_weighted_distributions(n=first.n), min_size=1, max_size=3
+            )
+        )
+        baseline = ReportProfile(tuple(reports))
+        members = data.draw(
+            st.lists(
+                st.integers(0, baseline.m - 1), min_size=1, unique=True
+            )
+        )
+        coalition = Coalition.of(members)
+        deltas = data.draw(st.tuples(*[exact_values] * baseline.n))
+        gains = arbitrage._member_gains(baseline, coalition, deltas, True)
+        assert gains == tuple(
+            plain_expectation(baseline.reports[i], deltas) for i in coalition
+        )
+        assert all(type(g) is Fraction for g in gains)
 
     def test_no_expected_gain_for_identical_reports(self):
         contract = ArbitrageFreeContract(alpha=16)

@@ -27,10 +27,20 @@ from elicit import (
     threshold_two_outcome,
     validate_alpha,
 )
-from elicit.contracts import InducedExpertRule
+from elicit.contracts import ContractFunction, InducedExpertRule, _member_sums
 from elicit.simplex import Coalition
 
-from conftest import distributions, fine_profiles, plain_reward, profiles
+from conftest import (
+    distributions,
+    exact_values,
+    fine_profiles,
+    int_weighted_distributions,
+    mixed_denominator_reports,
+    plain_expectation,
+    plain_quadratic,
+    plain_reward,
+    profiles,
+)
 
 ALL_HALF = ReportProfile.of(("1/2", "1/2"), ("1/2", "1/2"), ("1/2", "1/2"))
 
@@ -499,6 +509,106 @@ class TestInducedExpertRule:
         assert rule.score(d, 0) == quadratic_score(d, 0) + 3
         assert rule.score(d, 1) == quadratic_score(d, 1) - Fraction(1, 2)
 
+    @given(st.data())
+    def test_score_equals_plain_fraction_sum(self, data):
+        report = data.draw(mixed_denominator_reports())
+        offsets = data.draw(st.tuples(*[exact_values] * report.n))
+        rule = InducedExpertRule(offsets=offsets)
+        for j in range(report.n):
+            score = rule.score(report, j)
+            assert score == plain_quadratic(report.weights, j) + offsets[j]
+            assert type(score) is Fraction
+
+
+@dataclasses.dataclass(frozen=True)
+class TableContract(ContractFunction):
+    """An exact contract paying table[j][i], whatever the reports."""
+
+    table: tuple
+
+    def evaluate(self, profile, j):
+        return self.table[j]
+
+
+@dataclasses.dataclass(frozen=True)
+class CountContract(ContractFunction):
+    """An exact contract paying ints: expert i's count on outcome j, less i."""
+
+    def evaluate(self, profile, j):
+        return tuple(
+            r.scaled[1][j] - i for i, r in enumerate(profile.reports)
+        )
+
+
+def plain_sum(values) -> Fraction:
+    return sum(values, Fraction(0))
+
+
+def draw_coalition(data, m: int) -> Coalition:
+    return Coalition.of(
+        data.draw(st.lists(st.integers(0, m - 1), min_size=1, unique=True))
+    )
+
+
+class TestMemberSums:
+    """Integer member sums against plain Fraction sums."""
+
+    def test_every_denominator_case(self):
+        # After 1/6: an equal denominator, two that divide 6 (3, and the
+        # int 2's 1), and 4, which shares only the factor 2 with 6.
+        row = (
+            Fraction(1, 6), Fraction(5, 6), Fraction(1, 3), 2, Fraction(-3, 4)
+        )
+        (total,) = _member_sums([row], range(5))
+        assert total == plain_sum(row) == Fraction(31, 12)
+        assert type(total) is Fraction
+
+    @given(st.data())
+    def test_equal_fraction_sums(self, data):
+        m = data.draw(st.integers(1, 6))
+        rows = data.draw(
+            st.lists(st.tuples(*[exact_values] * m), min_size=1, max_size=5)
+        )
+        members = draw_coalition(data, m).members
+        got = _member_sums(rows, members)
+        assert got == tuple(plain_sum(row[i] for i in members) for row in rows)
+        assert all(type(t) is Fraction for t in got)
+
+    @given(profiles(max_m=5), st.data())
+    def test_generic_totals_of_mixed_denominators(self, profile, data):
+        table = tuple(
+            data.draw(st.tuples(*[exact_values] * profile.m))
+            for _ in range(profile.n)
+        )
+        coalition = draw_coalition(data, profile.m)
+        got = coalition_totals(TableContract(table), profile, coalition)
+        assert got == tuple(
+            plain_sum(row[i] for i in coalition) for row in table
+        )
+        assert all(type(t) is Fraction for t in got)
+
+    @given(fine_profiles(), st.data())
+    def test_independent_quadratic_totals(self, profile, data):
+        contract = IndependentScoring(rule=QuadraticRule())
+        coalition = draw_coalition(data, profile.m)
+        got = coalition_totals(contract, profile, coalition)
+        weights = [r.weights for r in profile.reports]
+        assert got == tuple(
+            plain_sum(plain_quadratic(weights[i], j) for i in coalition)
+            for j in range(profile.n)
+        )
+        assert all(type(t) is Fraction for t in got)
+
+    @given(fine_profiles(), st.data())
+    def test_int_payments_sum_to_fractions(self, profile, data):
+        coalition = draw_coalition(data, profile.m)
+        got = coalition_totals(CountContract(), profile, coalition)
+        assert got == tuple(
+            sum(profile.reports[i].scaled[1][j] - i for i in coalition)
+            for j in range(profile.n)
+        )
+        assert all(type(t) is Fraction for t in got)
+
 
 class TestRewardHelpers:
     @given(profiles(max_m=3, max_n=3), alphas)
@@ -513,6 +623,20 @@ class TestRewardHelpers:
                 if belief[j] != 0
             )
             assert expectation == direct
+
+    @given(st.data())
+    def test_expected_reward_equals_plain_fraction_sum(self, data):
+        belief = data.draw(int_weighted_distributions())
+        profile = data.draw(profiles(n=belief.n))
+        table = tuple(
+            data.draw(st.tuples(*[exact_values] * profile.m))
+            for _ in range(profile.n)
+        )
+        contract = TableContract(table)
+        for i in range(profile.m):
+            got = expected_reward(contract, profile, i, belief)
+            assert got == plain_expectation(belief, [row[i] for row in table])
+            assert type(got) is Fraction
 
     def test_coalition_totals_sum_member_payments(self):
         contract = ArbitrageFreeContract(alpha=16)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -19,9 +20,30 @@ from elicit import (
     simplex_lattice,
     vertex,
 )
-from elicit.scoring import quadratic_score_float
+from elicit.scoring import ScoringRule, quadratic_score_float
 
-from conftest import distributions, mixed_denominator_reports, plain_quadratic
+from conftest import (
+    distributions,
+    exact_values,
+    int_weighted_distributions,
+    mixed_denominator_reports,
+    plain_expectation,
+    plain_quadratic,
+)
+
+
+@dataclasses.dataclass(frozen=True)
+class TableRule(ScoringRule):
+    """An exact rule scoring values[j] on outcome j, whatever the report.
+
+    A None value stands for an outcome that must never be scored.
+    """
+
+    values: tuple
+
+    def score(self, report, j):
+        assert self.values[j] is not None, f"outcome {j} was scored"
+        return self.values[j]
 
 
 class TestQuadraticScore:
@@ -119,6 +141,27 @@ class TestExpectedScore:
         assert truthful >= alternative
         if other != belief:
             assert truthful > alternative
+
+    @given(st.data())
+    def test_exact_sum_equals_plain_fraction_sum(self, data):
+        belief = data.draw(int_weighted_distributions())
+        values = tuple(
+            data.draw(exact_values) if w != 0 else None for w in belief.weights
+        )
+        got = expected_score(TableRule(values), belief, belief)
+        assert got == plain_expectation(belief, values)
+        assert type(got) is Fraction
+
+    @given(st.data())
+    def test_quadratic_expectation_on_mixed_denominators(self, data):
+        belief = data.draw(int_weighted_distributions(max_n=6))
+        report = data.draw(mixed_denominator_reports(n=belief.n))
+        got = expected_score(QuadraticRule(), report, belief)
+        assert got == plain_expectation(
+            belief,
+            [plain_quadratic(report.weights, j) for j in range(belief.n)],
+        )
+        assert type(got) is Fraction
 
     def test_zero_belief_terms_are_skipped_for_log(self):
         # ln(0) never enters when the belief rules the outcome out.

@@ -95,6 +95,18 @@ class TestDistribution:
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError, match="negative"):
             Distribution.of("3/2", "-1/2")
+        # The negative weight's denominator has 4301 digits.
+        w = Fraction(-1, 10**4300 + 1)
+        with pytest.raises(ValueError) as info:
+            Distribution((w, 1 - w))
+        assert str(info.value) == (
+            "negative weight (it has more than 4300 digits)"
+        )
+        # One digit fewer still prints.
+        w = Fraction(-1, 10**4299 + 1)
+        with pytest.raises(ValueError) as info:
+            Distribution((w, 1 - w))
+        assert str(info.value) == f"negative weight {w}"
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

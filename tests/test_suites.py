@@ -11,6 +11,7 @@ from elicit import suites
 from elicit.contracts import (
     AlphaRangeError,
     ArbitrageFreeContract,
+    _member_sums,
     coalition_totals,
     safe_cutoff,
     validate_alpha,
@@ -127,7 +128,7 @@ class TestFreenessBaselineTotals:
         prone = not validate_alpha(alpha, profile.m, profile.n).valid
         contract = ArbitrageFreeContract(alpha=alpha, permissive=prone)
         rewards = [contract.evaluate(profile, j) for j in range(profile.n)]
-        got = suites._member_totals(suites._integer_rows(rewards), coalition)
+        got = _member_sums(rewards, coalition.members)
         want = tuple(
             sum(contract.evaluate(profile, j)[i] for i in coalition)
             for j in range(profile.n)
@@ -135,9 +136,3 @@ class TestFreenessBaselineTotals:
         assert got == want
         assert all(type(t) is Fraction for t in got)
         assert got == coalition_totals(contract, profile, coalition)
-
-    def test_rows_hold_numerators_over_their_lcm(self):
-        rows = suites._integer_rows(
-            [(Fraction(1, 6), Fraction(-3, 4), Fraction(2)), (Fraction(0), Fraction(5))]
-        )
-        assert rows == [(12, [2, -9, 24]), (1, [0, 5])]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -256,6 +257,36 @@ class TestSharedRow:
         report = build(batch, Fraction(-1))
         assert report.passed and report.samples == 9
         assert calls == [(batch[0], 0), (batch[1], 1), (batch[2], 0)]
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (general_identity_report, "general_form_residual"),
+            (two_outcome_identity_report, "two_outcome_form_residual"),
+        ],
+    )
+    @given(data=st.data())
+    def test_report_of_rows_that_are_not_constant(self, build, name, data):
+        batch = data.draw(st.lists(profiles(n=2), min_size=1, max_size=6))
+        fractions = st.fractions(
+            min_value=-5, max_value=5, max_denominator=12
+        )
+        rows = [
+            data.draw(st.tuples(*[fractions] * profile.m)) for profile in batch
+        ]
+        calls = iter(rows)
+
+        def fake(profile, j, alpha):
+            return next(calls)
+
+        with mock.patch.object(verification, name, fake):
+            report = build(batch, Fraction(-1))
+        flat = [r for row in rows for r in row]
+        assert report.constant == flat[0]
+        assert report.max_spread == max(flat) - min(flat)
+        assert type(report.max_spread) is Fraction
+        assert report.samples == len(flat)
+        assert report.passed == (len(set(flat)) == 1)
 
     @given(profiles(n=2), alphas, st.integers(0, 1))
     def test_the_two_rewrites_keep_their_own_rows(self, profile, alpha, j):
