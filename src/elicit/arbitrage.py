@@ -66,9 +66,9 @@ __all__ = [
 # contracts never use it.
 NUMERIC_TOLERANCE = 1e-9
 
-# Largest grid search that runs, in deviations.  A million checks take a
-# minute or two on a small profile; larger grids are refused up front
-# instead of hanging.
+# Largest grid that runs: deviations per search, lattice reports per
+# properness probe.  A million checks take a minute or two on a small
+# profile; larger grids are refused up front instead of hanging.
 MAX_GRID_DEVIATIONS = 10**6
 
 
@@ -374,26 +374,6 @@ def profile_with_coalition_sums(
     return profile.replace({i: share for i in coalition})
 
 
-def _sqrt_sum_vs_one(a: Fraction, b: Fraction) -> int:
-    """Sign of sqrt(a) + sqrt(b) - 1 for nonnegative rationals, exactly.
-
-    Square twice: sqrt(a) + sqrt(b) ? 1 reduces to 2*sqrt(a*b) ? 1 - a - b,
-    and when the right side is nonnegative, to 4ab ? (1 - a - b)**2.
-    """
-    if a < 0 or b < 0:
-        raise ValueError("radicands must be nonnegative")
-    rhs = 1 - a - b
-    if rhs < 0:
-        return 1
-    lhs = 4 * a * b
-    rhs2 = rhs * rhs
-    if lhs > rhs2:
-        return 1
-    if lhs == rhs2:
-        return 0
-    return -1
-
-
 @dataclass(frozen=True)
 class SqrtExpr:
     """Exact algebraic value offset + coeff * sqrt(radicand).
@@ -415,42 +395,28 @@ class SqrtExpr:
         return float(self.offset) + float(self.coeff) * float(self.radicand) ** 0.5
 
     def compare_to(self, other) -> int:
-        """Sign of (self - other) for rational other, computed exactly."""
+        """Sign of (self - other) for rational other, computed exactly.
+
+        With t = other - offset: when coeff * sqrt(radicand) and t differ
+        in sign, their signs decide; when they share sign s, the result is
+        s times the sign of coeff**2 * radicand - t**2.
+        """
         t = _as_fraction(other) - self.offset
-        if self.coeff == 0 or self.radicand == 0:
-            rest = Fraction(0)
-            return (rest > t) - (rest < t)
-        # coeff * sqrt(radicand) ? t
-        if self.coeff > 0:
-            if t < 0:
-                return 1
-            lhs = self.coeff**2 * self.radicand
-            t2 = t * t
-            return (lhs > t2) - (lhs < t2)
-        if t > 0:
-            return -1
-        lhs = self.coeff**2 * self.radicand
-        t2 = t * t
-        # more negative coeff*sqrt means smaller value
-        return (t2 > lhs) - (t2 < lhs)
+        s = (self.coeff > 0) - (self.coeff < 0) if self.radicand else 0
+        u = (t > 0) - (t < 0)
+        if s != u:
+            return (s > u) - (s < u)
+        d = self.coeff**2 * self.radicand - t * t
+        return s * ((d > 0) - (d < 0))
 
     def __str__(self) -> str:
         if self.coeff == 0 or self.radicand == 0:
             return str(self.offset)
-        root = f"sqrt({self.radicand})"
-        if self.offset == 0:
-            lead = ""
-        else:
-            lead = f"{self.offset} "
-        if self.coeff == 1:
-            return f"{lead}+ {root}" if lead else root
-        if self.coeff == -1:
-            return f"{lead}- {root}" if lead else f"-{root}"
-        sign = "+" if self.coeff > 0 else "-"
         mag = abs(self.coeff)
-        if lead:
-            return f"{lead}{sign} {mag}*{root}"
-        return f"{'-' if sign == '-' else ''}{mag}*{root}"
+        term = ("" if mag == 1 else f"{mag}*") + f"sqrt({self.radicand})"
+        if self.offset == 0:
+            return ("-" if self.coeff < 0 else "") + term
+        return f"{self.offset} {'-' if self.coeff < 0 else '+'} {term}"
 
 
 @dataclass(frozen=True)
@@ -458,9 +424,9 @@ class ArbitrageInterval:
     """Closed interval of uniform coalition reports that dominate baseline.
 
     ``outcome`` names which outcome's probability the interval describes.
-    Empty means no uniform report gives a strict gain anywhere (including
-    the degenerate single-point case, where the deviation merely matches
-    the baseline totals).
+    Empty means no uniform report gives a strict gain anywhere: the
+    members agree, and the single point of their shared report merely
+    matches the baseline totals.
     """
 
     outcome: int
@@ -470,10 +436,9 @@ class ArbitrageInterval:
 
     def contains(self, x) -> bool:
         """Exact membership test for a rational probability x."""
-        if self.empty:
-            return False
-        x = _as_fraction(x)
-        return self.lower.compare_to(x) <= 0 <= self.upper.compare_to(x)
+        return not self.empty and (
+            self.lower.compare_to(x) <= 0 <= self.upper.compare_to(x)
+        )
 
 
 def uniform_report_arbitrage_interval(
@@ -489,8 +454,16 @@ def uniform_report_arbitrage_interval(
         x <= sqrt((c - T_other) / 2c),
 
     both radicands lying in [0, 1] because per-expert scores lie in
-    [-1, 1].  The interval is empty when lower >= upper: at lower == upper
-    both constraints are tight, so no outcome strictly improves.
+    [-1, 1].
+
+    The interval is empty exactly when every member reports the same
+    distribution.  A shared report x on j scores 1 - 2(1 - x)**2 under j
+    and 1 - 2x**2 under the other outcome, both strictly concave in x, so
+    the members' mean report meets both weak constraints, strictly unless
+    all members agree.  Hence lower <= mean <= upper always, and
+    lower < upper exactly when some members disagree.  When all agree,
+    lower == upper is their shared report, where both constraints are
+    tight and no outcome strictly improves.
     """
     if profile.n != 2:
         raise ValueError(
@@ -508,12 +481,9 @@ def uniform_report_arbitrage_interval(
     totals = coalition_totals(
         IndependentScoring(rule=QuadraticRule()), profile, coalition
     )
-    rad_lower = Fraction(c - totals[j], 2 * c)
-    rad_upper = Fraction(c - totals[1 - j], 2 * c)
-    lower = SqrtExpr(offset=Fraction(1), coeff=Fraction(-1), radicand=rad_lower)
-    upper = SqrtExpr(offset=Fraction(0), coeff=Fraction(1), radicand=rad_upper)
-    # lower < upper  iff  sqrt(rad_lower) + sqrt(rad_upper) > 1
-    empty = _sqrt_sum_vs_one(rad_lower, rad_upper) <= 0
+    lower = SqrtExpr(Fraction(1), Fraction(-1), Fraction(c - totals[j], 2 * c))
+    upper = SqrtExpr(Fraction(0), Fraction(1), Fraction(c - totals[1 - j], 2 * c))
+    empty = len({profile.reports[i] for i in coalition}) == 1
     return ArbitrageInterval(outcome=j, lower=lower, upper=upper, empty=empty)
 
 

@@ -31,6 +31,7 @@ from itertools import cycle
 from typing import Callable, Iterator, Optional, Sequence
 
 from .arbitrage import (
+    MAX_GRID_DEVIATIONS,
     GridSearch,
     RandomSearch,
     check_dominance,
@@ -89,8 +90,11 @@ class VerifyConfig:
     dominance-style suites is (-1, -10, cutoff, cutoff + 5) with cutoff
     the shape-dependent lower bound of the large-alpha safe band.
     ``m_max`` and ``n_max`` must be at least 2, every budget at least 1,
-    and ``grid`` at least min(3, n_max): properness draws beliefs over up
-    to that many outcomes inside [1/grid, 1 - 1/grid].
+    and ``grid`` at least k = min(3, n_max): properness draws beliefs over
+    up to k outcomes inside [1/grid, 1 - 1/grid].  Each probe lists all
+    C(grid + k - 1, k - 1) lattice reports, so a grid whose lattice holds
+    more than ``MAX_GRID_DEVIATIONS`` reports is refused, as ``search``
+    refuses such a grid; with n_max >= 3 the first refused grid is 1413.
     """
 
     m_max: int = 5
@@ -112,11 +116,19 @@ class VerifyConfig:
                 raise ValueError(
                     f"{name} must be >= {low}, got {getattr(self, name)}"
                 )
-        if self.grid < min(3, self.n_max):
+        k = min(3, self.n_max)
+        if self.grid < k:
             raise ValueError(
                 f"grid must be >= 3 when n_max >= 3, got {self.grid}: "
                 f"properness draws 3-outcome beliefs inside "
                 f"[1/grid, 1 - 1/grid]"
+            )
+        reports = math.comb(self.grid + k - 1, k - 1)
+        if reports > MAX_GRID_DEVIATIONS:
+            raise ValueError(
+                f"grid {self.grid} would have each {k}-outcome properness "
+                f"probe list {reports} lattice reports, more than the limit "
+                f"of {MAX_GRID_DEVIATIONS}; use a coarser grid"
             )
 
 
@@ -142,9 +154,14 @@ class _Recorder:
         self.details: dict = {}
         self._dropped = 0
 
-    def fail(self, message: str) -> None:
+    def fail(self, message: str, counterexample: Optional[dict] = None) -> None:
+        """Record a failure; its counterexample, if any, is kept with it."""
         if len(self.failures) < _MAX_RECORDED:
             self.failures.append(message)
+            if counterexample is not None:
+                self.details.setdefault("counterexamples", []).append(
+                    counterexample
+                )
         else:
             self._dropped += 1
 
@@ -259,15 +276,15 @@ def _suite_freeness(config: VerifyConfig) -> SuiteResult:
                         f"coalition {[i + 1 for i in coalition]}"
                     )
                     if verdict.valid:
-                        rec.fail(message)
-                        rec.details.setdefault("counterexamples", []).append(
+                        rec.fail(
+                            message,
                             {
                                 "alpha": alpha,
                                 "baseline": profile_to_obj(baseline),
                                 "deviation": profile_to_obj(deviation),
                                 "coalition": [i + 1 for i in coalition],
                                 "deltas": list(cert.deltas),
-                            }
+                            },
                         )
                     else:
                         rec.find(message + " (alpha is outside the safe bands, so this is the anticipated behavior)")
@@ -584,26 +601,23 @@ def _suite_witness(config: VerifyConfig) -> SuiteResult:
     rec = _Recorder()
     rng = derived_rng(config.seed, "witness")
     skipped_invalid = 0
-    safe_alphas: dict[tuple[int, int], list[Fraction]] = {}
-    # One contract per alpha, so its coefficient cache serves every trial.
-    contracts: dict[Fraction, ArbitrageFreeContract] = {}
+    # The safe contracts per shape, so each coefficient cache serves every
+    # trial of its shape.
+    safe: dict[tuple[int, int], list[ArbitrageFreeContract]] = {}
     for t in range(config.trials):
         m = rng.randint(2, config.m_max)
         n = rng.randint(2, config.n_max)
-        candidates = safe_alphas.get((m, n))
+        candidates = safe.get((m, n))
         if candidates is None:
-            candidates = safe_alphas[m, n] = [
-                a
+            candidates = safe[m, n] = [
+                ArbitrageFreeContract(alpha=a)
                 for a in _dominance_alphas(config, m, n)
                 if validate_alpha(a, m, n).valid
             ]
         if not candidates:
             skipped_invalid += 1
             continue
-        alpha = rng.choice(candidates)
-        contract = contracts.get(alpha)
-        if contract is None:
-            contract = contracts[alpha] = ArbitrageFreeContract(alpha=alpha)
+        contract = rng.choice(candidates)
         baseline = random_profile(rng, m, n)
         coalition = random_coalition(rng, m)
         deviation = random_deviation(rng, baseline, coalition)
@@ -617,7 +631,7 @@ def _suite_witness(config: VerifyConfig) -> SuiteResult:
         if moved and not after < before:
             rec.fail(
                 f"trial {t + 1}: hurting outcome {j + 1} gained "
-                f"{after - before} (m={m} n={n} alpha={alpha})"
+                f"{after - before} (m={m} n={n} alpha={contract.alpha})"
             )
         elif not moved and after != before:
             rec.fail(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -44,6 +45,7 @@ from elicit.arbitrage import (
 from conftest import (
     distributions,
     exact_values,
+    fine_profiles,
     int_weighted_distributions,
     plain_expectation,
     plain_quadratic,
@@ -64,6 +66,91 @@ def uniform_deviation(profile, coalition, report):
 
 def unchanged_copy(profile):
     return profile.replace({})
+
+
+def reference_compare(e: SqrtExpr, x: Fraction) -> int:
+    """Sign of e - x by squaring integers only.
+
+    sqrt(p/q) = sqrt(p*q)/q.  A perfect square p*q gives the root
+    exactly; otherwise the root is irrational and lies strictly inside
+    [isqrt(N)/D, (isqrt(N) + 1)/D] for N = p*q*4**k, D = q*2**k.  The
+    bracket is narrowed until x falls outside coeff times it, which it
+    must, since an irrational value never equals a rational.
+    """
+    t = x - e.offset
+    if e.coeff == 0 or e.radicand == 0:
+        return (0 > t) - (0 < t)
+    p, q = e.radicand.numerator, e.radicand.denominator
+    root = math.isqrt(p * q)
+    if root * root == p * q:
+        value = e.coeff * Fraction(root, q)
+        return (value > t) - (value < t)
+    k = 0
+    while True:
+        scale = 2**k
+        r = math.isqrt(p * q * scale * scale)
+        ends = sorted((e.coeff * Fraction(r, q * scale),
+                       e.coeff * Fraction(r + 1, q * scale)))
+        if t <= ends[0]:
+            return 1
+        if t >= ends[1]:
+            return -1
+        k += 1
+
+
+def sqrt_grid():
+    """8 offsets x 8 coefficients x 6 radicands, signs and unit sizes mixed."""
+    offsets = [Fraction(v) for v in ("0", "1", "-1", "1/2", "-1/2", "2", "-3", "5/7")]
+    coeffs = [Fraction(v) for v in ("0", "1", "-1", "2", "-2", "1/2", "-1/2", "3/4")]
+    radicands = [Fraction(v) for v in ("0", "1", "2", "1/4", "31/150", "4/9")]
+    for offset, coeff, radicand in product(offsets, coeffs, radicands):
+        yield SqrtExpr(offset=offset, coeff=coeff, radicand=radicand)
+
+
+def sqrt_sum_vs_one(a: Fraction, b: Fraction) -> int:
+    """Sign of sqrt(a) + sqrt(b) - 1 for nonnegative rationals, exactly.
+
+    Square twice: sqrt(a) + sqrt(b) ? 1 reduces to 2*sqrt(a*b) ? 1 - a - b,
+    and when the right side is nonnegative, to 4ab ? (1 - a - b)**2.  An
+    interval's lower < upper exactly when this is positive.
+    """
+    rhs = 1 - a - b
+    if rhs < 0:
+        return 1
+    lhs, rhs2 = 4 * a * b, rhs * rhs
+    return (lhs > rhs2) - (lhs < rhs2)
+
+
+@st.composite
+def interval_cases(draw):
+    """Two-outcome profile, coalition and outcome; members agree 30% of
+    the time."""
+    profile = draw(fine_profiles(max_m=6, n=2))
+    size = draw(st.integers(2, profile.m))
+    coalition = Coalition.of(draw(st.permutations(range(profile.m)))[:size])
+    if draw(st.integers(0, 9)) < 3:
+        shared = profile.reports[coalition.members[0]]
+        profile = profile.replace({i: shared for i in coalition})
+    return profile, coalition, draw(st.integers(0, 1))
+
+
+_SQRT_TEXT = re.compile(
+    r"(?:(?P<offset>-?[0-9/]+) (?P<sign>[+-]) |(?P<neg>-)?)"
+    r"(?:(?P<mag>[0-9/]+)\*)?sqrt\((?P<radicand>[0-9/]+)\)"
+)
+
+
+def read_sqrt_expr(text: str) -> tuple:
+    """(offset, coeff, radicand) read back from ``str(SqrtExpr)``."""
+    match = _SQRT_TEXT.fullmatch(text)
+    assert match, text
+    negative = (match["sign"] or match["neg"] or "+") == "-"
+    mag = Fraction(match["mag"] or 1)
+    return (
+        Fraction(match["offset"] or 0),
+        -mag if negative else mag,
+        Fraction(match["radicand"]),
+    )
 
 
 class TestAgreementGuard:
@@ -326,6 +413,79 @@ class TestSqrtExpr:
         with pytest.raises(TypeError, match="float"):
             e.compare_to(0.5)
 
+    @pytest.mark.parametrize(
+        "offset,coeff,radicand,x,want",
+        [
+            # coeff > 0, t < 0: the root side wins on sign alone.
+            ("1", "2", "3", "1/2", 1),
+            ("0", "1/3", "1/9", "-5", 1),
+            # coeff < 0, t > 0.
+            ("1", "-2", "3", "3/2", -1),
+            ("-1/2", "-1", "1/4", "1", -1),
+            # coeff = 0 and radicand = 0: the offset alone.
+            ("2/3", "0", "5", "2/3", 0),
+            ("2/3", "0", "5", "1", -1),
+            ("2/3", "0", "5", "0", 1),
+            ("-1", "7", "0", "-1", 0),
+            ("-1", "7", "0", "-2", 1),
+            ("-1", "-7", "0", "0", -1),
+            # Equal squares: coeff**2 * radicand == t**2.
+            ("2", "3", "4/9", "4", 0),
+            ("2", "-3", "4/9", "0", 0),
+            ("1", "2", "1/4", "0", 1),
+            ("1", "-2", "1/4", "2", -1),
+            # Same signs, squares apart.
+            ("0", "-1", "2", "-7/5", -1),
+            ("0", "-1", "2", "-3/2", 1),
+        ],
+    )
+    def test_compare_to_every_sign_case(self, offset, coeff, radicand, x, want):
+        e = SqrtExpr(
+            offset=Fraction(offset), coeff=Fraction(coeff),
+            radicand=Fraction(radicand),
+        )
+        assert e.compare_to(Fraction(x)) == want
+        assert reference_compare(e, Fraction(x)) == want
+
+    def test_compare_to_matches_the_reference_on_a_grid(self):
+        for e in sqrt_grid():
+            for k in range(-5, 6):
+                x = Fraction(k, 2)
+                assert e.compare_to(x) == reference_compare(e, x), (e, x)
+
+    @pytest.mark.parametrize(
+        "offset,coeff,radicand,text",
+        [
+            ("0", "2", "3", "2*sqrt(3)"),
+            ("0", "-2", "3", "-2*sqrt(3)"),
+            ("0", "1/2", "3", "1/2*sqrt(3)"),
+            ("0", "-1", "2", "-sqrt(2)"),
+            ("1", "2", "3", "1 + 2*sqrt(3)"),
+            ("1", "-2", "3", "1 - 2*sqrt(3)"),
+            ("1", "1/2", "3", "1 + 1/2*sqrt(3)"),
+            ("-1", "1", "3", "-1 + sqrt(3)"),
+            ("-1/2", "-2", "3", "-1/2 - 2*sqrt(3)"),
+            ("-1/2", "-1/2", "5/7", "-1/2 - 1/2*sqrt(5/7)"),
+            ("-1", "0", "3", "-1"),
+            ("5", "2", "0", "5"),
+            ("0", "0", "0", "0"),
+        ],
+    )
+    def test_str_pins(self, offset, coeff, radicand, text):
+        e = SqrtExpr(
+            offset=Fraction(offset), coeff=Fraction(coeff),
+            radicand=Fraction(radicand),
+        )
+        assert str(e) == text
+
+    def test_str_reads_back_on_a_grid(self):
+        for e in sqrt_grid():
+            text = str(e)
+            if e.coeff == 0 or e.radicand == 0:
+                assert text == str(e.offset)
+            else:
+                assert read_sqrt_expr(text) == (e.offset, e.coeff, e.radicand)
+
 
 class TestUniformReportInterval:
     def test_intro_interval_values(self):
@@ -359,6 +519,21 @@ class TestUniformReportInterval:
             uniform_report_arbitrage_interval(wide, Coalition.full(2), 0)
         with pytest.raises(ValueError, match="members"):
             uniform_report_arbitrage_interval(INTRO, Coalition.of([0]), 0)
+
+    @given(interval_cases())
+    def test_empty_exactly_when_the_roots_sum_to_at_most_one(self, case):
+        profile, coalition, j = case
+        interval = uniform_report_arbitrage_interval(profile, coalition, j)
+        old = sqrt_sum_vs_one(interval.lower.radicand, interval.upper.radicand)
+        assert interval.empty == (old <= 0)
+
+    @given(interval_cases())
+    def test_interval_holds_the_members_mean_report(self, case):
+        profile, coalition, j = case
+        interval = uniform_report_arbitrage_interval(profile, coalition, j)
+        mean = sum(profile.reports[i].weights[j] for i in coalition) / coalition.size
+        assert interval.lower.compare_to(mean) <= 0 <= interval.upper.compare_to(mean)
+        assert interval.contains(mean) == (not interval.empty)
 
     @given(profiles_with_coalitions(max_m=4, max_n=2))
     def test_radicands_stay_in_unit_range(self, pc):

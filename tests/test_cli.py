@@ -7,6 +7,8 @@ import gc
 import io
 import json
 import weakref
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -770,6 +772,15 @@ class TestVerify:
                 "alpha=5/3 lies in the arbitrage-prone band [0, 4) for m=2, "
                 "n=2; enable permissive mode to evaluate anyway",
             ),
+            # Refused when the configuration is built, before any probe
+            # lists its C(1415, 2) lattice reports.
+            (
+                ("verify", "--suite", "properness", "--n-max", "3", "--grid",
+                 "1413"),
+                "grid 1413 would have each 3-outcome properness probe list "
+                "1000405 lattice reports, more than the limit of 1000000; "
+                "use a coarser grid",
+            ),
             (("score",), "provide exactly one of --input or --reports"),
             (
                 ("score", "--reports", "1/2,1/2", "--outcome", "3"),
@@ -829,6 +840,36 @@ class TestVerify:
         assert result.output == (
             f"error: {name} must be >= {bound}, got {value}\n"
         )
+
+    def test_properness_takes_an_unsafe_alpha(self, runner):
+        # Properness holds for every alpha, so --alpha 3 runs without
+        # --permissive and checks each probe twice.
+        result = invoke(
+            runner, "verify", "--suite", "properness", "--m-max", "3",
+            "--n-max", "3", "--probes", "4", "--grid", "6", "--alpha", "3",
+            "--format", "json",
+        )
+        assert result.exit_code == 0
+        (suite,) = json.loads(result.output)["results"]["suites"]
+        assert suite["passed"] and suite["checks"] == 8
+
+    def test_failing_freeness_prints_the_kept_counterexamples(
+        self, runner, monkeypatch
+    ):
+        def always_certify(contract, baseline, deviation, coalition, before):
+            return SimpleNamespace(deltas=(Fraction(1),) * baseline.n)
+
+        monkeypatch.setattr("elicit.suites.check_dominance", always_certify)
+        result = invoke(
+            runner, "verify", "--suite", "freeness", "--m-max", "3",
+            "--n-max", "2", "--trials", "50", "--baselines", "2",
+            "--format", "json",
+        )
+        assert result.exit_code == 1
+        (suite,) = json.loads(result.output)["results"]["suites"]
+        assert len(suite["failures"]) == 6
+        assert suite["failures"][-1] == "... and 395 more failures"
+        assert len(suite["details"]["counterexamples"]) == 5
 
     def test_zero_checks_is_not_a_pass(self, runner):
         # alpha = 3 is unsafe for every shape here, so each witness trial

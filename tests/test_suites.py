@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from elicit import suites
+from elicit.arbitrage import MAX_GRID_DEVIATIONS
 from elicit.contracts import (
     AlphaRangeError,
     ArbitrageFreeContract,
@@ -58,6 +61,53 @@ def test_properness_runs_at_the_smallest_grid():
     config = VerifyConfig(m_max=3, n_max=3, probes=6, grid=3)
     (result,) = run_suites(["properness"], config)
     assert result.passed and result.checks == 12
+
+
+@pytest.mark.parametrize("n_max,largest", [(2, 999_999), (3, 1412), (4, 1412)])
+def test_grid_bound_on_the_properness_lattice(n_max, largest):
+    # C(grid + k - 1, k - 1) reports per probe, k = min(3, n_max), may not
+    # exceed MAX_GRID_DEVIATIONS; only the configuration is built here.
+    k = min(3, n_max)
+    assert math.comb(largest + k - 1, k - 1) <= MAX_GRID_DEVIATIONS
+    assert VerifyConfig(n_max=n_max, grid=largest).grid == largest
+    refused = largest + 1
+    count = math.comb(refused + k - 1, k - 1)
+    with pytest.raises(ValueError) as caught:
+        VerifyConfig(n_max=n_max, grid=refused)
+    assert str(caught.value) == (
+        f"grid {refused} would have each {k}-outcome properness probe list "
+        f"{count} lattice reports, more than the limit of 1000000; use a "
+        f"coarser grid"
+    )
+
+
+def test_properness_runs_the_alpha_override():
+    config = VerifyConfig(
+        m_max=3, n_max=3, probes=6, grid=6, alphas=(Fraction(3), Fraction(-1))
+    )
+    (result,) = run_suites(["properness"], config)
+    assert result.passed and result.checks == 2 * config.probes
+
+
+def always_certify(contract, baseline, deviation, coalition, before=None):
+    """A broken dominance check: every deviation certifies."""
+    return SimpleNamespace(deltas=(Fraction(1),) * baseline.n)
+
+
+def test_failing_freeness_keeps_one_counterexample_per_kept_failure(
+    monkeypatch,
+):
+    monkeypatch.setattr(suites, "check_dominance", always_certify)
+    config = VerifyConfig(m_max=3, n_max=2, trials=50, baselines=2)
+    (result,) = run_suites(["freeness"], config)
+    assert not result.passed and result.checks == 400
+    kept, dropped = result.failures[:-1], result.failures[-1]
+    assert len(kept) == 5 and dropped == "... and 395 more failures"
+    examples = result.details["counterexamples"]
+    assert len(examples) == 5
+    for message, example in zip(kept, examples):
+        assert message.endswith(f"coalition {example['coalition']}")
+        assert f"alpha={example['alpha']}:" in message
 
 
 @pytest.mark.parametrize("names", [[], ()])
