@@ -30,17 +30,20 @@ one sum per expert) are cached once per profile in
 ``ReportProfile.scaled_totals``, so one outcome's payments cost O(m)
 integer operations.  A coalition's totals need no per-expert term at
 all: as the paper's construction says, they depend only on two integer
-column-sum vectors, T over all experts and S over the members.  Each
-payment becomes a ``Fraction`` once, at the boundary.  The
+column-sum vectors, T over all experts and S over the members, and a
+total on one outcome (``coalition_total``) builds that outcome alone.
+Each payment becomes a ``Fraction`` once, at the boundary.  The
 alpha-dependent coefficients are cached on the contract per (m, n) and
 scaled by D on each call; the band is checked once per (m, n).
 
 Other exact contracts, such as independent scoring, sum their members'
 payments on integers too (``_member_sums``): numerators are added over a
 running common denominator, and each total becomes one ``Fraction``.
-Inexact contracts, such as the log rule's, keep a float sum.  The tests
-keep the plain ``Fraction`` formulas and sums as oracles and check the
-integer paths against them.
+Inexact contracts, such as the log rule's, keep a float sum.  An
+expert's view of the family (``InducedExpertRule``) has the quadratic
+rule's closed-form expected score plus the belief-weighted offsets.  The
+tests keep the plain ``Fraction`` formulas and sums as oracles and check
+the integer paths against them.
 """
 
 from __future__ import annotations
@@ -48,15 +51,21 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from numbers import Rational
 
-from .scoring import ScoringRule, _expectation, quadratic_score
+from .scoring import (
+    ScoringRule,
+    _expectation,
+    _quadratic_expectation,
+    quadratic_score,
+)
 from .simplex import (
     Coalition,
     Distribution,
     ReportProfile,
     _as_fraction,
+    _cached,
     leave_one_out_mean,
 )
 
@@ -209,19 +218,43 @@ class InducedExpertRule(ScoringRule):
     """Quadratic score plus outcome-dependent offsets fixed by the others.
 
     Strictly proper for any offsets: adding a constant per outcome never
-    changes which report maximizes expected score.  The score is built as
-    one ``Fraction`` from the integers of the quadratic score and the
-    offset, which may be a ``Fraction`` or an int.
+    changes which report maximizes expected score.  Offsets are coerced
+    as weights are: ints and exact strings become ``Fraction``s, floats
+    raise TypeError, and an exact ``Fraction`` is kept as it is.  The
+    score is built as one ``Fraction`` from the integers of the quadratic
+    score and the offset.  The expected score is the quadratic rule's
+    closed form plus sum(B_j * O_j) / (Db * Do), with (Db, B) the
+    belief's counts and O / Do the offsets over one common denominator,
+    cached on the rule: one ``Fraction`` per expectation.
     """
 
     offsets: tuple[Fraction, ...]
 
-    def score(self, report: Distribution, j: int) -> Fraction:
+    def __post_init__(self) -> None:
+        # A computed offset (``expert_view``'s) may be too long to print
+        # and is still exact, so a Fraction skips the print limit.
+        offsets = [
+            o if type(o) is Fraction else _as_fraction(o) for o in self.offsets
+        ]
+        object.__setattr__(self, "offsets", tuple(offsets))
+
+    def _check_outcomes(self, report: Distribution) -> None:
         if report.n != len(self.offsets):
             raise ValueError(
                 f"report has {report.n} outcomes, offsets cover "
                 f"{len(self.offsets)}"
             )
+
+    @_cached
+    def _scaled_offsets(self) -> tuple[int, list[int]]:
+        """(Do, O): the offsets as integers O_j over their lcm Do."""
+        scale = lcm(*[o.denominator for o in self.offsets])
+        return scale, [
+            o.numerator * (scale // o.denominator) for o in self.offsets
+        ]
+
+    def score(self, report: Distribution, j: int) -> Fraction:
+        self._check_outcomes(report)
         s = quadratic_score(report, j)
         offset = self.offsets[j]
         q = offset.denominator
@@ -229,6 +262,16 @@ class InducedExpertRule(ScoringRule):
             s.numerator * q + offset.numerator * s.denominator,
             s.denominator * q,
         )
+
+    def expected(self, report: Distribution, belief: Distribution) -> Fraction:
+        self._check_outcomes(report)
+        num, den = _quadratic_expectation(report, belief)
+        scale, offsets = self._scaled_offsets
+        belief_scale, counts = belief.scaled[:2]
+        dot = sum([b * o for b, o in zip(counts, offsets)])
+        # den = Db * Dr**2, so the offsets' term over den * Do is
+        # dot * Dr**2 = dot * (den // Db).
+        return Fraction(num * scale + dot * (den // belief_scale), den * scale)
 
 
 @dataclass(frozen=True)
@@ -340,9 +383,25 @@ def coalition_total(
     coalition: Coalition,
     j: int,
 ):
-    """The coalition's combined payment on outcome j."""
+    """The coalition's combined payment on outcome j.
+
+    Equals ``coalition_totals(contract, profile, coalition)[j]`` and
+    builds outcome j only: one ``Fraction`` from the alpha family's
+    integer numerators, or one ``evaluate(profile, j)`` row summed over
+    the members for any other contract.
+    """
     _check_eval_args(profile, j)
-    return coalition_totals(contract, profile, coalition)[j]
+    coalition.validate_for(profile.m)
+    if isinstance(contract, ArbitrageFreeContract):
+        denominator, numerators = _family_numerators(
+            contract, profile, coalition
+        )
+        return Fraction(numerators[j], denominator)
+    row = contract.evaluate(profile, j)
+    if contract.exact:
+        return _member_sums([row], coalition.members)[0]
+    first, *rest = coalition.members
+    return sum([row[i] for i in rest], row[first])
 
 
 def coalition_totals(
@@ -362,27 +421,41 @@ def coalition_totals(
     """
     coalition.validate_for(profile.m)
     if isinstance(contract, ArbitrageFreeContract):
-        denominator, qk, a_coef, t_coef = contract._coefficients(profile)
-        rows = profile.scaled[1]
-        totals = [sum(column) for column in zip(*rows)]
-        sums = [sum(column) for column in zip(*[rows[i] for i in coalition])]
-        size = coalition.size
-        base = qk * (
-            size * sum([t * t for t in totals])
-            - 2 * sum([t * s for t, s in zip(totals, sums)])
+        denominator, numerators = _family_numerators(
+            contract, profile, coalition
         )
-        t_coef *= size
-        return tuple(
-            [
-                Fraction(base + a_coef * s - t_coef * t, denominator)
-                for s, t in zip(sums, totals)
-            ]
-        )
+        return tuple([Fraction(x, denominator) for x in numerators])
     rows = [contract.evaluate(profile, j) for j in range(profile.n)]
     if contract.exact:
         return _member_sums(rows, coalition.members)
     first, *rest = coalition.members
     return tuple([sum([row[i] for i in rest], row[first]) for row in rows])
+
+
+def _family_numerators(
+    contract: ArbitrageFreeContract,
+    profile: ReportProfile,
+    coalition: Coalition,
+) -> tuple[int, list[int]]:
+    """The alpha family's coalition totals as integers over one denominator.
+
+    Returns (q * k * D**2, numerators), one numerator per outcome, from
+    the column sums T and S as ``ArbitrageFreeContract._coefficients``
+    derives.  The one place the coalition kernel is written.
+    """
+    denominator, qk, a_coef, t_coef = contract._coefficients(profile)
+    rows = profile.scaled[1]
+    totals = [sum(column) for column in zip(*rows)]
+    sums = [sum(column) for column in zip(*[rows[i] for i in coalition])]
+    size = coalition.size
+    base = qk * (
+        size * sum([t * t for t in totals])
+        - 2 * sum([t * s for t, s in zip(totals, sums)])
+    )
+    t_coef *= size
+    return denominator, [
+        base + a_coef * s - t_coef * t for s, t in zip(sums, totals)
+    ]
 
 
 def _member_sums(rows, members) -> tuple:

@@ -7,7 +7,8 @@ denominator, floored, and the leftover units handed to the coordinates
 with the largest fractional parts (ties to the lowest index).  One routine,
 ``_draw_counts``, does this on integers: it yields counts that sum to the
 denominator, and bounds are compared as integer counts too.  Bounds that
-no integer count can meet are refused before anything is drawn.
+no integer count can meet are refused before anything is drawn, and
+bounds that one count row alone meets give that row without a draw.
 ``random_distribution`` turns one count row into a ``Distribution``
 through the validating constructor (which re-checks the sum on
 integers); ``random_deviation`` draws one count row per coalition member,
@@ -108,8 +109,15 @@ def _draw_counts(
     rejected and drawn again.  A spacing is ``rng.expovariate(1.0)``
     written out: -log(1.0 - random()), since dividing by 1.0 changes no
     float; the draw uses the generator exactly as that call does.
+
+    Limits with n * low = denominator or n * high = denominator admit one
+    count row alone, every count denominator / n.  That row is returned
+    at once, without using the generator: rejection would almost never
+    meet it.
     """
     low, high = limits if limits is not None else (0, denominator)
+    if limits is not None and denominator in (n * low, n * high):
+        return [denominator // n] * n
     log, uniform = math.log, rng.random
     for _ in range(_MAX_REJECTS):
         spacings = [-log(1.0 - uniform()) for _ in range(n)]

@@ -13,9 +13,23 @@ weights once as integer counts c over the lcm D of their denominators
 a score is (2*D*c_j - sum(c**2)) / D**2.  The report also caches its n
 scores (``Distribution.quadratic_scores``), built on first use, so scoring
 a report again costs a range check and a tuple lookup and builds no
-``Fraction``.  An exact expected score is summed on integers as well:
-the belief's counts times the scores' numerators, added over a running
-common denominator, make one ``Fraction`` per expectation.
+``Fraction``.
+
+An expected score has a closed form under the quadratic rule.  With
+(Dr, R, square) = ``report.scaled`` and (Db, B, _) = ``belief.scaled``,
+the belief's weights sum to 1, so
+
+    sum_j b_j * (2*r_j - sum(r**2)) = 2*b.r - sum(r**2)
+                                    = (2*Dr*(B.R) - Db*square) / (Db*Dr**2),
+
+one ``Fraction`` from two integer dot products, whatever n is
+(``QuadraticRule.expected``).  A rule with no closed form, such as the
+log rule or a custom rule, takes the expectation of its scores
+(``ScoringRule.expected``): an exact one is summed on integers, the
+belief's counts times the scores' numerators added over a running common
+denominator, into one ``Fraction``.  A subclass that redefines ``score``
+without redefining ``expected`` gets that generic expectation back, so a
+closed form never outlives the score it stands for.
 
 ``properness_probe`` gives an empirical check of properness over any finite
 candidate set of reports, used by the verification suites rather than a
@@ -85,8 +99,51 @@ class ScoringRule:
 
     exact: bool = True
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # A closed-form expectation holds only for the score it was
+        # derived from: a new score without a new expectation falls back
+        # to the generic sum of scores.
+        if "score" in cls.__dict__ and "expected" not in cls.__dict__:
+            cls.expected = ScoringRule.expected
+
     def score(self, report: Distribution, j: int):
         raise NotImplementedError
+
+    def expected(self, report: Distribution, belief: Distribution):
+        """Expected score of the report under the belief.
+
+        The generic path sums belief[j] * score(report, j) over the
+        outcomes the belief allows (``_expectation``).
+        """
+        _check_shapes(report, belief)
+        score = self.score
+        return _expectation(belief, lambda j: score(report, j), self.exact)
+
+
+def _check_shapes(report: Distribution, belief: Distribution) -> None:
+    if report.n != belief.n:
+        raise ValueError(
+            f"report has {report.n} outcomes, belief has {belief.n}"
+        )
+
+
+def _quadratic_expectation(
+    report: Distribution, belief: Distribution
+) -> tuple[int, int]:
+    """The expected quadratic score as an unreduced (numerator, denominator).
+
+    (2*Dr*(B.R) - Db*square, Db*Dr**2), from ``report.scaled`` = (Dr, R,
+    square) and ``belief.scaled`` = (Db, B, _); see the module docstring.
+    """
+    _check_shapes(report, belief)
+    scale, counts, square = report.scaled
+    belief_scale, belief_counts = belief.scaled[:2]
+    dot = sum([b * c for b, c in zip(belief_counts, counts)])
+    return (
+        2 * scale * dot - belief_scale * square,
+        belief_scale * scale * scale,
+    )
 
 
 @dataclass(frozen=True)
@@ -95,6 +152,10 @@ class QuadraticRule(ScoringRule):
 
     def score(self, report: Distribution, j: int) -> Fraction:
         return quadratic_score(report, j)
+
+    def expected(self, report: Distribution, belief: Distribution) -> Fraction:
+        """2*b.r - sum(r**2) in closed form: one ``Fraction``."""
+        return Fraction(*_quadratic_expectation(report, belief))
 
 
 @dataclass(frozen=True)
@@ -113,13 +174,13 @@ def expected_score(rule: ScoringRule, report: Distribution, belief: Distribution
     Outcomes the belief assigns zero probability contribute nothing, even
     when their score is -inf (0 * -inf is taken as 0, the standard
     convention for expected log score).  If any positive-belief outcome
-    scores -inf, the expectation is -inf.
+    scores -inf, the expectation is -inf.  Returns
+    ``rule.expected(report, belief)``, a closed form where the rule has
+    one.
     """
-    if report.n != belief.n:
-        raise ValueError(
-            f"report has {report.n} outcomes, belief has {belief.n}"
-        )
-    return _expectation(belief, lambda j: rule.score(report, j), rule.exact)
+    # A rule's own ``expected`` may not check the shapes.
+    _check_shapes(report, belief)
+    return rule.expected(report, belief)
 
 
 def _expectation(
@@ -127,11 +188,11 @@ def _expectation(
 ):
     """Sum of belief[j] * value(j) over the outcomes the belief allows.
 
-    The one belief-weighted expectation, shared by ``expected_score``,
-    ``contracts.expected_reward`` and the member gains of an expected
-    arbitrage certificate.  value(j) is never asked for an outcome of
-    zero belief, so 0 * inf never arises; a float -inf value makes the
-    expectation -inf.
+    The one belief-weighted expectation, shared by
+    ``ScoringRule.expected``, ``contracts.expected_reward`` and the member
+    gains of an expected arbitrage certificate.  value(j) is never asked
+    for an outcome of zero belief, so 0 * inf never arises; a float -inf
+    value makes the expectation -inf.
 
     An exact expectation is summed on integers.  With the belief's counts
     c over D (``Distribution.scaled``) it is sum(c_j * v_j) / D: each

@@ -117,7 +117,8 @@ def _as_fraction(value) -> Fraction:
     numerator or denominator has more than _MAX_DIGITS digits raises
     ``_DigitLimitError``, a ValueError.  Text whose decimal exponent
     exceeds _MAX_DIGITS in magnitude is refused before it is built, since
-    10**e takes seconds for e near 10**7.
+    10**e takes seconds for e near 10**7.  A printable ``Fraction`` (not
+    a subclass) is returned as it is, without a copy.
     """
     if isinstance(value, float):
         raise TypeError(
@@ -136,7 +137,7 @@ def _as_fraction(value) -> Fraction:
             raise _DigitLimitError(
                 value, f"its exponent exceeds {_MAX_DIGITS} in magnitude"
             )
-    result = Fraction(value)
+    result = value if type(value) is Fraction else Fraction(value)
     if not _printable(result):
         raise _DigitLimitError(
             value,

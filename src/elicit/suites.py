@@ -601,23 +601,27 @@ def _suite_witness(config: VerifyConfig) -> SuiteResult:
     rec = _Recorder()
     rng = derived_rng(config.seed, "witness")
     skipped_invalid = 0
-    # The safe contracts per shape, so each coefficient cache serves every
-    # trial of its shape.
-    safe: dict[tuple[int, int], list[ArbitrageFreeContract]] = {}
+    # The safe alphas per shape, and one contract per drawn alpha, shared
+    # across shapes, so each coefficient cache serves every trial.
+    safe: dict[tuple[int, int], list[Fraction]] = {}
+    contracts: dict[Fraction, ArbitrageFreeContract] = {}
     for t in range(config.trials):
         m = rng.randint(2, config.m_max)
         n = rng.randint(2, config.n_max)
         candidates = safe.get((m, n))
         if candidates is None:
             candidates = safe[m, n] = [
-                ArbitrageFreeContract(alpha=a)
+                a
                 for a in _dominance_alphas(config, m, n)
                 if validate_alpha(a, m, n).valid
             ]
         if not candidates:
             skipped_invalid += 1
             continue
-        contract = rng.choice(candidates)
+        alpha = rng.choice(candidates)
+        contract = contracts.get(alpha)
+        if contract is None:
+            contract = contracts[alpha] = ArbitrageFreeContract(alpha=alpha)
         baseline = random_profile(rng, m, n)
         coalition = random_coalition(rng, m)
         deviation = random_deviation(rng, baseline, coalition)

@@ -41,7 +41,6 @@ from .contracts import (
     ArbitrageFreeContract,
     AlphaVerdict,
     coalition_total,
-    threshold_general,
     threshold_two_outcome,
     validate_alpha,
 )
@@ -123,14 +122,20 @@ def _residual_row(
     the two-outcome rewrite doubles it, and the general one adds
     dd**2 * T_l * (T_l - 2*A_i[l]) for every other outcome l.  The
     payments are the permissive contract's ``evaluate(profile, j)``.
+
+    d = k - alpha / (f * k) with k = m - 1, alpha = p / q, and f = 4 for
+    the two-outcome threshold, 2 for the general one, is taken unreduced:
+    dd = f * k * q and dn = k * dd - p.  A factor common to dn and dd
+    scales the structured part and its denominator D**2 * dd**2 alike,
+    so it cancels when each residual's ``Fraction`` is reduced.
     """
     # The rewrites are pure algebra and hold for every alpha, including
     # the arbitrage-prone band, so evaluation is always permissive here.
     contract = ArbitrageFreeContract(alpha, permissive=True)
     row = contract.evaluate(profile, j)
-    threshold = threshold_two_outcome if two_outcome else threshold_general
-    d = threshold(profile.m, contract.alpha)
-    dn, dd = d.numerator, d.denominator
+    k = profile.m - 1
+    dd = (4 if two_outcome else 2) * k * contract.alpha.denominator
+    dn = k * dd - contract.alpha.numerator
     scale, rows = profile.scaled
     totals = [sum(column) for column in zip(*rows)]
     t = totals[j] * dd
@@ -364,7 +369,9 @@ def hurting_outcome(
     the most (argmax ties break to the smallest index).  The coalition's
     total payment under the returned outcome never exceeds its baseline
     total, with equality only when the deviation leaves every coalition
-    sum unchanged.
+    sum unchanged.  The moves are compared on integers, the members'
+    column sums of ``baseline.scaled`` and ``deviation.scaled`` over
+    D * D', so no ``Fraction`` is built.
     """
     ensure_agreement_outside(baseline, deviation, coalition)
     verdict = validate_alpha(contract.alpha, baseline.m, baseline.n)
@@ -374,11 +381,14 @@ def hurting_outcome(
             f"m={baseline.m}, n={baseline.n}; no hurting outcome is "
             f"guaranteed there"
         )
-    before = coalition_sums(baseline, coalition)
-    after = coalition_sums(deviation, coalition)
+    # The members' sums are S / D before and S' / D' after, so each move
+    # times D * D' is the integer S'_j * D - S_j * D'.
+    scale, rows = baseline.scaled
+    new_scale, new_rows = deviation.scaled
+    before = [sum(c) * new_scale for c in zip(*[rows[i] for i in coalition])]
+    after = [sum(c) * scale for c in zip(*[new_rows[i] for i in coalition])]
     if verdict is AlphaVerdict.VALID_NEGATIVE:
         moves = [a - b for a, b in zip(after, before)]
     else:
         moves = [b - a for a, b in zip(after, before)]
-    best = max(moves)
-    return moves.index(best)
+    return moves.index(max(moves))

@@ -20,6 +20,7 @@ from elicit import (
     coalition_total,
     coalition_totals,
     expected_reward,
+    expected_score,
     leave_one_out_mean,
     properness_probe,
     quadratic_score,
@@ -394,18 +395,56 @@ class TestCoalitionTotal:
     def test_is_one_entry_of_coalition_totals(self, tag, data):
         contract = CLI_CONTRACTS[tag]
         m = 2 if tag == "zero-sum-pair" else None
-        profile = data.draw(profiles(m=m))
+        profile = data.draw(
+            st.one_of(profiles(m=m), fine_profiles(m=m, max_m=5, max_n=4))
+        )
         members = data.draw(
             st.lists(st.integers(0, profile.m - 1), min_size=1, unique=True)
         )
         coalition = Coalition.of(members)
         totals = coalition_totals(contract, profile, coalition)
         for j in range(profile.n):
-            assert coalition_total(contract, profile, coalition, j) == totals[j]
+            total = coalition_total(contract, profile, coalition, j)
+            assert total == totals[j] and type(total) is type(totals[j])
         # An index into the tuple would accept -1 silently.
         for j in (-1, profile.n):
             with pytest.raises(IndexError, match="out of range"):
                 coalition_total(contract, profile, coalition, j)
+
+
+    def test_log_rule_at_minus_infinity(self):
+        contract = CLI_CONTRACTS["independent-log"]
+        profile = ReportProfile.of((1, 0), (1, 0), ("1/2", "1/2"))
+        coalition = Coalition.of([0, 1, 2])
+        totals = coalition_totals(contract, profile, coalition)
+        assert totals[1] == float("-inf")
+        for j in range(2):
+            assert coalition_total(contract, profile, coalition, j) == totals[j]
+
+    def test_evaluates_the_one_outcome_it_returns(self):
+        seen = []
+
+        @dataclasses.dataclass(frozen=True)
+        class Recording(CountContract):
+            def evaluate(self, profile, j):
+                seen.append(j)
+                return super().evaluate(profile, j)
+
+        profile = ReportProfile.of(("1/3", "2/3", 0), ("1/2", "1/4", "1/4"))
+        coalition = Coalition.of([0, 1])
+        assert coalition_total(Recording(), profile, coalition, 2) == (
+            coalition_totals(CountContract(), profile, coalition)[2]
+        )
+        assert seen == [2]
+
+    def test_checks_the_outcome_before_the_coalition(self):
+        profile = ReportProfile.of(("1/2", "1/2"), ("1/2", "1/2"))
+        outside = Coalition.of([0, 5])
+        for contract in CLI_CONTRACTS.values():
+            with pytest.raises(IndexError, match="out of range"):
+                coalition_total(contract, profile, outside, 2)
+            with pytest.raises(ValueError, match="includes an expert >= m=2"):
+                coalition_total(contract, profile, outside, 0)
 
 
 GENERIC_TAGS = ["independent-log", "independent-quadratic"]
@@ -518,6 +557,91 @@ class TestInducedExpertRule:
             score = rule.score(report, j)
             assert score == plain_quadratic(report.weights, j) + offsets[j]
             assert type(score) is Fraction
+
+    @given(st.data())
+    def test_expected_score_equals_plain_expectation(self, data):
+        belief = data.draw(int_weighted_distributions(max_n=6))
+        report = data.draw(mixed_denominator_reports(n=belief.n))
+        offsets = data.draw(st.tuples(*[exact_values] * belief.n))
+        rule = InducedExpertRule(offsets=offsets)
+        got = expected_score(rule, report, belief)
+        assert got == plain_expectation(
+            belief,
+            [
+                plain_quadratic(report.weights, j) + offsets[j]
+                for j in range(belief.n)
+            ],
+        )
+        assert type(got) is Fraction
+        # The offsets' common denominator is cached on the rule, out of
+        # eq, hash and repr.
+        assert expected_score(rule, report, belief) == got
+        fresh = InducedExpertRule(offsets=offsets)
+        assert rule == fresh and hash(rule) == hash(fresh)
+        assert repr(rule) == repr(fresh)
+
+    @given(fine_profiles(max_m=5, max_n=4), st.data())
+    def test_expert_view_expectation_equals_plain_reward(self, profile, data):
+        # The view's expected score is the expert's expected payment with
+        # everyone else's report held fixed.
+        alpha = data.draw(fine_alphas)
+        i = data.draw(st.integers(0, profile.m - 1))
+        belief = data.draw(int_weighted_distributions(n=profile.n))
+        report = data.draw(mixed_denominator_reports(n=profile.n))
+        rule = ArbitrageFreeContract(alpha, permissive=True).expert_view(
+            profile, i
+        )
+        moved = profile.replace({i: report})
+        assert expected_score(rule, report, belief) == plain_expectation(
+            belief,
+            [plain_reward(moved, i, j, alpha) for j in range(profile.n)],
+        )
+
+    def test_mismatched_offsets_raise_the_score_error(self):
+        rule = InducedExpertRule(offsets=(Fraction(1), Fraction(2)))
+        wide = Distribution.of("1/3", "1/3", "1/3")
+        message = "report has 3 outcomes, offsets cover 2"
+        with pytest.raises(ValueError, match=message):
+            rule.score(wide, 0)
+        with pytest.raises(ValueError, match=message):
+            expected_score(rule, wide, wide)
+        with pytest.raises(ValueError, match=message):
+            properness_probe(rule, wide, steps=3)
+
+    def test_offsets_are_coerced_like_weights(self):
+        with pytest.raises(TypeError, match="float"):
+            InducedExpertRule(offsets=(0.5, 0.25))
+        rule = InducedExpertRule(offsets=("1/2", 1))
+        assert rule.offsets == (Fraction(1, 2), Fraction(1))
+        assert all(type(o) is Fraction for o in rule.offsets)
+        d = Distribution.of("2/5", "3/5")
+        assert rule.score(d, 0) == quadratic_score(d, 0) + Fraction(1, 2)
+        assert expected_score(rule, d, d) == (
+            Fraction(2, 5) * rule.score(d, 0) + Fraction(3, 5) * rule.score(d, 1)
+        )
+        assert properness_probe(rule, d, steps=5).argmax == d
+
+    def test_fraction_offsets_are_kept_as_they_are(self):
+        offsets = (Fraction(3), Fraction(-1, 2))
+        rule = InducedExpertRule(offsets=offsets)
+        assert all(a is b for a, b in zip(rule.offsets, offsets))
+        same = InducedExpertRule(offsets=(Fraction(3), Fraction(-1, 2)))
+        assert rule == same and hash(rule) == hash(same)
+        # Ints coerce to equal Fractions, so eq and hash agree with them.
+        ints = InducedExpertRule(offsets=(3, Fraction(-1, 2)))
+        assert ints == rule and hash(ints) == hash(rule)
+
+    def test_expert_view_offsets_too_long_to_print_are_kept(self):
+        # A printable alpha times the others' mean can pass the print
+        # limit; the offsets stay exact and the rule stays usable.
+        profile = ReportProfile.of(("1/3", "2/3"), ("1/7", "6/7"), ("1/2", "1/2"))
+        alpha = Fraction(1, 10**4299)
+        rule = ArbitrageFreeContract(alpha, permissive=True).expert_view(
+            profile, 0
+        )
+        assert all(o.denominator > 10**4300 for o in rule.offsets)
+        belief = Distribution.of("1/2", "1/2")
+        assert properness_probe(rule, belief, steps=4).argmax == belief
 
 
 @dataclasses.dataclass(frozen=True)

@@ -151,6 +151,32 @@ class TestRandomDistribution:
         d = random_distribution(rng, 2, denominator=2, bounds=(half, half))
         assert d.weights == (half, half)
 
+    @pytest.mark.parametrize(
+        "n, denominator, bounds, count",
+        [
+            # n * low = denominator: every count is low.
+            (3, 9999, (Fraction(1, 3), Fraction(1, 3)), 3333),
+            (3, 9, (Fraction(1, 3), 1), 3),
+            # n * high = denominator: every count is high.
+            (2, 10, (0, Fraction(1, 2)), 5),
+            (4, 8, (Fraction(1, 10), Fraction(1, 4)), 2),
+        ],
+        ids=["one-third", "low-row", "high-row", "high-row-four"],
+    )
+    def test_bounds_one_count_row_meets_return_it_without_drawing(
+        self, n, denominator, bounds, count
+    ):
+        rng = derived_rng(1, "t")
+        state = rng.getstate()
+        d = random_distribution(rng, n, denominator, bounds)
+        assert d.weights == (Fraction(count, denominator),) * n
+        baseline = random_profile(derived_rng(2, "t"), 2, n)
+        deviation = random_deviation(
+            rng, baseline, Coalition.full(2), denominator, bounds
+        )
+        assert deviation.reports == (d, d)
+        assert rng.getstate() == state
+
     def test_refuses_float_bounds(self):
         rng = derived_rng(1, "t")
         with pytest.raises(TypeError, match="float"):

@@ -20,6 +20,7 @@ from elicit import (
     simplex_lattice,
     vertex,
 )
+from elicit.contracts import InducedExpertRule
 from elicit.scoring import ScoringRule, quadratic_score_float
 
 from conftest import (
@@ -154,14 +155,87 @@ class TestExpectedScore:
 
     @given(st.data())
     def test_quadratic_expectation_on_mixed_denominators(self, data):
-        belief = data.draw(int_weighted_distributions(max_n=6))
-        report = data.draw(mixed_denominator_reports(n=belief.n))
+        # Beliefs include vertices and zero-belief outcomes; the closed
+        # form reads them like any other.
+        n = data.draw(st.integers(2, 6))
+        belief = data.draw(
+            st.one_of(
+                st.builds(vertex, st.just(n), st.integers(0, n - 1)),
+                int_weighted_distributions(n=n),
+            )
+        )
+        report = data.draw(
+            st.one_of(
+                mixed_denominator_reports(n=n), int_weighted_distributions(n=n)
+            )
+        )
         got = expected_score(QuadraticRule(), report, belief)
         assert got == plain_expectation(
-            belief,
-            [plain_quadratic(report.weights, j) for j in range(belief.n)],
+            belief, [plain_quadratic(report.weights, j) for j in range(n)]
         )
         assert type(got) is Fraction
+
+    def test_closed_form_scores_nothing(self):
+        report = Distribution.of("1/3", "1/6", "1/2")
+        belief = Distribution.of("1/4", "0", "3/4")
+        got = expected_score(QuadraticRule(), report, belief)
+        assert got == Fraction(1, 4) * quadratic_score(report, 0) + Fraction(
+            3, 4
+        ) * quadratic_score(report, 2)
+        # The closed form reads only the integer counts, so a fresh report
+        # never builds its cached scores.
+        fresh = Distribution.of("1/3", "1/6", "1/2")
+        expected_score(QuadraticRule(), fresh, belief)
+        assert "quadratic_scores" not in vars(fresh)
+
+    @given(st.data())
+    def test_new_score_without_new_expected_falls_back(self, data):
+        @dataclasses.dataclass(frozen=True)
+        class Shifted(QuadraticRule):
+            def score(self, report, j):
+                return quadratic_score(report, j) + j
+
+        @dataclasses.dataclass(frozen=True)
+        class Plain(QuadraticRule):
+            pass
+
+        assert Shifted.expected is ScoringRule.expected
+        assert Plain.expected is QuadraticRule.expected
+        belief = data.draw(int_weighted_distributions())
+        report = data.draw(mixed_denominator_reports(n=belief.n))
+        got = expected_score(Shifted(), report, belief)
+        assert got == plain_expectation(
+            belief,
+            [plain_quadratic(report.weights, j) + j for j in range(belief.n)],
+        )
+        assert expected_score(Plain(), report, belief) == expected_score(
+            QuadraticRule(), report, belief
+        )
+
+    def test_a_rule_with_its_own_expected_is_asked_for_it(self):
+        class Constant(ScoringRule):
+            def score(self, report, j):
+                raise AssertionError("the expectation must not score")
+
+            def expected(self, report, belief):
+                return Fraction(7)
+
+        d = Distribution.of("1/2", "1/2")
+        assert expected_score(Constant(), d, d) == 7
+        with pytest.raises(ValueError, match="report has 2 outcomes, belief has 3"):
+            expected_score(Constant(), d, Distribution.of(1, 0, 0))
+
+    def test_expected_refuses_mismatched_shapes(self):
+        report, belief = Distribution.of(1, 0, 0), Distribution.of(1, 0)
+        rules = [
+            QuadraticRule(),
+            LogRule(),
+            InducedExpertRule(offsets=(0, 0, 0)),
+            TableRule((1, 2, 3)),
+        ]
+        for rule in rules:
+            with pytest.raises(ValueError, match="report has 3 outcomes, belief has 2"):
+                rule.expected(report, belief)
 
     def test_zero_belief_terms_are_skipped_for_log(self):
         # ln(0) never enters when the belief rules the outcome out.

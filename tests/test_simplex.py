@@ -24,6 +24,7 @@ from elicit import (
     simplex_lattice,
     vertex,
 )
+from elicit.simplex import _as_fraction
 
 from conftest import (
     distributions,
@@ -80,6 +81,21 @@ class TestDistribution:
             assert str(info.value) == f"refusing {shown}: {reason}"
         assert ArbitrageFreeContract(alpha="1e4290").alpha == 10**4290
         assert Distribution.of("1e-4299", 1 - Fraction(1, 10**4299)).n == 2
+
+    def test_exact_fraction_is_not_copied(self):
+        f = Fraction(2, 5)
+        assert _as_fraction(f) is f
+        assert ArbitrageFreeContract(alpha=f).alpha is f
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            _as_fraction(Fraction(1, 10**4300))
+        # Anything else still becomes a new plain Fraction.
+        class Sub(Fraction):
+            pass
+
+        for value, equal in ((Sub(2, 5), f), (True, 1), ("2/5", f), (3, 3)):
+            got = _as_fraction(value)
+            assert type(got) is Fraction and got == equal
+            assert got is not value
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError, match="sum"):

@@ -89,6 +89,27 @@ def test_properness_runs_the_alpha_override():
     assert result.passed and result.checks == 2 * config.probes
 
 
+def test_witness_builds_one_contract_per_drawn_alpha(monkeypatch):
+    built = []
+
+    def recording(alpha, permissive=False):
+        built.append(alpha)
+        return ArbitrageFreeContract(alpha, permissive)
+
+    config = VerifyConfig(m_max=4, n_max=3, trials=60)
+    (plain,) = run_suites(["witness"], config)
+    monkeypatch.setattr(suites, "ArbitrageFreeContract", recording)
+    (result,) = run_suites(["witness"], config)
+    assert result == plain and result.passed and result.checks == 60
+    # Every built alpha is distinct, and each is safe for some shape.
+    assert len(built) == len(set(built)) > 1
+    shapes = [(m, n) for m in range(2, 5) for n in range(2, 4)]
+    defaults = {
+        a for m, n in shapes for a in suites._dominance_alphas(config, m, n)
+    }
+    assert set(built) <= defaults
+
+
 def always_certify(contract, baseline, deviation, coalition, before=None):
     """A broken dominance check: every deviation certifies."""
     return SimpleNamespace(deltas=(Fraction(1),) * baseline.n)

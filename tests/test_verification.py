@@ -34,11 +34,21 @@ from elicit.verification import (
 )
 
 from conftest import (
+    distributions,
     fine_profiles,
+    mixed_denominator_reports,
     plain_form_residual,
     plain_structured,
     profiles,
 )
+
+def plain_member_sums(profile, coalition):
+    """The members' summed weights per outcome, in plain Fractions."""
+    return [
+        sum((profile.reports[i].weights[k] for i in coalition), Fraction(0))
+        for k in range(profile.n)
+    ]
+
 
 BOUNDARY = ReportProfile.of(("1/2", "1/2"), ("1/2", "1/2"), ("0", "1"))
 
@@ -486,6 +496,47 @@ class TestHurtingOutcome:
         )
         # Sum moves are (+1/4, +1/4, -1/2): outcomes 1 and 2 tie.
         assert hurting_outcome(contract, baseline, deviation, coalition) == 0
+
+    @given(fine_profiles(max_m=5, max_n=4), st.data())
+    def test_equals_the_fraction_moves(self, baseline, data):
+        m, n = baseline.m, baseline.n
+        members = data.draw(
+            st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True)
+        )
+        coalition = Coalition.of(members)
+        # Coarse reports make ties likely; fine ones give the deviation a
+        # denominator of its own.
+        strategy = data.draw(
+            st.sampled_from(
+                [distributions(n=n, resolution=2), mixed_denominator_reports(n=n)]
+            )
+        )
+        deviation = baseline.replace({i: data.draw(strategy) for i in coalition})
+        cut = safe_cutoff(m, n)
+        alpha = data.draw(st.sampled_from([Fraction(-1, 7), cut, cut + 5]))
+        contract = ArbitrageFreeContract(alpha=alpha)
+        sign = -1 if alpha < 0 else 1
+        moves = [
+            sign * (b - a)
+            for a, b in zip(
+                plain_member_sums(deviation, coalition),
+                plain_member_sums(baseline, coalition),
+            )
+        ]
+        j = hurting_outcome(contract, baseline, deviation, coalition)
+        assert j == moves.index(max(moves))
+
+    def test_ties_across_different_denominators(self):
+        contract = ArbitrageFreeContract(alpha=-1)
+        baseline = ReportProfile.of(("1/3", "1/3", "1/3"), ("1/2", "1/4", "1/4"))
+        coalition = Coalition.of([0])
+        # Moves are (-1/12, +1/24, +1/24), the profiles' D are 12 and 8:
+        # outcomes 2 and 3 tie for the largest raise.
+        deviation = baseline.replace({0: Distribution.of("1/4", "3/8", "3/8")})
+        assert deviation.scaled[0] != baseline.scaled[0]
+        assert hurting_outcome(contract, baseline, deviation, coalition) == 1
+        large = ArbitrageFreeContract(alpha=safe_cutoff(2, 3))
+        assert hurting_outcome(large, baseline, deviation, coalition) == 0
 
     def test_invalid_alpha_is_rejected(self):
         contract = ArbitrageFreeContract(alpha=1, permissive=True)
