@@ -465,18 +465,7 @@ def uniform_report_arbitrage_interval(
     lower == upper is their shared report, where both constraints are
     tight and no outcome strictly improves.
     """
-    if profile.n != 2:
-        raise ValueError(
-            f"uniform-report intervals need exactly 2 outcomes, "
-            f"got n={profile.n}"
-        )
-    if coalition.size < 2:
-        raise ValueError(
-            f"need at least 2 coalition members, got {coalition.size}"
-        )
-    coalition.validate_for(profile.m)
-    if not 0 <= j < 2:
-        raise IndexError(f"outcome {j} out of range for n=2")
+    _check_two_outcome_case(profile, coalition, j, "a uniform-report interval")
     c = coalition.size
     totals = coalition_totals(
         IndependentScoring(rule=QuadraticRule()), profile, coalition
@@ -485,6 +474,25 @@ def uniform_report_arbitrage_interval(
     upper = SqrtExpr(Fraction(0), Fraction(1), Fraction(c - totals[1 - j], 2 * c))
     empty = len({profile.reports[i] for i in coalition}) == 1
     return ArbitrageInterval(outcome=j, lower=lower, upper=upper, empty=empty)
+
+
+def _check_two_outcome_case(
+    profile: ReportProfile, coalition: Coalition, j: int, what: str, min_size: int = 2
+) -> None:
+    """Refuse arguments outside the two-outcome analysis named ``what``.
+
+    ValueError unless n = 2 and the coalition has at least ``min_size``
+    members, all experts of the profile; IndexError unless j is 0 or 1.
+    """
+    if profile.n != 2:
+        raise ValueError(f"{what} needs exactly 2 outcomes (n=2), got n={profile.n}")
+    if coalition.size < min_size:
+        raise ValueError(
+            f"{what} needs at least {min_size} coalition members, got {coalition.size}"
+        )
+    coalition.validate_for(profile.m)
+    if not 0 <= j < 2:
+        raise IndexError(f"outcome {j} out of range for n=2")
 
 
 @dataclass(frozen=True)

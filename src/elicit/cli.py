@@ -157,18 +157,13 @@ def _contract_config(tag: str, alpha: Optional[str], permissive: bool) -> dict:
 
 
 def _render_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    widths = [len(h) for h in header]
-    for row in rows:
-        for k, cell in enumerate(row):
-            widths[k] = max(widths[k], len(cell))
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()
-    ]
-    for row in rows:
-        lines.append(
-            "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
-        )
-    return "\n".join(lines) + "\n"
+    """Left-aligned columns two spaces apart; the header is the first row."""
+    table = [header, *rows]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    return "".join(
+        "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
+        for row in table
+    )
 
 
 def _vcell(value) -> str:

@@ -39,11 +39,11 @@ scaled by D on each call; the band is checked once per (m, n).
 Other exact contracts, such as independent scoring, sum their members'
 payments on integers too (``_member_sums``): numerators are added over a
 running common denominator, and each total becomes one ``Fraction``.
-Inexact contracts, such as the log rule's, keep a float sum.  An
-expert's view of the family (``InducedExpertRule``) has the quadratic
-rule's closed-form expected score plus the belief-weighted offsets.  The
-tests keep the plain ``Fraction`` formulas and sums as oracles and check
-the integer paths against them.
+Inexact contracts, such as the log rule's, keep a float sum, in the same
+function.  An expert's view of the family (``InducedExpertRule``) has
+the quadratic rule's closed-form expected score plus the belief-weighted
+offsets.  The tests keep the plain ``Fraction`` formulas and sums as
+oracles and check the integer paths against them.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from numbers import Rational
 
 from .scoring import (
     ScoringRule,
@@ -102,19 +101,18 @@ class AlphaVerdict(enum.Enum):
         return self is not AlphaVerdict.INVALID
 
 
-def _threshold(m: int, alpha, factor: int) -> Fraction:
-    """(m - 1) - alpha / (factor * (m - 1)), built as one Fraction.
+def _threshold_terms(m: int, alpha, factor: int) -> tuple[int, int]:
+    """(dn, dd), unreduced, with dn / dd = k - alpha / (factor * k), k = m - 1.
 
-    With k = m - 1 and alpha = p / q it is
-    (factor * k**2 * q - p) / (factor * k * q).
+    With alpha = p / q: dd = factor * k * q and dn = k * dd - p.
     """
-    if not isinstance(alpha, Rational):
+    if type(alpha) is not Fraction:
         alpha = _as_fraction(alpha)
     if m < 2:
         raise ValueError(f"need at least 2 experts, got m={m}")
-    p, q = alpha.numerator, alpha.denominator
-    scale = factor * (m - 1) * q
-    return Fraction((m - 1) * scale - p, scale)
+    k = m - 1
+    dd = factor * k * alpha.denominator
+    return k * dd - alpha.numerator, dd
 
 
 def threshold_two_outcome(m: int, alpha: Fraction) -> Fraction:
@@ -124,7 +122,7 @@ def threshold_two_outcome(m: int, alpha: Fraction) -> Fraction:
     threshold > m - 1 (negative alpha) and threshold <= 0 (large alpha,
     n = 2); the arbitrage-prone band is 0 < threshold <= m - 1.
     """
-    return _threshold(m, alpha, 4)
+    return Fraction(*_threshold_terms(m, alpha, 4))
 
 
 def threshold_general(m: int, alpha: Fraction) -> Fraction:
@@ -133,7 +131,7 @@ def threshold_general(m: int, alpha: Fraction) -> Fraction:
     Defined as (m - 1) - alpha / (2 * (m - 1)); negative alpha is exactly
     threshold > m - 1.
     """
-    return _threshold(m, alpha, 2)
+    return Fraction(*_threshold_terms(m, alpha, 2))
 
 
 def safe_cutoff(m: int, n: int) -> int:
@@ -221,11 +219,11 @@ class InducedExpertRule(ScoringRule):
     changes which report maximizes expected score.  Offsets are coerced
     as weights are: ints and exact strings become ``Fraction``s, floats
     raise TypeError, and an exact ``Fraction`` is kept as it is.  The
-    score is built as one ``Fraction`` from the integers of the quadratic
-    score and the offset.  The expected score is the quadratic rule's
-    closed form plus sum(B_j * O_j) / (Db * Do), with (Db, B) the
-    belief's counts and O / Do the offsets over one common denominator,
-    cached on the rule: one ``Fraction`` per expectation.
+    score is the quadratic score plus the outcome's offset.  The expected
+    score is the quadratic rule's closed form plus
+    sum(B_j * O_j) / (Db * Do), with (Db, B) the belief's counts and
+    O / Do the offsets over one common denominator, cached on the rule:
+    one ``Fraction`` per expectation.
     """
 
     offsets: tuple[Fraction, ...]
@@ -255,13 +253,7 @@ class InducedExpertRule(ScoringRule):
 
     def score(self, report: Distribution, j: int) -> Fraction:
         self._check_outcomes(report)
-        s = quadratic_score(report, j)
-        offset = self.offsets[j]
-        q = offset.denominator
-        return Fraction(
-            s.numerator * q + offset.numerator * s.denominator,
-            s.denominator * q,
-        )
+        return quadratic_score(report, j) + self.offsets[j]
 
     def expected(self, report: Distribution, belief: Distribution) -> Fraction:
         self._check_outcomes(report)
@@ -388,7 +380,7 @@ def coalition_total(
     Equals ``coalition_totals(contract, profile, coalition)[j]`` and
     builds outcome j only: one ``Fraction`` from the alpha family's
     integer numerators, or one ``evaluate(profile, j)`` row summed over
-    the members for any other contract.
+    the members (``_member_sums``) for any other contract.
     """
     _check_eval_args(profile, j)
     coalition.validate_for(profile.m)
@@ -398,10 +390,7 @@ def coalition_total(
         )
         return Fraction(numerators[j], denominator)
     row = contract.evaluate(profile, j)
-    if contract.exact:
-        return _member_sums([row], coalition.members)[0]
-    first, *rest = coalition.members
-    return sum([row[i] for i in rest], row[first])
+    return _member_sums([row], coalition.members, contract.exact)[0]
 
 
 def coalition_totals(
@@ -415,8 +404,8 @@ def coalition_totals(
     (all experts) and S (the members) of ``profile.scaled`` alone, as
     ``ArbitrageFreeContract._coefficients`` derives; the per-expert sums
     of ``ReportProfile.scaled_totals`` are not needed.  Other contracts
-    sum the members' ``evaluate`` payments: on integers, with one
-    ``Fraction`` per outcome (``_member_sums``), when the contract is
+    sum the members' ``evaluate`` payments with ``_member_sums``: on
+    integers, with one ``Fraction`` per outcome, when the contract is
     exact, and as floats otherwise, where two -inf payments sum to -inf.
     """
     coalition.validate_for(profile.m)
@@ -426,10 +415,7 @@ def coalition_totals(
         )
         return tuple([Fraction(x, denominator) for x in numerators])
     rows = [contract.evaluate(profile, j) for j in range(profile.n)]
-    if contract.exact:
-        return _member_sums(rows, coalition.members)
-    first, *rest = coalition.members
-    return tuple([sum([row[i] for i in rest], row[first]) for row in rows])
+    return _member_sums(rows, coalition.members, contract.exact)
 
 
 def _family_numerators(
@@ -458,17 +444,21 @@ def _family_numerators(
     ]
 
 
-def _member_sums(rows, members) -> tuple:
-    """Each exact payment row summed over the members, one Fraction a row.
+def _member_sums(rows, members, exact: bool = True) -> tuple:
+    """Each payment row summed over the members, one total a row.
 
-    The members' numerators are added over a running common denominator,
+    Exact rows (``Fraction``s or ints) are summed on integers: the
+    members' numerators are added over a running common denominator,
     starting from the first member's: an equal denominator adds the
     numerator, one that divides the running denominator adds it scaled,
     and any other grows the running denominator to their lcm.  So a row
     costs integer operations and one ``Fraction``, however many members
-    it sums.  Entries may be ``Fraction``s or ints.
+    it sums.  Inexact rows are summed as floats, starting from the first
+    member's payment, so two -inf payments sum to -inf.
     """
     first, *rest = members
+    if not exact:
+        return tuple([sum([row[i] for i in rest], row[first]) for row in rows])
     totals = []
     for row in rows:
         v = row[first]

@@ -218,7 +218,8 @@ def decimal_value(value):
 
     A rational beyond float range (a payment at alpha = 1e400, say) is
     rounded exactly, half to even, to 6 significant digits and written in
-    the style ``%.6g`` gives a float of that size, such as ``1e+400``.
+    the style ``%.6g`` gives a float of that size, such as ``1e+400``
+    (normalized, its exponent is positive, so ``g`` writes it that way).
     """
     try:
         return float(value)
@@ -229,10 +230,7 @@ def decimal_value(value):
         ctx.rounding = decimal.ROUND_HALF_EVEN
         ctx.Emax = decimal.MAX_EMAX
         x = (decimal.Decimal(value.numerator) / value.denominator).normalize()
-    sign, digits, _ = x.as_tuple()
-    head, tail = digits[0], "".join(map(str, digits[1:]))
-    point = "." + tail if tail else ""
-    return f"{'-' * sign}{head}{point}e{x.adjusted():+03d}"
+    return format(x, "g")
 
 
 def _clean(value):

@@ -60,7 +60,7 @@ from .sampling import (
     random_profile,
 )
 from .scoring import QuadraticRule, properness_probe, quadratic_score_float
-from .simplex import Coalition, ReportProfile, coalition_sums
+from .simplex import Coalition, ReportProfile, _as_fraction, coalition_sums
 from .verification import (
     Monotonicity,
     _split_total,
@@ -88,13 +88,16 @@ class VerifyConfig:
 
     ``alphas = None`` means each suite uses its default set, which for
     dominance-style suites is (-1, -10, cutoff, cutoff + 5) with cutoff
-    the shape-dependent lower bound of the large-alpha safe band.
-    ``m_max`` and ``n_max`` must be at least 2, every budget at least 1,
-    and ``grid`` at least k = min(3, n_max): properness draws beliefs over
-    up to k outcomes inside [1/grid, 1 - 1/grid].  Each probe lists all
-    C(grid + k - 1, k - 1) lattice reports, so a grid whose lattice holds
-    more than ``MAX_GRID_DEVIATIONS`` reports is refused, as ``search``
-    refuses such a grid; with n_max >= 3 the first refused grid is 1413.
+    the shape-dependent lower bound of the large-alpha safe band; any
+    other ``alphas`` is stored as a nonempty tuple of distinct exact
+    ``Fraction``s.  ``m_max``, ``n_max`` and every budget are ints (not
+    bools); ``m_max`` and ``n_max`` must be at least 2, every budget at
+    least 1, and ``grid`` at least k = min(3, n_max): properness draws
+    beliefs over up to k outcomes inside [1/grid, 1 - 1/grid].  Each
+    probe lists all C(grid + k - 1, k - 1) lattice reports, so a grid
+    whose lattice holds more than ``MAX_GRID_DEVIATIONS`` reports is
+    refused, as ``search`` refuses such a grid; with n_max >= 3 the first
+    refused grid is 1413.
     """
 
     m_max: int = 5
@@ -112,10 +115,19 @@ class VerifyConfig:
         lows = {"m_max": 2, "n_max": 2, "trials": 1, "baselines": 1,
                 "profiles": 1, "probes": 1, "grid": 2}
         for name, low in lows.items():
-            if getattr(self, name) < low:
-                raise ValueError(
-                    f"{name} must be >= {low}, got {getattr(self, name)}"
-                )
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        alphas = self.alphas
+        if alphas is not None:
+            alphas = () if isinstance(alphas, str) else tuple(map(_as_fraction, alphas))
+            if not alphas:
+                raise ValueError(f"alphas must be None or nonempty, got {self.alphas!r}")
+            if len(set(alphas)) < len(alphas):
+                raise ValueError(f"alphas repeat a value: {', '.join(map(str, alphas))}")
+            object.__setattr__(self, "alphas", alphas)
         k = min(3, self.n_max)
         if self.grid < k:
             raise ValueError(

@@ -36,10 +36,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arbitrage import ensure_agreement_outside, profile_with_coalition_sums
+from .arbitrage import (
+    _check_two_outcome_case, ensure_agreement_outside, profile_with_coalition_sums
+)
 from .contracts import (
     ArbitrageFreeContract,
     AlphaVerdict,
+    _threshold_terms,
     coalition_total,
     threshold_two_outcome,
     validate_alpha,
@@ -123,9 +126,8 @@ def _residual_row(
     dd**2 * T_l * (T_l - 2*A_i[l]) for every other outcome l.  The
     payments are the permissive contract's ``evaluate(profile, j)``.
 
-    d = k - alpha / (f * k) with k = m - 1, alpha = p / q, and f = 4 for
-    the two-outcome threshold, 2 for the general one, is taken unreduced:
-    dd = f * k * q and dn = k * dd - p.  A factor common to dn and dd
+    d is the two-outcome threshold, or the general one, taken unreduced
+    from ``contracts._threshold_terms``.  A factor common to dn and dd
     scales the structured part and its denominator D**2 * dd**2 alike,
     so it cancels when each residual's ``Fraction`` is reduced.
     """
@@ -133,9 +135,7 @@ def _residual_row(
     # the arbitrage-prone band, so evaluation is always permissive here.
     contract = ArbitrageFreeContract(alpha, permissive=True)
     row = contract.evaluate(profile, j)
-    k = profile.m - 1
-    dd = (4 if two_outcome else 2) * k * contract.alpha.denominator
-    dn = k * dd - contract.alpha.numerator
+    dn, dd = _threshold_terms(profile.m, contract.alpha, 4 if two_outcome else 2)
     scale, rows = profile.scaled
     totals = [sum(column) for column in zip(*rows)]
     t = totals[j] * dd
@@ -258,17 +258,7 @@ def coalition_reward_poly(
     threshold; the constant is recovered by evaluating the contract at
     sum zero via an equal-split reconstruction.
     """
-    if profile.n != 2:
-        raise ValueError(
-            f"coalition polynomial needs n=2, got n={profile.n}"
-        )
-    if coalition.size < 2:
-        raise ValueError(
-            f"need at least 2 coalition members, got {coalition.size}"
-        )
-    coalition.validate_for(profile.m)
-    if not 0 <= j < 2:
-        raise IndexError(f"outcome {j} out of range for n=2")
+    _check_two_outcome_case(profile, coalition, j, "the coalition polynomial")
     alpha = _as_fraction(alpha)
     c = coalition.size
     d = threshold_two_outcome(profile.m, alpha)
@@ -330,15 +320,12 @@ def monotonicity_check(
     [0, |coalition|] with complement reports fixed, realizing each target
     by equal split.  Strictly increasing sequences verdict INCREASING,
     strictly decreasing ones DECREASING; anything else is a VIOLATION
-    carrying the offending adjacent pair.  Two outcomes only.
+    carrying the offending adjacent pair.  Two outcomes only, j in
+    {0, 1}; any coalition of the profile's experts.
     """
-    if profile.n != 2:
-        raise ValueError(
-            f"monotonicity sweep needs n=2, got n={profile.n}"
-        )
+    _check_two_outcome_case(profile, coalition, j, "the monotonicity sweep", 1)
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    coalition.validate_for(profile.m)
     c = coalition.size
     points = []
     for k in range(samples):
@@ -371,8 +358,13 @@ def hurting_outcome(
     total, with equality only when the deviation leaves every coalition
     sum unchanged.  The moves are compared on integers, the members'
     column sums of ``baseline.scaled`` and ``deviation.scaled`` over
-    D * D', so no ``Fraction`` is built.
+    D * D', so no ``Fraction`` is built.  A contract outside the alpha
+    family raises TypeError.
     """
+    if not isinstance(contract, ArbitrageFreeContract):
+        raise TypeError(
+            f"need an ArbitrageFreeContract, got {type(contract).__name__}"
+        )
     ensure_agreement_outside(baseline, deviation, coalition)
     verdict = validate_alpha(contract.alpha, baseline.m, baseline.n)
     if not verdict.valid:

@@ -781,6 +781,13 @@ class TestVerify:
                 "1000405 lattice reports, more than the limit of 1000000; "
                 "use a coarser grid",
             ),
+            # -1 and -1/1 are one alpha; running it twice would double
+            # the freeness checks.
+            (
+                ("verify", "--suite", "freeness", "--alpha", "-1", "--alpha",
+                 "-1/1"),
+                "alphas repeat a value: -1, -1",
+            ),
             (("score",), "provide exactly one of --input or --reports"),
             (
                 ("score", "--reports", "1/2,1/2", "--outcome", "3"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,12 @@ from elicit import (
     threshold_two_outcome,
     validate_alpha,
 )
-from elicit.contracts import ContractFunction, InducedExpertRule, _member_sums
+from elicit.contracts import (
+    ContractFunction,
+    InducedExpertRule,
+    _member_sums,
+    _threshold_terms,
+)
 from elicit.simplex import Coalition
 
 from conftest import (
@@ -77,6 +83,10 @@ class TestThresholds:
     def test_formulas(self, m, alpha):
         assert threshold_two_outcome(m, alpha) == m - 1 - alpha / (4 * (m - 1))
         assert threshold_general(m, alpha) == m - 1 - alpha / (2 * (m - 1))
+        for factor in (2, 4):
+            dn, dd = _threshold_terms(m, alpha, factor)
+            assert dd == factor * (m - 1) * alpha.denominator
+            assert Fraction(dn, dd) == m - 1 - alpha / (factor * (m - 1))
 
     @given(st.integers(2, 8), alphas)
     def test_regime_equivalences(self, m, alpha):
@@ -686,6 +696,15 @@ class TestMemberSums:
         (total,) = _member_sums([row], range(5))
         assert total == plain_sum(row) == Fraction(31, 12)
         assert type(total) is Fraction
+
+    def test_float_rows_start_from_the_first_member(self):
+        # Log-rule payments are floats and may be -inf: a member who ruled
+        # the outcome out makes the coalition's total -inf.
+        rows = [(-math.inf, -math.inf, 0.5), (-math.inf, 0.25, 0.5)]
+        assert _member_sums(rows, [0, 1], exact=False) == (-math.inf, -math.inf)
+        assert _member_sums(rows, [1, 2], exact=False) == (-math.inf, 0.75)
+        (total,) = _member_sums([(0.25, 0.5)], [0, 1], exact=False)
+        assert type(total) is float
 
     @given(st.data())
     def test_equal_fraction_sums(self, data):

@@ -222,6 +222,10 @@ class TestRendering:
             (Fraction(1234565 * 10**394), "1.23456e+400"),
             (Fraction(1234575 * 10**394), "1.23458e+400"),
             (Fraction(1234565 * 10**394 + 1), "1.23457e+400"),
+            (Fraction(-1234565 * 10**394), "-1.23456e+400"),
+            (Fraction(9999995 * 10**394), "1e+401"),
+            (Fraction(12 * 10**399), "1.2e+400"),
+            (Fraction(10**4299 - 1), "1e+4299"),
             (Fraction(10**1000, 3), "3.33333e+999"),
         ],
     )

@@ -32,6 +32,39 @@ def test_shape_limit_below_two_is_refused(name, value):
         VerifyConfig(**{name: value})
 
 
+@pytest.mark.parametrize("name", ["m_max", "trials", "grid", "probes"])
+@pytest.mark.parametrize("value", [2.5, True, "3", None])
+def test_budget_that_is_not_an_int_is_refused(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be an int, got "):
+        VerifyConfig(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "alphas,message",
+    [
+        ((), r"^alphas must be None or nonempty, got \(\)$"),
+        ([], r"^alphas must be None or nonempty, got \[\]$"),
+        ("-1", r"^alphas must be None or nonempty, got '-1'$"),
+        ((Fraction(-1), "-1/1"), r"^alphas repeat a value: -1, -1$"),
+        ([3, 5, "6/2"], r"^alphas repeat a value: 3, 5, 3$"),
+    ],
+)
+def test_empty_or_repeated_alphas_are_refused(alphas, message):
+    # An empty tuple would divide by zero inside properness, and a repeat
+    # would run the same cells twice and double the check counts.
+    with pytest.raises(ValueError, match=message):
+        VerifyConfig(alphas=alphas)
+
+
+def test_alphas_are_a_hashable_tuple_of_fractions():
+    config = VerifyConfig(alphas=[Fraction(-1), "5/2", 7])
+    assert config.alphas == (Fraction(-1), Fraction(5, 2), Fraction(7))
+    assert all(type(a) is Fraction for a in config.alphas)
+    assert hash(config) == hash(VerifyConfig(alphas=(-1, "5/2", "7")))
+    with pytest.raises(TypeError, match="float"):
+        VerifyConfig(alphas=(1.5,))
+
+
 def test_smallest_shapes_run_every_suite():
     config = VerifyConfig(
         m_max=2, n_max=2, trials=4, baselines=2, profiles=3, probes=2, grid=2

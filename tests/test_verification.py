@@ -27,7 +27,8 @@ from elicit import (
 )
 from elicit import verification
 from elicit.arbitrage import profile_with_coalition_sums
-from elicit.contracts import safe_cutoff
+from elicit.contracts import IndependentScoring, safe_cutoff
+from elicit.scoring import QuadraticRule
 from elicit.verification import (
     general_identity_report,
     two_outcome_identity_report,
@@ -444,6 +445,13 @@ class TestMonotonicity:
         with pytest.raises(ValueError, match="n=2"):
             monotonicity_check(contract, wide, Coalition.of([0, 1]), 0)
 
+    @pytest.mark.parametrize("j", [2, -1])
+    def test_outcome_out_of_range(self, j):
+        contract = ArbitrageFreeContract(alpha=-1)
+        profile = ReportProfile.of(*([("1/2", "1/2")] * 3))
+        with pytest.raises(IndexError, match=f"outcome {j} out of range for n=2"):
+            monotonicity_check(contract, profile, Coalition.of([0, 1]), j)
+
 
 class TestHurtingOutcome:
     def test_negative_alpha_points_at_largest_raise(self):
@@ -545,3 +553,9 @@ class TestHurtingOutcome:
             hurting_outcome(
                 contract, baseline, baseline.replace({}), Coalition.of([0, 1])
             )
+
+    def test_contract_outside_the_family_is_a_type_error(self):
+        contract = IndependentScoring(QuadraticRule())
+        profile = ReportProfile.of(*([("1/2", "1/2")] * 3))
+        with pytest.raises(TypeError, match="got IndependentScoring$"):
+            hurting_outcome(contract, profile, profile, Coalition.of([0, 1]))
