@@ -13,6 +13,14 @@ float-valued contracts (the log rule) they use a fixed tolerance and the
 resulting certificates are flagged as numeric.  Searches are plain
 enumeration or seeded random sampling; both are deterministic, and any
 certificate they return re-verifies under the corresponding check.
+
+Under independent quadratic scoring only the members' scores move the
+coalition's total, so a dominance check against exact baseline totals
+first screens the deviation on the members' integer score numerators
+(``contracts._independent_numerators``): no expert outside the coalition
+is scored and no ``Fraction`` is built.  Only a deviation that passes
+the screen is scored through ``coalition_totals``, and every certificate
+still comes from that plain path.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .contracts import (
     ArbitrageFreeContract,
     ContractFunction,
     IndependentScoring,
+    _independent_numerators,
     coalition_totals,
 )
 from .sampling import DEFAULT_DENOMINATOR, exact_bounds, random_deviation
@@ -67,8 +76,9 @@ __all__ = [
 NUMERIC_TOLERANCE = 1e-9
 
 # Largest grid that runs: deviations per search, lattice reports per
-# properness probe.  A million checks take a minute or two on a small
-# profile; larger grids are refused up front instead of hanging.
+# properness probe, and trials per random search.  A million checks take a
+# minute or two on a small profile; larger budgets are refused up front
+# instead of hanging.
 MAX_GRID_DEVIATIONS = 10**6
 
 
@@ -205,21 +215,23 @@ def _passes(
 _RATIONALS = frozenset((Fraction, int))
 
 
-def _dominates(after: Sequence, before: Sequence) -> bool:
+def _dominates(after: Sequence, before: Sequence, scale: int = 1) -> bool:
     """Whether ``after`` is weakly above ``before`` everywhere and strictly
     above somewhere, deciding at the first outcome that loses.
 
     No delta is built.  A pair of Fraction or int totals is compared by
     integer cross-products of their ratios, each ratio read once; any
     other pair, such as float totals handed in as a screen, is compared
-    as it is.
+    as it is.  ``after`` may hold integer numerators over a positive
+    common ``scale``, as the screen of independent quadratic scoring
+    passes them; ``before`` must then be all Fractions or ints.
     """
     strict = False
     for a, b in zip(after, before):
         if type(a) in _RATIONALS and type(b) in _RATIONALS:
             p, q = a.as_integer_ratio()
             r, s = b.as_integer_ratio()
-            a, b = p * s, r * q
+            a, b = p * s, r * q * scale
         if a > b:
             strict = True
         elif not a >= b:
@@ -247,8 +259,30 @@ def _check(
     coalition: Coalition,
     baseline_totals: Optional[Sequence],
 ) -> Optional[ArbitrageCertificate]:
-    exact = contract.exact
+    """The check behind ``check_dominance`` and ``check_expected_arbitrage``.
+
+    After the agreement guard, a dominance check under exactly
+    ``IndependentScoring(QuadraticRule())`` (a subclass may score
+    differently) with Fraction or int ``baseline_totals`` is screened on
+    the members' integer totals (``_independent_numerators``, over L**2)
+    with ``_dominates``, and returns None at once on a reject.  Every
+    other check, and a passing one, takes the plain path: the
+    deviation's ``coalition_totals`` screened against
+    ``baseline_totals``, then compared with the baseline's own totals,
+    from which the certificate's deltas are built.
+    """
     ensure_agreement_outside(baseline, deviation, coalition)
+    if (
+        type(contract) is IndependentScoring
+        and type(contract.rule) is QuadraticRule
+        and kind is CertificateKind.DOMINANCE
+        and baseline_totals is not None
+        and _RATIONALS.issuperset(map(type, baseline_totals))
+    ):
+        scale, numerators = _independent_numerators(deviation, coalition)
+        if not _dominates(numerators, baseline_totals, scale):
+            return None
+    exact = contract.exact
     after = coalition_totals(contract, deviation, coalition)
     if baseline_totals is not None and not _passes(
         kind, baseline, coalition, after, baseline_totals, exact
@@ -290,7 +324,11 @@ def check_dominance(
     totals are compared with the baseline's directly, without building a
     delta: for Fraction or int totals a >= b is decided on the integers
     a.numerator * b.denominator and b.numerator * a.denominator, and the
-    comparison stops at the first outcome that loses.  The totals only
+    comparison stops at the first outcome that loses.  Under independent
+    quadratic scoring with Fraction or int totals, the deviation is
+    screened on its members' integer score numerators over L**2 (L the
+    lcm of their report scales) before any total is built, and the
+    experts outside the coalition are not scored.  The totals only
     screen deviations: before a
     certificate is returned its deltas are recomputed from the baseline,
     so totals that are wrong can hide a certificate but never make one.
@@ -576,9 +614,10 @@ def search_arbitrage(
     Grid enumeration runs in lexicographic order, so when several grid
     deviations certify, the lexicographically smallest one is returned;
     that makes results reproducible byte for byte.  A grid of more than
-    MAX_GRID_DEVIATIONS deviations raises ValueError before anything is
-    enumerated.  Random search is reproducible via its seed.  The
-    baseline's coalition totals are computed once per search.
+    MAX_GRID_DEVIATIONS deviations, or a random search of more trials,
+    raises ValueError before anything is enumerated or drawn.  Random
+    search is reproducible via its seed.  The baseline's coalition totals
+    are computed once per search.
     """
     coalition.validate_for(baseline.m)
     if isinstance(strategy, GridSearch):
@@ -587,19 +626,22 @@ def search_arbitrage(
         count = comb(strategy.steps + baseline.n - 1, baseline.n - 1)
         if not isinstance(contract, ArbitrageFreeContract):
             count **= coalition.size
-        if count > MAX_GRID_DEVIATIONS:
-            raise ValueError(
-                f"grid search at steps {strategy.steps} would check {count} "
-                f"deviations, more than the limit of {MAX_GRID_DEVIATIONS}; "
-                f"use a coarser grid, a smaller coalition or random search"
-            )
+        search = f"grid search at steps {strategy.steps}"
+        advice = "a coarser grid, a smaller coalition or random search"
         deviations = _grid_deviations(
             contract, baseline, coalition, strategy.steps
         )
     elif isinstance(strategy, RandomSearch):
+        count = strategy.trials
+        search, advice = f"random search with {count} trials", "fewer trials"
         deviations = _random_deviations(baseline, coalition, strategy)
     else:
         raise TypeError(f"unknown search strategy {strategy!r}")
+    if count > MAX_GRID_DEVIATIONS:
+        raise ValueError(
+            f"{search} would check {count} deviations, more than the limit "
+            f"of {MAX_GRID_DEVIATIONS}; use {advice}"
+        )
     check = (
         check_dominance
         if kind is CertificateKind.DOMINANCE

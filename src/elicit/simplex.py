@@ -235,18 +235,27 @@ class Distribution:
         return report
 
     @_cached
+    def _score_numerators(self) -> tuple[int, ...]:
+        """The quadratic score's numerators over D**2, one per outcome.
+
+        With (D, c, square) = ``scaled``, the score at j is
+        2*w_j - sum(w**2) = (2*D*c_j - square) / D**2.  The one place that
+        numerator is written: ``quadratic_scores`` and the coalition
+        totals of independent quadratic scoring both read it.  Built once
+        per report on first use.
+        """
+        scale, counts, square = self.scaled
+        return tuple([2 * scale * c - square for c in counts])
+
+    @_cached
     def quadratic_scores(self) -> tuple[Fraction, ...]:
         """The quadratic score of this report at every outcome.
 
-        With (D, c, square) = ``scaled``, the score at j is
-        2*w_j - sum(w**2) = (2*D*c_j - square) / D**2: one ``Fraction``
-        per outcome, built once per report on first use.
+        Each ``_score_numerators`` entry over D**2: one ``Fraction`` per
+        outcome, built once per report on first use.
         """
-        scale, counts, square = self.scaled
-        denominator = scale * scale
-        return tuple(
-            [Fraction(2 * scale * c - square, denominator) for c in counts]
-        )
+        denominator = self.scaled[0] ** 2
+        return tuple([Fraction(x, denominator) for x in self._score_numerators])
 
     def __len__(self) -> int:
         return self.n

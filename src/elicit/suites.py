@@ -97,7 +97,10 @@ class VerifyConfig:
     probe lists all C(grid + k - 1, k - 1) lattice reports, so a grid
     whose lattice holds more than ``MAX_GRID_DEVIATIONS`` reports is
     refused, as ``search`` refuses such a grid; with n_max >= 3 the first
-    refused grid is 1413.
+    refused grid is 1413.  ``trials`` above the same limit is refused, as
+    ``search_arbitrage`` refuses such a random search.  ``seed`` is an int
+    (not a bool) and ``permissive`` a bool: the seed's text names each
+    random stream, so ``"7"`` would silently run as 7.
     """
 
     m_max: int = 5
@@ -120,6 +123,16 @@ class VerifyConfig:
                 raise ValueError(f"{name} must be an int, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        if type(self.permissive) is not bool:
+            raise ValueError(f"permissive must be a bool, got {self.permissive!r}")
+        if self.trials > MAX_GRID_DEVIATIONS:
+            raise ValueError(
+                f"trials {self.trials} would have the edge-case suite's random "
+                f"search check {self.trials} deviations, more than the limit "
+                f"of {MAX_GRID_DEVIATIONS}; use fewer trials"
+            )
         alphas = self.alphas
         if alphas is not None:
             alphas = () if isinstance(alphas, str) else tuple(map(_as_fraction, alphas))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 from fractions import Fraction
 from itertools import product
@@ -31,6 +32,9 @@ from elicit import (
     uniform_report_arbitrage_interval,
 )
 from elicit import arbitrage
+from elicit.contracts import _independent_numerators
+from elicit.sampling import random_distribution
+from elicit.scoring import quadratic_score
 from elicit.arbitrage import (
     ArbitrageInterval,
     DeviationMismatchError,
@@ -47,6 +51,7 @@ from conftest import (
     exact_values,
     fine_profiles,
     int_weighted_distributions,
+    mixed_denominator_reports,
     plain_expectation,
     plain_quadratic,
     plain_reward,
@@ -743,6 +748,22 @@ class TestCachedBaselineTotals:
         with pytest.raises(ValueError, match="36 deviations"):
             search_arbitrage(QUADRATIC, three, pair, GridSearch(steps=2))
 
+    def test_trials_are_checked_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(arbitrage, "MAX_GRID_DEVIATIONS", 20)
+        pair = Coalition.of([0, 1])
+        assert search_arbitrage(QUADRATIC, ALL_HALF, pair, RandomSearch(20, 1)) is None
+
+        def no_draw(*args):
+            raise AssertionError("drew a deviation")
+
+        monkeypatch.setattr(arbitrage, "random_deviation", no_draw)
+        with pytest.raises(ValueError) as caught:
+            search_arbitrage(QUADRATIC, ALL_HALF, pair, RandomSearch(21, 1))
+        assert str(caught.value) == (
+            "random search with 21 trials would check 21 deviations, more "
+            "than the limit of 20; use fewer trials"
+        )
+
 
 def plain_coalition_totals(contract, profile, coalition):
     """Coalition totals from the payment formulas in plain Fractions."""
@@ -981,14 +1002,178 @@ class TestDominanceScreen:
         assert exact_screen((1, -math.inf), (half, -math.inf))
         assert exact_screen((1, Fraction(3, 2)), (-math.inf, 1.5))
 
-    def test_screen_accepts_float_totals(self):
+    @pytest.mark.parametrize(
+        "profile",
+        [INTRO, ReportProfile.of(("9/10", "1/10"), ("1", "0"), ("1/2", "1/2"))],
+        ids=["intro", "negative-totals"],
+    )
+    def test_screen_accepts_float_totals(self, profile):
         # Averaging gains the same positive amount on every outcome, far
-        # more than rounding the totals to floats can hide.
+        # more than rounding the totals to floats can hide.  With negative
+        # totals, float totals read as integer numerators over L**2 would
+        # reject the certificate.
+        coalition = Coalition.of([0, 1] if profile is not INTRO else [0, 2])
+        deviation = mean_collusion(profile, coalition)
+        totals = coalition_totals(QUADRATIC, profile, coalition)
+        floats = [float(t) for t in totals]
+        cert = check_dominance(QUADRATIC, profile, deviation, coalition, floats)
+        assert cert is not None
+        assert cert == check_dominance(QUADRATIC, profile, deviation, coalition)
+        same = unchanged_copy(profile)
+        assert check_dominance(QUADRATIC, profile, same, coalition, floats) is None
+
+
+@st.composite
+def scaled_reports(draw, n):
+    """A report on n outcomes: a lattice point, a draw at denominator 10**4,
+    or a report whose weights each have their own denominator."""
+    kind = draw(st.sampled_from(["lattice", "draw", "mixed"]))
+    if kind == "lattice":
+        return draw(st.sampled_from(list(simplex_lattice(n, draw(st.integers(2, 6))))))
+    if kind == "draw":
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        return random_distribution(rng, n, 10**4)
+    return draw(mixed_denominator_reports(n=n))
+
+
+@st.composite
+def members_cases(draw):
+    """A profile of ``scaled_reports`` and a one-member, two-member or grand
+    coalition."""
+    m, n = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    profile = ReportProfile(tuple(draw(scaled_reports(n)) for _ in range(m)))
+    size = draw(st.sampled_from([1, 2, m]))
+    members = draw(st.permutations(range(m)))[:size]
+    return profile, Coalition.of(members)
+
+
+def screen(deviation, coalition, before):
+    """The verdict of the integer screen of independent quadratic scoring."""
+    scale, numerators = _independent_numerators(deviation, coalition)
+    return arbitrage._dominates(numerators, before, scale)
+
+
+def plain_dominates(after, before):
+    return all(a >= b for a, b in zip(after, before)) and any(
+        a > b for a, b in zip(after, before)
+    )
+
+
+class ShiftedQuadratic(QuadraticRule):
+    """The quadratic score plus 1: the same certificates, other totals."""
+
+    def score(self, report, j):
+        return quadratic_score(report, j) + 1
+
+
+class ShiftedScoring(IndependentScoring):
+    """Pays ``ShiftedQuadratic`` whatever its rule is."""
+
+    def evaluate(self, profile, j):
+        return tuple(ShiftedQuadratic().score(r, j) for r in profile.reports)
+
+
+class TestMembersScreen:
+    """The integer screen of independent quadratic scoring, compared with
+    the plain Fraction path directly: a screen that passed too much would
+    never show in an output, since the plain path re-checks every pass."""
+
+    @settings(max_examples=200)
+    @given(members_cases())
+    def test_numerators_equal_plain_totals(self, case):
+        profile, coalition = case
+        denominator, numerators = _independent_numerators(profile, coalition)
+        scale = math.lcm(*[profile.reports[i].scaled[0] for i in coalition])
+        assert denominator == scale * scale
+        assert all(type(x) is int for x in numerators)
+        assert [Fraction(x, denominator) for x in numerators] == list(
+            plain_coalition_totals(QUADRATIC, profile, coalition)
+        )
+
+    @settings(max_examples=300)
+    @given(members_cases(), st.data())
+    def test_screen_equals_dominates_on_plain_totals(self, case, data):
+        # Each baseline total is the deviation's own, nudged up or down or
+        # left as it is, so ties on every outcome and on some are drawn.
+        baseline, coalition = case
+        deviation = baseline.replace(
+            {i: data.draw(scaled_reports(baseline.n)) for i in coalition}
+        )
+        after = coalition_totals(QUADRATIC, deviation, coalition)
+        before = []
+        for a in after:
+            step = data.draw(st.fractions(min_value=0, max_value=1))
+            moves = {"tie": a, "up": a + step, "down": a - step}
+            moves["int"] = data.draw(st.integers(-3, 3))
+            before.append(moves[data.draw(st.sampled_from(sorted(moves)))])
+        want = plain_dominates(
+            plain_coalition_totals(QUADRATIC, deviation, coalition), before
+        )
+        assert want is arbitrage._dominates(after, before)
+        assert screen(deviation, coalition, before) is want
+
+    @pytest.mark.parametrize("ties", [0, 1, 2])
+    def test_screen_ties(self, ties):
+        # INTRO has two outcomes: a gain on one and a tie on the other
+        # passes, a tie on both does not.
         coalition = Coalition.of([0, 2])
         deviation = mean_collusion(INTRO, coalition)
-        totals = coalition_totals(QUADRATIC, INTRO, coalition)
-        floats = [float(t) for t in totals]
-        cert = check_dominance(QUADRATIC, INTRO, deviation, coalition, floats)
-        assert cert == check_dominance(QUADRATIC, INTRO, deviation, coalition)
-        same = unchanged_copy(INTRO)
-        assert check_dominance(QUADRATIC, INTRO, same, coalition, floats) is None
+        after = coalition_totals(QUADRATIC, deviation, coalition)
+        before = after[:ties] + tuple(a - 1 for a in after[ties:])
+        assert screen(deviation, coalition, before) is (ties < 2)
+
+    @settings(max_examples=200)
+    @given(members_cases())
+    def test_mean_collusion_passes_unless_members_agree(self, case):
+        baseline, coalition = case
+        if coalition.size < 2:
+            coalition = Coalition.full(baseline.m)
+        deviation = mean_collusion(baseline, coalition)
+        totals = coalition_totals(QUADRATIC, baseline, coalition)
+        agree = len({baseline.reports[i] for i in coalition}) == 1
+        assert screen(deviation, coalition, totals) is not agree
+        cert = check_dominance(QUADRATIC, baseline, deviation, coalition, totals)
+        assert (cert is None) is agree
+
+    @pytest.mark.parametrize("kind", list(CertificateKind))
+    @pytest.mark.parametrize(
+        "contract",
+        [
+            IndependentScoring(rule=ShiftedQuadratic()),
+            ShiftedScoring(rule=QuadraticRule()),
+        ],
+        ids=["rule-subclass", "contract-subclass"],
+    )
+    def test_subclasses_take_the_plain_path(self, contract, kind):
+        # The baseline's shifted totals are 3 above its quadratic ones, so
+        # the quadratic screen would reject every deviation.
+        coalition = Coalition.full(3)
+        strategy = GridSearch(steps=4)
+        want = reference_search(contract, INTRO, coalition, strategy, kind)
+        assert want is not None
+        assert search_arbitrage(contract, INTRO, coalition, strategy, kind) == want
+
+    @settings(max_examples=100)
+    @given(members_cases(), st.data())
+    def test_float_totals_take_the_plain_path(self, case, data):
+        baseline, coalition = case
+        if data.draw(st.booleans()):
+            deviation = mean_collusion(baseline, Coalition.full(baseline.m))
+            coalition = Coalition.full(baseline.m)
+        else:
+            deviation = baseline.replace(
+                {i: data.draw(scaled_reports(baseline.n)) for i in coalition}
+            )
+        fresh = check_dominance(QUADRATIC, baseline, deviation, coalition)
+        totals = coalition_totals(QUADRATIC, baseline, coalition)
+        # Floats just below the totals, -inf totals, and one -inf among
+        # Fractions pass every deviation the true totals pass on to the
+        # plain check; NaN totals pass none.
+        below = [math.nextafter(float(t), -math.inf) for t in totals]
+        low = [-math.inf] * baseline.n
+        one_low = totals[:-1] + (-math.inf,)
+        for cached in (below, low, one_low):
+            got = check_dominance(QUADRATIC, baseline, deviation, coalition, cached)
+            assert got == fresh
+        nan = [math.nan] * baseline.n
+        assert check_dominance(QUADRATIC, baseline, deviation, coalition, nan) is None

@@ -815,6 +815,20 @@ class TestVerify:
                  "unread.json", "--grid", "5"),
                 "--deviation checks one profile; drop --grid/--trials",
             ),
+            # Refused before the first deviation is drawn.
+            (
+                ("search", "--reports", INTRO_ARG, "--trials",
+                 "99999999999999999999", "--seed", "1", "--coalition", "1,2"),
+                "random search with 99999999999999999999 trials would check "
+                "99999999999999999999 deviations, more than the limit of "
+                "1000000; use fewer trials",
+            ),
+            (
+                ("verify", "--trials", "1000001"),
+                "trials 1000001 would have the edge-case suite's random "
+                "search check 1000001 deviations, more than the limit of "
+                "1000000; use fewer trials",
+            ),
         ],
     )
     def test_config_error_is_one_error_line(

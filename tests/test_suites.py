@@ -32,11 +32,33 @@ def test_shape_limit_below_two_is_refused(name, value):
         VerifyConfig(**{name: value})
 
 
-@pytest.mark.parametrize("name", ["m_max", "trials", "grid", "probes"])
+@pytest.mark.parametrize("name", ["m_max", "trials", "grid", "probes", "seed"])
 @pytest.mark.parametrize("value", [2.5, True, "3", None])
 def test_budget_that_is_not_an_int_is_refused(name, value):
+    # A seed of "3" would run as 3: each random stream is named by the
+    # seed's text.
     with pytest.raises(ValueError, match=rf"^{name} must be an int, got "):
         VerifyConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", ["no", 1, 0, None])
+def test_permissive_that_is_not_a_bool_is_refused(value):
+    # "no" is truthy: it would evaluate permissively and skip the band check.
+    with pytest.raises(ValueError, match=rf"^permissive must be a bool, got {value!r}$"):
+        VerifyConfig(permissive=value)
+
+
+def test_trials_above_the_search_limit_are_refused(monkeypatch):
+    # The edge-case suite runs a random search of `trials` deviations,
+    # which refuses more than the limit; so does the configuration.
+    monkeypatch.setattr(suites, "MAX_GRID_DEVIATIONS", 20)
+    assert VerifyConfig(n_max=2, grid=2, trials=20).trials == 20
+    with pytest.raises(ValueError) as caught:
+        VerifyConfig(n_max=2, grid=2, trials=21)
+    assert str(caught.value) == (
+        "trials 21 would have the edge-case suite's random search check 21 "
+        "deviations, more than the limit of 20; use fewer trials"
+    )
 
 
 @pytest.mark.parametrize(
