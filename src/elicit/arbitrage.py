@@ -47,6 +47,7 @@ from .simplex import (
     Distribution,
     ReportProfile,
     _as_fraction,
+    _require_int,
     coalition_sums,
     simplex_lattice,
 )
@@ -540,6 +541,7 @@ class GridSearch:
     steps: int
 
     def __post_init__(self) -> None:
+        _require_int("steps", self.steps)
         if self.steps < 2:
             raise ValueError(f"grid needs steps >= 2, got {self.steps}")
 
@@ -551,7 +553,8 @@ class RandomSearch:
     ``denominator`` controls the rational resolution of drawn reports;
     ``bounds``, when set, restricts every drawn weight to [lo, hi].  The
     bounds must be exact rationals with 0 <= lo <= hi <= 1; they are
-    stored as Fractions, and floats are refused.
+    stored as Fractions, and floats are refused.  The other fields are ints
+    (not bools): ``random.Random("7")`` seeds another stream than 7.
     """
 
     trials: int
@@ -560,6 +563,8 @@ class RandomSearch:
     bounds: Optional[tuple[Fraction, Fraction]] = None
 
     def __post_init__(self) -> None:
+        for name in ("trials", "seed", "denominator"):
+            _require_int(name, getattr(self, name))
         if self.trials < 1:
             raise ValueError(f"need trials >= 1, got {self.trials}")
         if self.denominator < 1:

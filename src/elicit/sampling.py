@@ -106,7 +106,8 @@ def _draw_counts(
     denominator and floors them; the leftover units, fewer than n, go one
     each to the largest fractional parts (the sort is stable, so ties go
     to the lowest index).  Attempts outside ``limits`` = (low, high) are
-    rejected and drawn again.  A spacing is ``rng.expovariate(1.0)``
+    rejected and drawn again, as is one of all-zero spacings (every
+    ``random()`` returned 0.0).  A spacing is ``rng.expovariate(1.0)``
     written out: -log(1.0 - random()), since dividing by 1.0 changes no
     float; the draw uses the generator exactly as that call does.
 
@@ -122,6 +123,8 @@ def _draw_counts(
     for _ in range(_MAX_REJECTS):
         spacings = [-log(1.0 - uniform()) for _ in range(n)]
         total = sum(spacings)
+        if not total:
+            continue
         scaled = [s / total * denominator for s in spacings]
         counts = list(map(int, scaled))
         leftover = denominator - sum(counts)

@@ -31,9 +31,9 @@ denominator, into one ``Fraction``.  A subclass that redefines ``score``
 without redefining ``expected`` gets that generic expectation back, so a
 closed form never outlives the score it stands for.
 
-``properness_probe`` gives an empirical check of properness over any finite
-candidate set of reports, used by the verification suites rather than a
-symbolic proof.
+``properness_probe`` finds a rule's best reports over a full simplex
+lattice, exhaustive at that resolution.  The verification suites pair it
+with an exact identity that proves properness on the whole simplex.
 """
 
 from __future__ import annotations
@@ -41,13 +41,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .simplex import Distribution, simplex_lattice
 
 __all__ = [
     "quadratic_score",
-    "quadratic_score_float",
     "log_score",
     "ScoringRule",
     "QuadraticRule",
@@ -69,15 +68,6 @@ def quadratic_score(report: Distribution, j: int) -> Fraction:
     if not 0 <= j < report.n:
         raise IndexError(f"outcome {j} out of range for n={report.n}")
     return report.quadratic_scores[j]
-
-
-def quadratic_score_float(weights: Sequence[float], j: int) -> float:
-    """Float quadratic score on an arbitrary weight vector.
-
-    Accepts points off the simplex so finite-difference gradient checks
-    can step each coordinate independently.
-    """
-    return 2.0 * weights[j] - sum(p * p for p in weights)
 
 
 def log_score(report: Distribution, j: int) -> float:

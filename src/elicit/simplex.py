@@ -146,6 +146,12 @@ def _as_fraction(value) -> Fraction:
     return result
 
 
+def _require_int(name: str, value) -> None:
+    """Refuse a count, seed or resolution that is not an int, or is a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Distribution:
     """A point of the probability simplex with exact rational weights.

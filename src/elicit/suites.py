@@ -4,7 +4,8 @@ Each suite turns one family of claims into a bulk, seeded, exact check:
 
 - identities: the payment rewrites have zero residual spread.
 - freeness: no random coalition deviation dominates under a safe alpha.
-- properness: grid probes and gradients confirm truthful reporting wins.
+- properness: the belief is the unique best grid report, and an exact
+  identity proves every other report r loses |r - b|**2.
 - collusion: averaging reports always certifies against independent
   quadratic scoring.
 - structure: the coalition polynomial, its vertex bound, and the
@@ -59,8 +60,11 @@ from .sampling import (
     random_distribution,
     random_profile,
 )
-from .scoring import QuadraticRule, properness_probe, quadratic_score_float
-from .simplex import Coalition, ReportProfile, _as_fraction, coalition_sums
+from .scoring import QuadraticRule, properness_probe
+from .simplex import (
+    Coalition, ReportProfile, _as_fraction, _require_int, coalition_sums,
+    simplex_lattice,
+)
 from .verification import (
     Monotonicity,
     _split_total,
@@ -119,12 +123,10 @@ class VerifyConfig:
                 "profiles": 1, "probes": 1, "grid": 2}
         for name, low in lows.items():
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+            _require_int(name, value)
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        _require_int("seed", self.seed)
         if type(self.permissive) is not bool:
             raise ValueError(f"permissive must be a bool, got {self.permissive!r}")
         if self.trials > MAX_GRID_DEVIATIONS:
@@ -238,8 +240,7 @@ def _identity_alphas(config: VerifyConfig, m: int, n: int) -> tuple[Fraction, ..
     return (Fraction(-1), Fraction(5, 3), Fraction(safe_cutoff(m, n)))
 
 
-def _suite_identities(config: VerifyConfig) -> SuiteResult:
-    rec = _Recorder()
+def _suite_identities(config: VerifyConfig, rec: _Recorder) -> None:
     for m, n in _shapes(config):
         for alpha in _identity_alphas(config, m, n):
             rng = derived_rng(config.seed, f"identities:{m}:{n}:{alpha}")
@@ -261,11 +262,9 @@ def _suite_identities(config: VerifyConfig) -> SuiteResult:
                         f"two-outcome rewrite: spread {report2.max_spread} "
                         f"over m={m} alpha={alpha}"
                     )
-    return rec.result("identities")
 
 
-def _suite_freeness(config: VerifyConfig) -> SuiteResult:
-    rec = _Recorder()
+def _suite_freeness(config: VerifyConfig, rec: _Recorder) -> None:
     # Exactly `trials` deviations per cell: the first trials % baselines
     # baselines take one extra, and no baseline goes without a trial.
     baselines = min(config.baselines, config.trials)
@@ -313,40 +312,39 @@ def _suite_freeness(config: VerifyConfig) -> SuiteResult:
                         )
                     else:
                         rec.find(message + " (alpha is outside the safe bands, so this is the anticipated behavior)")
-    return rec.result("freeness")
 
 
-def _fd_gradient_norm(offsets: Sequence[Fraction], belief) -> float:
-    """Central-difference gradient norm of expected payment at the belief.
+def _identity_failure(rule, belief):
+    """The first order-2 lattice report that breaks the properness identity.
 
-    The expected payment, as a function of the expert's own report with
-    everyone else fixed, is maximized at the true belief; its gradient
-    there must vanish up to float noise.
+    Returns (report, gap, |r - b|**2) where the gap E_b[b] - E_b[r], from
+    ``rule.expected``, is not |r - b|**2, else None.  The induced rule
+    (quadratic score plus offsets o the others fix) pays 2*b.r - |r|**2 +
+    b.o in expectation, so the identity holds for every r and alpha.  When
+    ``rule.expected`` has degree <= 2 in r, as there, so do both sides, and
+    equality at ``simplex_lattice(n, 2)`` (vertices and edge midpoints)
+    proves it on the whole simplex (Chung and Yao, 1977): None then proves
+    strict properness at this belief.  |r - b|**2 is summed on the
+    ``scaled`` counts: sum((R_j*Db - B_j*Dr)**2) / (Dr*Db)**2.
     """
-    n = len(offsets)
-    offs = [float(o) for o in offsets]
-    b = [float(w) for w in belief.weights]
-
-    def expected(x: list[float]) -> float:
-        return sum(
-            b[j] * (quadratic_score_float(x, j) + offs[j]) for j in range(n)
+    truth = rule.expected(belief, belief)
+    belief_scale, belief_counts = belief.scaled[:2]
+    for report in simplex_lattice(belief.n, 2):
+        scale, counts = report.scaled[:2]
+        gap = truth - rule.expected(report, belief)
+        distance = Fraction(
+            sum([(c * belief_scale - b * scale) ** 2
+                 for c, b in zip(counts, belief_counts)]),
+            (scale * belief_scale) ** 2,
         )
-
-    h = 1e-6
-    grad = []
-    for k in range(n):
-        up = b[:]
-        up[k] += h
-        down = b[:]
-        down[k] -= h
-        grad.append((expected(up) - expected(down)) / (2 * h))
-    return math.sqrt(sum(g * g for g in grad))
+        if gap != distance:
+            return report, gap, distance
+    return None
 
 
-def _suite_properness(config: VerifyConfig) -> SuiteResult:
-    rec = _Recorder()
+def _suite_properness(config: VerifyConfig, rec: _Recorder) -> None:
     rng = derived_rng(config.seed, "properness")
-    # Lattice size explodes with n, so probes stay at n <= 3; the gradient
+    # Lattice size explodes with n, so probes stay at n <= 3; the identity
     # check is cheap at any n and the acceptance bar pins n through m_max
     # elsewhere.
     n_cap = min(3, config.n_max)
@@ -379,13 +377,15 @@ def _suite_properness(config: VerifyConfig) -> SuiteResult:
                 f"{len(probe.maximizers)} maximizers, first "
                 f"{probe.argmax.weights}"
             )
-        gnorm = _fd_gradient_norm(rule.offsets, belief)
+        failure = _identity_failure(rule, belief)
         rec.checks += 1
-        if not gnorm < 1e-6:
+        if failure is not None:
+            report, gap, distance = failure
             rec.fail(
-                f"probe {k + 1}: gradient norm {gnorm:.3e} at the belief"
+                f"probe {k + 1}: m={m} n={n} alpha={alpha} expected-payment "
+                f"gap {gap} != |r - b|^2 = {distance} at report "
+                f"{[str(w) for w in report.weights]}"
             )
-    return rec.result("properness")
 
 
 def _collusion_case(
@@ -404,8 +404,7 @@ def _collusion_case(
     return profile, coalition, mean_collusion(profile, coalition)
 
 
-def _suite_collusion(config: VerifyConfig) -> SuiteResult:
-    rec = _Recorder()
+def _suite_collusion(config: VerifyConfig, rec: _Recorder) -> None:
     rng = derived_rng(config.seed, "collusion")
     contract = IndependentScoring(rule=QuadraticRule())
     for k in range(config.profiles):
@@ -418,7 +417,6 @@ def _suite_collusion(config: VerifyConfig) -> SuiteResult:
                 f"m={profile.m} n={profile.n} coalition "
                 f"{[i + 1 for i in coalition]}"
             )
-    return rec.result("collusion")
 
 
 def _structure_poly(config: VerifyConfig, rec: _Recorder) -> None:
@@ -503,16 +501,13 @@ def _structure_vertex(config: VerifyConfig, rec: _Recorder) -> None:
                         )
 
 
-def _suite_structure(config: VerifyConfig) -> SuiteResult:
-    rec = _Recorder()
+def _suite_structure(config: VerifyConfig, rec: _Recorder) -> None:
     _structure_poly(config, rec)
     _structure_monotonicity(config, rec)
     _structure_vertex(config, rec)
-    return rec.result("structure")
 
 
-def _suite_edge_case(config: VerifyConfig) -> SuiteResult:
-    rec = _Recorder()
+def _suite_edge_case(config: VerifyConfig, rec: _Recorder) -> None:
     contract = ArbitrageFreeContract(alpha=Fraction(0), permissive=True)
     boundary = ReportProfile.of(("1/2", "1/2"), ("1/2", "1/2"), ("0", "1"))
     coalition = Coalition.of([0, 1])
@@ -547,11 +542,9 @@ def _suite_edge_case(config: VerifyConfig) -> SuiteResult:
             f"interior deviation certified at alpha=0: deltas "
             f"{[str(d) for d in cert2.deltas]}"
         )
-    return rec.result("edge-case")
 
 
-def _suite_expected(config: VerifyConfig) -> SuiteResult:
-    rec = _Recorder()
+def _suite_expected(config: VerifyConfig, rec: _Recorder) -> None:
     alpha = Fraction(16)
     contract = ArbitrageFreeContract(alpha=alpha)
     half = Fraction(1, 2)
@@ -619,11 +612,9 @@ def _suite_expected(config: VerifyConfig) -> SuiteResult:
                 f"implication {k + 1}: dominance without expected "
                 f"arbitrage for m={profile.m} n={profile.n}"
             )
-    return rec.result("expected-arbitrage")
 
 
-def _suite_witness(config: VerifyConfig) -> SuiteResult:
-    rec = _Recorder()
+def _suite_witness(config: VerifyConfig, rec: _Recorder) -> None:
     rng = derived_rng(config.seed, "witness")
     skipped_invalid = 0
     # The safe alphas per shape, and one contract per drawn alpha, shared
@@ -672,10 +663,9 @@ def _suite_witness(config: VerifyConfig) -> SuiteResult:
             f"skipped {skipped_invalid} trials: no safe alpha in the "
             f"configured set"
         )
-    return rec.result("witness")
 
 
-_SUITES: dict[str, Callable[[VerifyConfig], SuiteResult]] = {
+_SUITES: dict[str, Callable[[VerifyConfig, _Recorder], None]] = {
     "identities": _suite_identities,
     "freeness": _suite_freeness,
     "properness": _suite_properness,
@@ -717,4 +707,9 @@ def run_suites(
         # in its own order so the first prone alpha is refused up front.
         for m, n, alpha in _freeness_cells(config):
             ArbitrageFreeContract(alpha=alpha).require_valid(m, n)
-    return [_SUITES[name](config) for name in selected]
+    results = []
+    for name in selected:
+        rec = _Recorder()
+        _SUITES[name](config, rec)
+        results.append(rec.result(name))
+    return results

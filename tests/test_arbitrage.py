@@ -590,6 +590,23 @@ class TestSearch:
         with pytest.raises(ValueError):
             RandomSearch(trials=0, seed=1)
 
+    @pytest.mark.parametrize(
+        "field,build",
+        [
+            ("steps", lambda v: GridSearch(steps=v)),
+            ("trials", lambda v: RandomSearch(trials=v, seed=1)),
+            ("seed", lambda v: RandomSearch(trials=5, seed=v)),
+            ("denominator", lambda v: RandomSearch(5, 1, denominator=v)),
+        ],
+        ids=["steps", "trials", "seed", "denominator"],
+    )
+    @pytest.mark.parametrize("value", [2.5, True, "7", None])
+    def test_a_field_that_is_not_an_int_is_refused(self, field, build, value):
+        # 2.5 would fail inside range(), True would run one trial, and
+        # random.Random("7") seeds a different stream than 7.
+        with pytest.raises(ValueError, match=rf"^{field} must be an int, got "):
+            build(value)
+
     def test_random_search_rejects_empty_denominator(self):
         with pytest.raises(ValueError, match="denominator"):
             RandomSearch(trials=5, seed=1, denominator=0)

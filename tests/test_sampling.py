@@ -187,6 +187,25 @@ class TestRandomDistribution:
         d = random_distribution(rng, 2, denominator=10, bounds=("1/10", 1))
         assert all(Fraction(1, 10) <= w <= 1 for w in d.weights)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_an_all_zero_attempt_is_drawn_again(self, n):
+        # The first n random() calls return 0.0: every spacing of the first
+        # attempt is zero, so it is rejected rather than divided by.
+        class ZerosFirst:
+            def __init__(self, rng):
+                self.zeros, self.rng = n, rng
+
+            def random(self):
+                if self.zeros:
+                    self.zeros -= 1
+                    return 0.0
+                return self.rng.random()
+
+        stub = ZerosFirst(derived_rng(3, "t"))
+        d = random_distribution(stub, n, 10)
+        assert stub.zeros == 0
+        assert d == random_distribution(derived_rng(3, "t"), n, 10)
+
     def test_rejects_bounds_that_are_not_a_pair(self):
         rng = derived_rng(1, "t")
         with pytest.raises(ValueError, match="pair"):

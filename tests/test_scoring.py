@@ -21,7 +21,7 @@ from elicit import (
     vertex,
 )
 from elicit.contracts import InducedExpertRule
-from elicit.scoring import ScoringRule, quadratic_score_float
+from elicit.scoring import ScoringRule
 
 from conftest import (
     distributions,
@@ -104,11 +104,6 @@ class TestQuadraticScore:
         fresh = Distribution.of("1/3", "2/3")
         assert scored == fresh and hash(scored) == hash(fresh)
         assert repr(scored) == repr(fresh)
-
-    def test_float_variant_accepts_off_simplex_points(self):
-        assert quadratic_score_float([0.5, 0.5], 0) == pytest.approx(0.5)
-        off = quadratic_score_float([0.5, 0.6], 0)
-        assert off == pytest.approx(2 * 0.5 - (0.25 + 0.36))
 
 
 class TestLogScore:

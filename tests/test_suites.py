@@ -14,15 +14,16 @@ from elicit.arbitrage import MAX_GRID_DEVIATIONS
 from elicit.contracts import (
     AlphaRangeError,
     ArbitrageFreeContract,
+    InducedExpertRule,
     _member_sums,
     coalition_totals,
     safe_cutoff,
     validate_alpha,
 )
-from elicit.simplex import Coalition
+from elicit.simplex import Coalition, Distribution, ReportProfile, simplex_lattice
 from elicit.suites import SUITE_NAMES, VerifyConfig, run_suites
 
-from conftest import fine_profiles
+from conftest import distributions, fine_profiles, profiles
 
 
 @pytest.mark.parametrize("name", ["m_max", "n_max"])
@@ -144,6 +145,94 @@ def test_properness_runs_the_alpha_override():
     assert result.passed and result.checks == 2 * config.probes
 
 
+HOSTILE_ALPHAS = (
+    Fraction(-(10**6)),
+    Fraction(10**6),
+    Fraction(1, 10**4299),
+    Fraction(-1),
+    Fraction(0),
+    Fraction(7, 3),
+)
+
+
+def _plain_expected(offsets, report, belief):
+    """E_b[r] = sum_j b_j * (2*r_j - sum(r**2) + o_j), on plain Fractions."""
+    square = sum(w * w for w in report.weights)
+    return sum(
+        b * (2 * r - square + o)
+        for b, r, o in zip(belief.weights, report.weights, offsets)
+    )
+
+
+@given(
+    profile=profiles(max_m=5, max_n=4),
+    data=st.data(),
+    alpha=st.sampled_from(HOSTILE_ALPHAS),
+)
+def test_properness_identity_holds_on_the_whole_grid(profile, data, alpha):
+    i = data.draw(st.integers(0, profile.m - 1))
+    belief = data.draw(distributions(n=profile.n))
+    rule = ArbitrageFreeContract(alpha=alpha, permissive=True).expert_view(
+        profile, i
+    )
+    assert suites._identity_failure(rule, belief) is None
+    truth = _plain_expected(rule.offsets, belief, belief)
+    for report in simplex_lattice(profile.n, 5):
+        value = _plain_expected(rule.offsets, report, belief)
+        assert rule.expected(report, belief) == value
+        assert truth - value == sum(
+            (r - b) ** 2 for r, b in zip(report.weights, belief.weights)
+        )
+
+
+def _square(report):
+    return sum(w * w for w in report.weights)
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        _square,
+        lambda report: report.weights[0],
+        # Zero at every vertex and at the belief below: only an edge
+        # midpoint sees it.
+        lambda report: (
+            report.weights[0] * report.weights[1] * Fraction(1, 2)
+            - report.weights[0] * report.weights[2] * Fraction(3, 10)
+        ),
+    ],
+    ids=["doubled-square", "linear", "cross"],
+)
+def test_properness_identity_fails_a_rule_off_by_a_term_in_the_report(term):
+    profile = ReportProfile.of(("1/3", "2/3", "0"), ("1/2", "1/4", "1/4"))
+    belief = Distribution.of("1/5", "3/10", "1/2")
+    rule = ArbitrageFreeContract(alpha=-1).expert_view(profile, 0)
+    mutated = SimpleNamespace(
+        expected=lambda report, b: rule.expected(report, b) - term(report)
+    )
+    report, gap, distance = suites._identity_failure(mutated, belief)
+    assert report in set(simplex_lattice(3, 2))
+    assert gap != distance
+    assert distance == sum(
+        (r - b) ** 2 for r, b in zip(report.weights, belief.weights)
+    )
+
+
+def test_properness_suite_reports_a_failed_identity(monkeypatch):
+    expected = InducedExpertRule.expected
+    monkeypatch.setattr(
+        InducedExpertRule,
+        "expected",
+        lambda rule, report, b: expected(rule, report, b) - _square(report),
+    )
+    config = VerifyConfig(m_max=3, n_max=3, probes=2, grid=6)
+    (result,) = run_suites(["properness"], config)
+    assert not result.passed and result.checks == 4
+    gaps = [f for f in result.failures if "expected-payment gap" in f]
+    assert len(gaps) == 2
+    assert gaps[0].startswith("probe 1: m=") and "at report [" in gaps[0]
+
+
 def test_witness_builds_one_contract_per_drawn_alpha(monkeypatch):
     built = []
 
@@ -207,7 +296,7 @@ def test_prone_alpha_with_freeness_is_refused_before_any_suite(
     ran = []
     for name in SUITE_NAMES:
         monkeypatch.setitem(
-            suites._SUITES, name, lambda config, name=name: ran.append(name)
+            suites._SUITES, name, lambda config, rec, name=name: ran.append(name)
         )
     alpha = alphas[-1]
     message = (
