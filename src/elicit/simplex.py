@@ -536,10 +536,13 @@ def simplex_lattice(n: int, steps: int) -> Iterator[Distribution]:
     Enumerates every (k_1/g, ..., k_n/g) with nonnegative integers summing
     to g = steps.  The count is C(g + n - 1, n - 1); keep g modest for
     n > 3.  Each point is built from its counts (``_from_counts``), which
-    are valid by construction.
+    are valid by construction.  ``n`` and ``steps`` must be ints, not
+    bools; like the range checks, this runs when the first point is drawn.
     """
+    _require_int("n", n)
     if n < 2:
         raise ValueError(f"need at least 2 outcomes, got n={n}")
+    _require_int("steps", steps)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     for ks in _compositions(steps, n):

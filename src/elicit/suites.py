@@ -16,11 +16,15 @@ Each suite turns one family of claims into a bulk, seeded, exact check:
 - witness: the per-deviation hurting outcome never gains, strictly so
   when the coalition actually moved its sums.
 
-Suites draw their randomness from per-suite, per-configuration streams
-derived from one seed, so adding or removing a suite never shifts
-another's draws.  A certificate found under an alpha known to be unsafe
-is recorded as a finding, not a failure; failures are reserved for claims
-the safe regime is supposed to guarantee.
+Each suite is a list of cells (label, body, args), and ``run_suites`` is
+the only loop: it runs a cell as ``body(config, derived_rng(config.seed,
+label), rec, *args)`` into one recorder per suite.  Identities and
+freeness have one ``suite:m:n:alpha`` cell per shape and alpha, structure
+has three and the other suites one each.  A label names its cell's stream
+of the seed, so adding or removing a suite, shape or alpha never shifts
+another cell's draws.  A certificate found under an alpha known to be
+unsafe is recorded as a finding, not a failure; failures are reserved for
+claims the safe regime is supposed to guarantee.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .arbitrage import (
     MAX_GRID_DEVIATIONS,
@@ -212,24 +216,11 @@ class _Recorder:
         )
 
 
-def _shapes(config: VerifyConfig) -> Iterator[tuple[int, int]]:
-    for m in range(2, config.m_max + 1):
-        for n in range(2, config.n_max + 1):
-            yield m, n
-
-
 def _dominance_alphas(config: VerifyConfig, m: int, n: int) -> tuple[Fraction, ...]:
     if config.alphas is not None:
         return config.alphas
     c = safe_cutoff(m, n)
     return (Fraction(-1), Fraction(-10), Fraction(c), Fraction(c + 5))
-
-
-def _freeness_cells(config: VerifyConfig) -> Iterator[tuple[int, int, Fraction]]:
-    """The freeness suite's (m, n, alpha) cells, in the order it runs them."""
-    for m, n in _shapes(config):
-        for alpha in _dominance_alphas(config, m, n):
-            yield m, n, alpha
 
 
 def _identity_alphas(config: VerifyConfig, m: int, n: int) -> tuple[Fraction, ...]:
@@ -240,78 +231,65 @@ def _identity_alphas(config: VerifyConfig, m: int, n: int) -> tuple[Fraction, ..
     return (Fraction(-1), Fraction(5, 3), Fraction(safe_cutoff(m, n)))
 
 
-def _suite_identities(config: VerifyConfig, rec: _Recorder) -> None:
-    for m, n in _shapes(config):
-        for alpha in _identity_alphas(config, m, n):
-            rng = derived_rng(config.seed, f"identities:{m}:{n}:{alpha}")
-            profiles = [
-                random_profile(rng, m, n) for _ in range(config.profiles)
-            ]
-            report = general_identity_report(profiles, alpha)
-            rec.checks += report.samples
-            if not report.passed:
-                rec.fail(
-                    f"general rewrite: spread {report.max_spread} over "
-                    f"m={m} n={n} alpha={alpha}"
-                )
-            if n == 2:
-                report2 = two_outcome_identity_report(profiles, alpha)
-                rec.checks += report2.samples
-                if not report2.passed:
-                    rec.fail(
-                        f"two-outcome rewrite: spread {report2.max_spread} "
-                        f"over m={m} alpha={alpha}"
-                    )
+def _identities_cell(config: VerifyConfig, rng, rec: _Recorder, m, n, alpha) -> None:
+    profiles = [random_profile(rng, m, n) for _ in range(config.profiles)]
+    report = general_identity_report(profiles, alpha)
+    rec.checks += report.samples
+    if not report.passed:
+        rec.fail(
+            f"general rewrite: spread {report.max_spread} over "
+            f"m={m} n={n} alpha={alpha}"
+        )
+    if n == 2:
+        report2 = two_outcome_identity_report(profiles, alpha)
+        rec.checks += report2.samples
+        if not report2.passed:
+            rec.fail(
+                f"two-outcome rewrite: spread {report2.max_spread} "
+                f"over m={m} alpha={alpha}"
+            )
 
 
-def _suite_freeness(config: VerifyConfig, rec: _Recorder) -> None:
+def _freeness_cell(config: VerifyConfig, rng, rec: _Recorder, m, n, alpha) -> None:
     # Exactly `trials` deviations per cell: the first trials % baselines
     # baselines take one extra, and no baseline goes without a trial.
     baselines = min(config.baselines, config.trials)
     per_baseline, extra = divmod(config.trials, baselines)
-    for m, n, alpha in _freeness_cells(config):
-        verdict = validate_alpha(alpha, m, n)
-        contract = ArbitrageFreeContract(
-            alpha=alpha, permissive=config.permissive
-        )
-        rng = derived_rng(config.seed, f"freeness:{m}:{n}:{alpha}")
-        sizes = cycle(range(2, m + 1))
-        for b in range(baselines):
-            baseline = random_profile(rng, m, n)
-            rows = [contract.evaluate(baseline, j) for j in range(n)]
-            # The baseline's coalition totals, once per coalition.
-            totals = {}
-            for t in range(per_baseline + (b < extra)):
-                coalition = random_coalition(rng, m, next(sizes))
-                deviation = random_deviation(rng, baseline, coalition)
-                before = totals.get(coalition)
-                if before is None:
-                    before = totals[coalition] = _member_sums(
-                        rows, coalition.members
-                    )
-                cert = check_dominance(
-                    contract, baseline, deviation, coalition, before
+    verdict = validate_alpha(alpha, m, n)
+    contract = ArbitrageFreeContract(alpha=alpha, permissive=config.permissive)
+    sizes = cycle(range(2, m + 1))
+    for b in range(baselines):
+        baseline = random_profile(rng, m, n)
+        rows = [contract.evaluate(baseline, j) for j in range(n)]
+        # The baseline's coalition totals, once per coalition.
+        totals = {}
+        for t in range(per_baseline + (b < extra)):
+            coalition = random_coalition(rng, m, next(sizes))
+            deviation = random_deviation(rng, baseline, coalition)
+            before = totals.get(coalition)
+            if before is None:
+                before = totals[coalition] = _member_sums(rows, coalition.members)
+            cert = check_dominance(contract, baseline, deviation, coalition, before)
+            rec.checks += 1
+            if cert is not None:
+                message = (
+                    f"m={m} n={n} alpha={alpha}: dominance "
+                    f"certificate at baseline {b + 1}, trial {t + 1}, "
+                    f"coalition {[i + 1 for i in coalition]}"
                 )
-                rec.checks += 1
-                if cert is not None:
-                    message = (
-                        f"m={m} n={n} alpha={alpha}: dominance "
-                        f"certificate at baseline {b + 1}, trial {t + 1}, "
-                        f"coalition {[i + 1 for i in coalition]}"
+                if verdict.valid:
+                    rec.fail(
+                        message,
+                        {
+                            "alpha": alpha,
+                            "baseline": profile_to_obj(baseline),
+                            "deviation": profile_to_obj(deviation),
+                            "coalition": [i + 1 for i in coalition],
+                            "deltas": list(cert.deltas),
+                        },
                     )
-                    if verdict.valid:
-                        rec.fail(
-                            message,
-                            {
-                                "alpha": alpha,
-                                "baseline": profile_to_obj(baseline),
-                                "deviation": profile_to_obj(deviation),
-                                "coalition": [i + 1 for i in coalition],
-                                "deltas": list(cert.deltas),
-                            },
-                        )
-                    else:
-                        rec.find(message + " (alpha is outside the safe bands, so this is the anticipated behavior)")
+                else:
+                    rec.find(message + " (alpha is outside the safe bands, so this is the anticipated behavior)")
 
 
 def _identity_failure(rule, belief):
@@ -342,8 +320,7 @@ def _identity_failure(rule, belief):
     return None
 
 
-def _suite_properness(config: VerifyConfig, rec: _Recorder) -> None:
-    rng = derived_rng(config.seed, "properness")
+def _suite_properness(config: VerifyConfig, rng, rec: _Recorder) -> None:
     # Lattice size explodes with n, so probes stay at n <= 3; the identity
     # check is cheap at any n and the acceptance bar pins n through m_max
     # elsewhere.
@@ -404,8 +381,7 @@ def _collusion_case(
     return profile, coalition, mean_collusion(profile, coalition)
 
 
-def _suite_collusion(config: VerifyConfig, rec: _Recorder) -> None:
-    rng = derived_rng(config.seed, "collusion")
+def _suite_collusion(config: VerifyConfig, rng, rec: _Recorder) -> None:
     contract = IndependentScoring(rule=QuadraticRule())
     for k in range(config.profiles):
         profile, coalition, deviation = _collusion_case(rng, config)
@@ -419,8 +395,7 @@ def _suite_collusion(config: VerifyConfig, rec: _Recorder) -> None:
             )
 
 
-def _structure_poly(config: VerifyConfig, rec: _Recorder) -> None:
-    rng = derived_rng(config.seed, "structure:poly")
+def _structure_poly(config: VerifyConfig, rng, rec: _Recorder) -> None:
     for k in range(50):
         m = rng.randint(2, config.m_max)
         alpha = Fraction(rng.randint(-40, 60), rng.randint(1, 4))
@@ -442,8 +417,7 @@ def _structure_poly(config: VerifyConfig, rec: _Recorder) -> None:
                 )
 
 
-def _structure_monotonicity(config: VerifyConfig, rec: _Recorder) -> None:
-    rng = derived_rng(config.seed, "structure:monotonicity")
+def _structure_monotonicity(config: VerifyConfig, rng, rec: _Recorder) -> None:
     for k in range(200):
         m = rng.randint(2, config.m_max)
         coalition = random_coalition(rng, m)
@@ -469,9 +443,10 @@ def _structure_monotonicity(config: VerifyConfig, rec: _Recorder) -> None:
             )
 
 
-def _structure_vertex(config: VerifyConfig, rec: _Recorder) -> None:
-    # Fixed symbolic sweep; the regimes bound the vertex away from the
-    # reachable sums [0, |C|] for every coalition size from 3 up.
+def _structure_vertex(config: VerifyConfig, rng, rec: _Recorder) -> None:
+    # Fixed symbolic sweep that draws nothing from rng; the regimes bound
+    # the vertex away from the reachable sums [0, |C|] for every coalition
+    # size from 3 up.
     for m in range(3, 7):
         for c in range(3, m + 1):
             comp_grid = [
@@ -501,13 +476,7 @@ def _structure_vertex(config: VerifyConfig, rec: _Recorder) -> None:
                         )
 
 
-def _suite_structure(config: VerifyConfig, rec: _Recorder) -> None:
-    _structure_poly(config, rec)
-    _structure_monotonicity(config, rec)
-    _structure_vertex(config, rec)
-
-
-def _suite_edge_case(config: VerifyConfig, rec: _Recorder) -> None:
+def _suite_edge_case(config: VerifyConfig, rng, rec: _Recorder) -> None:
     contract = ArbitrageFreeContract(alpha=Fraction(0), permissive=True)
     boundary = ReportProfile.of(("1/2", "1/2"), ("1/2", "1/2"), ("0", "1"))
     coalition = Coalition.of([0, 1])
@@ -533,8 +502,9 @@ def _suite_edge_case(config: VerifyConfig, rec: _Recorder) -> None:
     interior = ReportProfile.of(
         ("1/2", "1/2"), ("1/2", "1/2"), ("1/50", "49/50")
     )
-    seed = derived_rng(config.seed, "edge-case").getrandbits(32)
-    strategy = RandomSearch(trials=config.trials, seed=seed, bounds=(lo, hi))
+    strategy = RandomSearch(
+        trials=config.trials, seed=rng.getrandbits(32), bounds=(lo, hi)
+    )
     cert2 = search_arbitrage(contract, interior, coalition, strategy)
     rec.checks += config.trials
     if cert2 is not None:
@@ -544,7 +514,7 @@ def _suite_edge_case(config: VerifyConfig, rec: _Recorder) -> None:
         )
 
 
-def _suite_expected(config: VerifyConfig, rec: _Recorder) -> None:
+def _suite_expected(config: VerifyConfig, rng, rec: _Recorder) -> None:
     alpha = Fraction(16)
     contract = ArbitrageFreeContract(alpha=alpha)
     half = Fraction(1, 2)
@@ -590,7 +560,6 @@ def _suite_expected(config: VerifyConfig, rec: _Recorder) -> None:
 
     # Dominance implies expected arbitrage when every member puts positive
     # probability on some strictly improved outcome.
-    rng = derived_rng(config.seed, "expected:implication")
     indq = IndependentScoring(rule=QuadraticRule())
     for k in range(200):
         profile, coal, collusion = _collusion_case(rng, config)
@@ -614,8 +583,7 @@ def _suite_expected(config: VerifyConfig, rec: _Recorder) -> None:
             )
 
 
-def _suite_witness(config: VerifyConfig, rec: _Recorder) -> None:
-    rng = derived_rng(config.seed, "witness")
+def _suite_witness(config: VerifyConfig, rng, rec: _Recorder) -> None:
     skipped_invalid = 0
     # The safe alphas per shape, and one contract per drawn alpha, shared
     # across shapes, so each coefficient cache serves every trial.
@@ -665,15 +633,34 @@ def _suite_witness(config: VerifyConfig, rec: _Recorder) -> None:
         )
 
 
-_SUITES: dict[str, Callable[[VerifyConfig, _Recorder], None]] = {
-    "identities": _suite_identities,
-    "freeness": _suite_freeness,
-    "properness": _suite_properness,
-    "collusion": _suite_collusion,
-    "structure": _suite_structure,
-    "edge-case": _suite_edge_case,
-    "expected-arbitrage": _suite_expected,
-    "witness": _suite_witness,
+def _shape_cells(suite: str, alphas, body) -> Callable[[VerifyConfig], list]:
+    """A suite of ``suite:m:n:alpha`` cells, one per shape and alpha, in order."""
+    return lambda config: [
+        (f"{suite}:{m}:{n}:{alpha}", body, (m, n, alpha))
+        for m in range(2, config.m_max + 1)
+        for n in range(2, config.n_max + 1)
+        for alpha in alphas(config, m, n)
+    ]
+
+
+def _fixed_cells(*cells) -> Callable[[VerifyConfig], list]:
+    """A suite of (label, body) cells that take no shape or alpha."""
+    return lambda config: [(label, body, ()) for label, body in cells]
+
+
+_SUITES: dict[str, Callable[[VerifyConfig], list]] = {
+    "identities": _shape_cells("identities", _identity_alphas, _identities_cell),
+    "freeness": _shape_cells("freeness", _dominance_alphas, _freeness_cell),
+    "properness": _fixed_cells(("properness", _suite_properness)),
+    "collusion": _fixed_cells(("collusion", _suite_collusion)),
+    "structure": _fixed_cells(
+        ("structure:poly", _structure_poly),
+        ("structure:monotonicity", _structure_monotonicity),
+        ("structure:vertex", _structure_vertex),
+    ),
+    "edge-case": _fixed_cells(("edge-case", _suite_edge_case)),
+    "expected-arbitrage": _fixed_cells(("expected:implication", _suite_expected)),
+    "witness": _fixed_cells(("witness", _suite_witness)),
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -684,10 +671,13 @@ def run_suites(
 ) -> list[SuiteResult]:
     """Run the named suites (default all) in canonical order.
 
-    Raises ValueError for an empty or unknown selection, and, before any
-    suite runs, the freeness suite's own AlphaRangeError when freeness is
-    selected with an arbitrage-prone alpha and no permissive flag.
+    Raises ValueError for a string, an empty or an unknown selection, and,
+    before any suite runs, the freeness suite's own AlphaRangeError when
+    freeness is selected with an arbitrage-prone alpha and no permissive
+    flag.
     """
+    if isinstance(names, str):
+        raise ValueError(f"names must be a list of suite names, got {names!r}")
     if names is None:
         selected = list(SUITE_NAMES)
     else:
@@ -702,14 +692,16 @@ def run_suites(
                 f"{problem}; choose from {', '.join(SUITE_NAMES)}"
             )
         selected = [x for x in SUITE_NAMES if x in set(names)]
-    if "freeness" in selected and not config.permissive:
+    cells = {name: _SUITES[name](config) for name in selected}
+    if "freeness" in cells and not config.permissive:
         # Freeness evaluates every cell non-permissively; walk its cells
-        # in its own order so the first prone alpha is refused up front.
-        for m, n, alpha in _freeness_cells(config):
+        # in order so the first prone alpha is refused up front.
+        for _, _, (m, n, alpha) in cells["freeness"]:
             ArbitrageFreeContract(alpha=alpha).require_valid(m, n)
     results = []
-    for name in selected:
+    for name, suite in cells.items():
         rec = _Recorder()
-        _SUITES[name](config, rec)
+        for label, body, args in suite:
+            body(config, derived_rng(config.seed, label), rec, *args)
         results.append(rec.result(name))
     return results

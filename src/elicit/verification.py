@@ -47,7 +47,9 @@ from .contracts import (
     threshold_two_outcome,
     validate_alpha,
 )
-from .simplex import Coalition, ReportProfile, _as_fraction, coalition_sums
+from .simplex import (
+    Coalition, ReportProfile, _as_fraction, _require_int, coalition_sums,
+)
 
 __all__ = [
     "IdentityReport",
@@ -280,6 +282,7 @@ def parabola_vertex(size: int, threshold, complement_sum) -> Fraction:
     threshold regimes it falls outside [0, size], which is what makes the
     coalition total monotone over the reachable sums.
     """
+    _require_int("size", size)
     if size <= 2:
         raise ValueError(
             f"vertex needs coalition size > 2, got {size}"
@@ -324,6 +327,7 @@ def monotonicity_check(
     {0, 1}; any coalition of the profile's experts.
     """
     _check_two_outcome_case(profile, coalition, j, "the monotonicity sweep", 1)
+    _require_int("samples", samples)
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     c = coalition.size

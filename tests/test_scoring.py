@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -259,6 +260,13 @@ class TestPropernessProbe:
             Distribution.of("1/2", "1/2"),
         }
         assert probe.argmax == Distribution.of(0, 1)
+
+    @pytest.mark.parametrize("steps", [2.5, True, "7", None, 2.0])
+    def test_steps_that_are_not_an_int_are_refused(self, steps):
+        belief = Distribution.of("1/2", "1/2")
+        message = f"^steps must be an int, got {re.escape(repr(steps))}$"
+        with pytest.raises(ValueError, match=message):
+            properness_probe(QuadraticRule(), belief, steps)
 
     def test_log_rule_probe_uses_tolerance(self):
         belief = Distribution.of("1/2", "1/2")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 from numbers import Rational
@@ -599,3 +600,17 @@ class TestLattice:
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
             list(simplex_lattice(2, 0))
+
+    @pytest.mark.parametrize("steps", [2.5, True, "7", None, 2.0])
+    def test_steps_that_are_not_an_int_are_refused(self, steps):
+        # True would enumerate at steps = 1; 2.0 would fail inside range.
+        message = f"^steps must be an int, got {re.escape(repr(steps))}$"
+        with pytest.raises(ValueError, match=message):
+            list(simplex_lattice(2, steps))
+
+    @pytest.mark.parametrize("n", [2.5, True, "3", None])
+    def test_outcome_count_that_is_not_an_int_is_refused(self, n):
+        # 2.5 would recurse until Python's recursion limit.
+        message = f"^n must be an int, got {re.escape(repr(n))}$"
+        with pytest.raises(ValueError, match=message):
+            list(simplex_lattice(n, 2))

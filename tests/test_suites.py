@@ -281,6 +281,65 @@ def test_empty_selection_is_refused(names):
         run_suites(names, VerifyConfig())
 
 
+@pytest.mark.parametrize("names", ["freeness", ""])
+def test_a_string_selection_is_refused(names):
+    # Iterating "freeness" would report unknown suites f, r, e, e, ...
+    message = rf"^names must be a list of suite names, got {names!r}$"
+    with pytest.raises(ValueError, match=message):
+        run_suites(names, VerifyConfig())
+
+
+def test_cell_labels_name_each_stream_in_run_order():
+    config = VerifyConfig(m_max=3, n_max=3)
+    labels = {
+        name: [label for label, _, _ in suites._SUITES[name](config)]
+        for name in SUITE_NAMES
+    }
+    # safe_cutoff is 4 at (2, 2), 6 at (2, 3), 16 at (3, 2) and 24 at (3, 3).
+    assert labels["freeness"] == [
+        f"freeness:{m}:{n}:{a}"
+        for m, n, c in ((2, 2, 4), (2, 3, 6), (3, 2, 16), (3, 3, 24))
+        for a in (-1, -10, c, c + 5)
+    ]
+    assert labels["identities"] == [
+        f"identities:{m}:{n}:{a}"
+        for m, n, c in ((2, 2, 4), (2, 3, 6), (3, 2, 16), (3, 3, 24))
+        for a in (-1, "5/3", c)
+    ]
+    assert labels["freeness"][0] == "freeness:2:2:-1"
+    assert labels["structure"] == [
+        "structure:poly", "structure:monotonicity", "structure:vertex"
+    ]
+    del labels["identities"], labels["freeness"], labels["structure"]
+    assert labels == {
+        "properness": ["properness"],
+        "collusion": ["collusion"],
+        "edge-case": ["edge-case"],
+        "expected-arbitrage": ["expected:implication"],
+        "witness": ["witness"],
+    }
+    # A shape cell's arguments are its exact (m, n, alpha).
+    _, _, args = suites._SUITES["freeness"](config)[2]
+    assert args == (2, 2, Fraction(4)) and type(args[2]) is Fraction
+
+
+def test_a_cells_findings_do_not_depend_on_the_other_alphas():
+    # Each cell draws from its own labelled stream, so adding the safe
+    # alpha -1 (no findings) leaves the alpha = 1 cells' findings alone.
+    def findings(alphas):
+        config = VerifyConfig(
+            m_max=3, n_max=2, alphas=alphas, permissive=True,
+            trials=100, baselines=4,
+        )
+        (result,) = run_suites(["freeness"], config)
+        assert result.passed
+        return result.findings
+
+    alone = findings((1,))
+    assert alone and all("alpha=1:" in f for f in alone)
+    assert findings((-1, 1)) == alone
+
+
 @pytest.mark.parametrize(
     "alphas,band,shape",
     [
@@ -293,10 +352,16 @@ def test_empty_selection_is_refused(names):
 def test_prone_alpha_with_freeness_is_refused_before_any_suite(
     monkeypatch, alphas, band, shape
 ):
+    # Each suite keeps its real cells; their bodies only record the label.
     ran = []
-    for name in SUITE_NAMES:
+    for name, cells in list(suites._SUITES.items()):
         monkeypatch.setitem(
-            suites._SUITES, name, lambda config, rec, name=name: ran.append(name)
+            suites._SUITES,
+            name,
+            lambda config, cells=cells: [
+                (label, lambda *_, label=label: ran.append(label), args)
+                for label, _, args in cells(config)
+            ],
         )
     alpha = alphas[-1]
     message = (
@@ -307,6 +372,17 @@ def test_prone_alpha_with_freeness_is_refused_before_any_suite(
         run_suites(["identities", "freeness"], VerifyConfig(alphas=alphas))
     assert str(caught.value) == message
     assert ran == []
+    # The same selection, permissive, runs every stand-in cell in order.
+    permissive = VerifyConfig(alphas=alphas, permissive=True)
+    run_suites(["identities", "freeness"], permissive)
+    cells = [
+        f"{suite}:{m}:{n}:{a}"
+        for suite in ("identities", "freeness")
+        for m in range(2, 6)
+        for n in range(2, 5)
+        for a in alphas
+    ]
+    assert ran == cells
 
 
 def test_prone_alpha_without_freeness_still_runs():

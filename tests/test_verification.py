@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -381,6 +382,13 @@ class TestParabolaVertex:
         with pytest.raises(ValueError, match="size"):
             parabola_vertex(2, Fraction(1), Fraction(0))
 
+    @pytest.mark.parametrize("size", [2.5, 3.5, True, "7", None])
+    def test_size_that_is_not_an_int_is_refused(self, size):
+        # A size of 3.5 would return the float -2/3 out of the exact path.
+        message = f"^size must be an int, got {re.escape(repr(size))}$"
+        with pytest.raises(ValueError, match=message):
+            parabola_vertex(size, 0, 0)
+
     @given(
         st.integers(3, 6),
         st.fractions(min_value=Fraction(-50), max_value=Fraction(0), max_denominator=4),
@@ -444,6 +452,16 @@ class TestMonotonicity:
         wide = ReportProfile.of(*([("1/3", "1/3", "1/3")] * 3))
         with pytest.raises(ValueError, match="n=2"):
             monotonicity_check(contract, wide, Coalition.of([0, 1]), 0)
+
+    @pytest.mark.parametrize("samples", [2.5, True, "7", None])
+    def test_samples_that_are_not_an_int_are_refused(self, samples):
+        contract = ArbitrageFreeContract(alpha=-1)
+        profile = ReportProfile.of(*([("1/2", "1/2")] * 3))
+        message = f"^samples must be an int, got {re.escape(repr(samples))}$"
+        with pytest.raises(ValueError, match=message):
+            monotonicity_check(
+                contract, profile, Coalition.of([0, 1]), 0, samples=samples
+            )
 
     @pytest.mark.parametrize("j", [2, -1])
     def test_outcome_out_of_range(self, j):
