@@ -47,6 +47,7 @@ from .simplex import (
     Distribution,
     ReportProfile,
     _as_fraction,
+    _require_index,
     _require_int,
     coalition_sums,
     simplex_lattice,
@@ -530,8 +531,7 @@ def _check_two_outcome_case(
             f"{what} needs at least {min_size} coalition members, got {coalition.size}"
         )
     coalition.validate_for(profile.m)
-    if not 0 <= j < 2:
-        raise IndexError(f"outcome {j} out of range for n=2")
+    _require_index("outcome", j, 2)
 
 
 @dataclass(frozen=True)
@@ -563,14 +563,11 @@ class RandomSearch:
     bounds: Optional[tuple[Fraction, Fraction]] = None
 
     def __post_init__(self) -> None:
-        for name in ("trials", "seed", "denominator"):
-            _require_int(name, getattr(self, name))
+        _require_int("trials", self.trials)
+        _require_int("seed", self.seed)
         if self.trials < 1:
             raise ValueError(f"need trials >= 1, got {self.trials}")
-        if self.denominator < 1:
-            raise ValueError(
-                f"denominator must be >= 1, got {self.denominator}"
-            )
+        _require_int("denominator", self.denominator, 1)
         if self.bounds is not None:
             object.__setattr__(self, "bounds", exact_bounds(self.bounds))
 

@@ -68,6 +68,8 @@ from .simplex import (
     ReportProfile,
     _as_fraction,
     _cached,
+    _require_index,
+    _require_shape,
     leave_one_out_mean,
 )
 
@@ -111,8 +113,7 @@ def _threshold_terms(m: int, alpha, factor: int) -> tuple[int, int]:
     """
     if type(alpha) is not Fraction:
         alpha = _as_fraction(alpha)
-    if m < 2:
-        raise ValueError(f"need at least 2 experts, got m={m}")
+    _require_shape(m=m)
     k = m - 1
     dd = factor * k * alpha.denominator
     return k * dd - alpha.numerator, dd
@@ -156,10 +157,7 @@ def validate_alpha(alpha, m: int, n: int) -> AlphaVerdict:
     """
     if type(alpha) is not Fraction:
         alpha = _as_fraction(alpha)
-    if m < 2:
-        raise ValueError(f"need at least 2 experts, got m={m}")
-    if n < 2:
-        raise ValueError(f"need at least 2 outcomes, got n={n}")
+    _require_shape(m, n)
     p, q = alpha.numerator, alpha.denominator
     if p < 0:
         return AlphaVerdict.VALID_NEGATIVE
@@ -185,11 +183,6 @@ class ContractFunction:
         raise NotImplementedError
 
 
-def _check_eval_args(profile: ReportProfile, j: int) -> None:
-    if not 0 <= j < profile.n:
-        raise IndexError(f"outcome {j} out of range for n={profile.n}")
-
-
 @dataclass(frozen=True)
 class IndependentScoring(ContractFunction):
     """Each expert is paid their own score; no cross-expert terms.
@@ -204,13 +197,12 @@ class IndependentScoring(ContractFunction):
         return self.rule.exact
 
     def evaluate(self, profile: ReportProfile, j: int) -> tuple:
-        _check_eval_args(profile, j)
+        _require_index("outcome", j, profile.n)
         score = self.rule.score
         return tuple([score(r, j) for r in profile.reports])
 
     def expert_view(self, profile: ReportProfile, i: int) -> ScoringRule:
-        if not 0 <= i < profile.m:
-            raise IndexError(f"expert {i} out of range for m={profile.m}")
+        _require_index("expert", i, profile.m)
         return self.rule
 
 
@@ -334,8 +326,7 @@ class ArbitrageFreeContract(ContractFunction):
         cache = self._coefficient_cache
         coefficients = cache.get((m, n))
         if coefficients is None:
-            if m < 2:
-                raise ValueError(f"need at least 2 experts, got m={m}")
+            _require_shape(m=m)
             self.require_valid(m, n)
             k = m - 1
             p, q = self.alpha.numerator, self.alpha.denominator
@@ -346,7 +337,7 @@ class ArbitrageFreeContract(ContractFunction):
         return qk * scale * scale, qk, a_coef * scale, t_coef * scale
 
     def evaluate(self, profile: ReportProfile, j: int) -> tuple:
-        _check_eval_args(profile, j)
+        _require_index("outcome", j, profile.n)
         denominator, qk, a_coef, t_coef = self._coefficients(profile)
         totals, gaps = profile.scaled_totals
         shift = t_coef * totals[j]
@@ -356,12 +347,8 @@ class ArbitrageFreeContract(ContractFunction):
         )
 
     def expert_view(self, profile: ReportProfile, i: int) -> InducedExpertRule:
-        if profile.m < 2:
-            raise ValueError(
-                f"need at least 2 experts, got m={profile.m}"
-            )
-        if not 0 <= i < profile.m:
-            raise IndexError(f"expert {i} out of range for m={profile.m}")
+        _require_shape(m=profile.m)
+        _require_index("expert", i, profile.m)
         self.require_valid(profile.m, profile.n)
         k = profile.m - 1
         loo = leave_one_out_mean(profile, i)
@@ -385,7 +372,7 @@ def coalition_total(
     integer numerators, or one ``evaluate(profile, j)`` row summed over
     the members (``_member_sums``) for any other contract.
     """
-    _check_eval_args(profile, j)
+    _require_index("outcome", j, profile.n)
     coalition.validate_for(profile.m)
     if isinstance(contract, ArbitrageFreeContract):
         denominator, numerators = _family_numerators(
@@ -515,8 +502,7 @@ def expected_reward(
     Skips zero-belief outcomes, so a -inf payment on an outcome the belief
     rules out contributes nothing.
     """
-    if not 0 <= i < profile.m:
-        raise IndexError(f"expert {i} out of range for m={profile.m}")
+    _require_index("expert", i, profile.m)
     if belief.n != profile.n:
         raise ValueError(
             f"belief has {belief.n} outcomes, profile has {profile.n}"

@@ -24,7 +24,10 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from .simplex import Coalition, Distribution, ReportProfile, _as_fraction
+from .simplex import (
+    Coalition, Distribution, ReportProfile, _as_fraction, _require_int,
+    _require_shape,
+)
 
 __all__ = [
     "DEFAULT_DENOMINATOR",
@@ -77,10 +80,9 @@ def _count_limits(
     n * low <= denominator <= n * high (which also rules out low > high),
     so bounds that fail this are refused before anything is drawn.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 outcomes, got n={n}")
-    if denominator < 1:
-        raise ValueError(f"denominator must be >= 1, got {denominator}")
+    _require_int("n", n)
+    _require_shape(n=n)
+    _require_int("denominator", denominator, 1)
     if bounds is None:
         return None
     lo, hi = exact_bounds(bounds)
@@ -162,6 +164,7 @@ def random_distribution(
 
 def random_profile(rng: random.Random, m: int, n: int) -> ReportProfile:
     """m independent random reports over n outcomes."""
+    _require_int("m", m)
     if m < 1:
         raise ValueError(f"need at least 1 expert, got m={m}")
     return ReportProfile(tuple(random_distribution(rng, n) for _ in range(m)))
@@ -171,10 +174,11 @@ def random_coalition(
     rng: random.Random, m: int, size: Optional[int] = None
 ) -> Coalition:
     """A uniformly drawn coalition of the given size (default: any >= 2)."""
-    if m < 2:
-        raise ValueError(f"need at least 2 experts, got m={m}")
+    _require_int("m", m)
+    _require_shape(m=m)
     if size is None:
         size = rng.randint(2, m)
+    _require_int("size", size)
     if not 1 <= size <= m:
         raise ValueError(f"coalition size {size} out of range for m={m}")
     return Coalition(tuple(sorted(rng.sample(range(m), size))))

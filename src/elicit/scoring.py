@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .simplex import Distribution, simplex_lattice
+from .simplex import Distribution, _require_index, simplex_lattice
 
 __all__ = [
     "quadratic_score",
@@ -65,15 +65,13 @@ def quadratic_score(report: Distribution, j: int) -> Fraction:
     vertex at j.
     """
     # The range check stays: the cached tuple would accept j = -1.
-    if not 0 <= j < report.n:
-        raise IndexError(f"outcome {j} out of range for n={report.n}")
+    _require_index("outcome", j, report.n)
     return report.quadratic_scores[j]
 
 
 def log_score(report: Distribution, j: int) -> float:
     """Logarithmic score ln(p_j), with -inf when the outcome was ruled out."""
-    if not 0 <= j < report.n:
-        raise IndexError(f"outcome {j} out of range for n={report.n}")
+    _require_index("outcome", j, report.n)
     p = report.weights[j]
     if p == 0:
         return float("-inf")

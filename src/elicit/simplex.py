@@ -146,10 +146,29 @@ def _as_fraction(value) -> Fraction:
     return result
 
 
-def _require_int(name: str, value) -> None:
-    """Refuse a count, seed or resolution that is not an int, or is a bool."""
-    if not isinstance(value, int) or isinstance(value, bool):
+def _require_int(name: str, value, low: int | None = None) -> None:
+    """Refuse a bool or non-int count, seed or resolution, or one below low."""
+    if type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, int)
+    ):
         raise ValueError(f"{name} must be an int, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def _require_shape(m: int = 2, n: int = 2) -> None:
+    """Refuse fewer than 2 experts or 2 outcomes; an omitted count passes."""
+    if m < 2:
+        raise ValueError(f"need at least 2 experts, got m={m}")
+    if n < 2:
+        raise ValueError(f"need at least 2 outcomes, got n={n}")
+
+
+def _require_index(kind: str, i: int, size: int) -> None:
+    """Refuse an ``"expert"`` or ``"outcome"`` index outside range(size)."""
+    if not 0 <= i < size:
+        shape = "m" if kind == "expert" else "n"
+        raise IndexError(f"{kind} {i} out of range for {shape}={size}")
 
 
 @dataclass(frozen=True)
@@ -295,10 +314,9 @@ Distribution.weights.__set_name__(Distribution, "weights")
 
 def vertex(n: int, j: int) -> Distribution:
     """The distribution putting all mass on outcome j."""
-    if n < 2:
-        raise ValueError(f"need at least 2 outcomes, got n={n}")
-    if not 0 <= j < n:
-        raise IndexError(f"outcome {j} out of range for n={n}")
+    _require_int("n", n)
+    _require_shape(n=n)
+    _require_index("outcome", j, n)
     return Distribution(tuple(Fraction(1 if k == j else 0) for k in range(n)))
 
 
@@ -319,8 +337,7 @@ class ReportProfile:
         if not isinstance(reports[0], Distribution):
             raise TypeError("report 0 is not a Distribution")
         n = reports[0].n
-        if n < 2:
-            raise ValueError(f"need at least 2 outcomes, got n={n}")
+        _require_shape(n=n)
         for i, r in enumerate(reports):
             if not isinstance(r, Distribution):
                 raise TypeError(f"report {i} is not a Distribution")
@@ -405,6 +422,7 @@ class ReportProfile:
         reports = list(self.reports)
         m, n = self.m, self.n
         for i, d in changes.items():
+            # Inline, not _require_index: this runs per member per deviation.
             if type(i) is not int and (
                 isinstance(i, bool) or not isinstance(i, int)
             ):
@@ -457,6 +475,7 @@ class Coalition:
     @classmethod
     def full(cls, m: int) -> "Coalition":
         """The grand coalition of all m experts."""
+        _require_int("m", m)
         return cls(tuple(range(m)))
 
     @property
@@ -513,8 +532,7 @@ def leave_one_out_mean(profile: ReportProfile, i: int) -> Distribution:
     """Average report of everyone except expert i (requires m >= 2)."""
     if profile.m < 2:
         raise ValueError("leave-one-out mean needs at least 2 experts")
-    if not 0 <= i < profile.m:
-        raise IndexError(f"expert {i} out of range for m={profile.m}")
+    _require_index("expert", i, profile.m)
     totals = profile.totals()
     w = profile.reports[i].weights
     k = profile.m - 1
@@ -538,12 +556,11 @@ def simplex_lattice(n: int, steps: int) -> Iterator[Distribution]:
     n > 3.  Each point is built from its counts (``_from_counts``), which
     are valid by construction.  ``n`` and ``steps`` must be ints, not
     bools; like the range checks, this runs when the first point is drawn.
+    It stays a generator function: the benchmark's tracer counts lattice
+    points only in generator functions, not in one returning a generator.
     """
     _require_int("n", n)
-    if n < 2:
-        raise ValueError(f"need at least 2 outcomes, got n={n}")
-    _require_int("steps", steps)
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    _require_shape(n=n)
+    _require_int("steps", steps, 1)
     for ks in _compositions(steps, n):
         yield Distribution._from_counts(ks, steps)

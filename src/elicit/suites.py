@@ -126,10 +126,7 @@ class VerifyConfig:
         lows = {"m_max": 2, "n_max": 2, "trials": 1, "baselines": 1,
                 "profiles": 1, "probes": 1, "grid": 2}
         for name, low in lows.items():
-            value = getattr(self, name)
-            _require_int(name, value)
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
+            _require_int(name, getattr(self, name), low)
         _require_int("seed", self.seed)
         if type(self.permissive) is not bool:
             raise ValueError(f"permissive must be a bool, got {self.permissive!r}")
