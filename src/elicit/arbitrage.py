@@ -16,10 +16,12 @@ certificate they return re-verifies under the corresponding check.
 
 Under independent quadratic scoring only the members' scores move the
 coalition's total, so a dominance check against exact baseline totals
-first screens the deviation on the members' integer score numerators
-(``contracts._independent_numerators``): no expert outside the coalition
-is scored and no ``Fraction`` is built.  Only a deviation that passes
-the screen is scored through ``coalition_totals``, and every certificate
+first screens the deviation in one integer pass over the members' score
+numerators (``_independent_dominates``), each report's row re-scaled to
+the members' common scale once and cached on it: outcome by outcome,
+stopping at the first that loses, no expert outside the coalition is
+scored and no ``Fraction`` is built.  Only a deviation that passes the
+screen is scored through ``coalition_totals``, and every certificate
 still comes from that plain path.
 """
 
@@ -30,14 +32,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
 from typing import Iterator, Optional, Sequence
 
 from .contracts import (
     ArbitrageFreeContract,
     ContractFunction,
     IndependentScoring,
-    _independent_numerators,
     coalition_totals,
 )
 from .sampling import DEFAULT_DENOMINATOR, exact_bounds, random_deviation
@@ -217,26 +218,57 @@ def _passes(
 _RATIONALS = frozenset((Fraction, int))
 
 
-def _dominates(after: Sequence, before: Sequence, scale: int = 1) -> bool:
+def _dominates(after: Sequence, before: Sequence) -> bool:
     """Whether ``after`` is weakly above ``before`` everywhere and strictly
     above somewhere, deciding at the first outcome that loses.
 
     No delta is built.  A pair of Fraction or int totals is compared by
     integer cross-products of their ratios, each ratio read once; any
     other pair, such as float totals handed in as a screen, is compared
-    as it is.  ``after`` may hold integer numerators over a positive
-    common ``scale``, as the screen of independent quadratic scoring
-    passes them; ``before`` must then be all Fractions or ints.
+    as it is.
     """
     strict = False
     for a, b in zip(after, before):
         if type(a) in _RATIONALS and type(b) in _RATIONALS:
             p, q = a.as_integer_ratio()
             r, s = b.as_integer_ratio()
-            a, b = p * s, r * q * scale
+            a, b = p * s, r * q
         if a > b:
             strict = True
         elif not a >= b:
+            return False
+    return strict
+
+
+def _independent_dominates(
+    deviation: ReportProfile, coalition: Coalition, before: Sequence
+) -> bool:
+    """``_dominates`` for the coalition's totals under independent
+    quadratic scoring, against Fraction or int totals ``before``.
+
+    With L the lcm of the members' report scales, a member's scores are
+    its ``_score_numerators`` over L**2 when its own scale is L, and
+    otherwise its row re-scaled to L, cached on the report per L.  Each
+    outcome's column sum is compared with ``before`` by integer
+    cross-products as it is reached, and the first outcome that loses
+    decides.  Experts outside the coalition are never read.
+    """
+    reports = deviation.reports
+    members = [reports[i] for i in coalition.members]
+    scale = lcm(*[r.scaled[0] for r in members])
+    rows = [
+        r._score_numerators if r.scaled[0] == scale
+        else r._score_numerators_at(scale)
+        for r in members
+    ]
+    square = scale * scale
+    strict = False
+    for column, b in zip(zip(*rows), before):
+        p, q = b.as_integer_ratio()
+        a, b = sum(column) * q, p * square
+        if a > b:
+            strict = True
+        elif a < b:
             return False
     return strict
 
@@ -263,26 +295,32 @@ def _check(
 ) -> Optional[ArbitrageCertificate]:
     """The check behind ``check_dominance`` and ``check_expected_arbitrage``.
 
-    After the agreement guard, a dominance check under exactly
+    After the agreement guard, ``baseline_totals`` is read once into a
+    tuple, and ValueError names both lengths unless it holds one total
+    per outcome.  A dominance check under exactly
     ``IndependentScoring(QuadraticRule())`` (a subclass may score
-    differently) with Fraction or int ``baseline_totals`` is screened on
-    the members' integer totals (``_independent_numerators``, over L**2)
-    with ``_dominates``, and returns None at once on a reject.  Every
-    other check, and a passing one, takes the plain path: the
+    differently) with Fraction or int totals is screened by
+    ``_independent_dominates``, and returns None at once on a reject.
+    Every other check, and a passing one, takes the plain path: the
     deviation's ``coalition_totals`` screened against
     ``baseline_totals``, then compared with the baseline's own totals,
     from which the certificate's deltas are built.
     """
     ensure_agreement_outside(baseline, deviation, coalition)
-    if (
-        type(contract) is IndependentScoring
-        and type(contract.rule) is QuadraticRule
-        and kind is CertificateKind.DOMINANCE
-        and baseline_totals is not None
-        and _RATIONALS.issuperset(map(type, baseline_totals))
-    ):
-        scale, numerators = _independent_numerators(deviation, coalition)
-        if not _dominates(numerators, baseline_totals, scale):
+    if baseline_totals is not None:
+        baseline_totals = tuple(baseline_totals)
+        if len(baseline_totals) != baseline.n:
+            raise ValueError(
+                f"{len(baseline_totals)} baseline totals for "
+                f"{baseline.n} outcomes"
+            )
+        if (
+            type(contract) is IndependentScoring
+            and type(contract.rule) is QuadraticRule
+            and kind is CertificateKind.DOMINANCE
+            and _RATIONALS.issuperset(map(type, baseline_totals))
+            and not _independent_dominates(deviation, coalition, baseline_totals)
+        ):
             return None
     exact = contract.exact
     after = coalition_totals(contract, deviation, coalition)
@@ -320,20 +358,23 @@ def check_dominance(
     outside the coalition.
 
     ``baseline_totals``, when given, must be
-    ``coalition_totals(contract, baseline, coalition)``; a caller checking
-    many deviations of one baseline computes it once and saves scoring
-    the baseline on every check.  On an exact contract the deviation's
-    totals are compared with the baseline's directly, without building a
-    delta: for Fraction or int totals a >= b is decided on the integers
-    a.numerator * b.denominator and b.numerator * a.denominator, and the
-    comparison stops at the first outcome that loses.  Under independent
-    quadratic scoring with Fraction or int totals, the deviation is
-    screened on its members' integer score numerators over L**2 (L the
-    lcm of their report scales) before any total is built, and the
-    experts outside the coalition are not scored.  The totals only
-    screen deviations: before a
-    certificate is returned its deltas are recomputed from the baseline,
-    so totals that are wrong can hide a certificate but never make one.
+    ``coalition_totals(contract, baseline, coalition)``: a sequence of n
+    totals, one per outcome (any other iterable is read once into a
+    tuple), and another count raises ValueError.  A caller checking many
+    deviations of one baseline computes it once and saves scoring the
+    baseline on every check.  On an exact contract the
+    deviation's totals are compared with the baseline's directly, without
+    building a delta: for Fraction or int totals a >= b is decided on the
+    integers a.numerator * b.denominator and b.numerator * a.denominator,
+    and the comparison stops at the first outcome that loses.  Under
+    independent quadratic scoring with Fraction or int totals, the
+    deviation is screened before any total is built, in one pass over its
+    members' integer score numerators over L**2 (L the lcm of their
+    report scales) that stops at the first outcome that loses; the
+    experts outside the coalition are not scored.  The totals only screen
+    deviations: before a certificate is returned its deltas are
+    recomputed from the baseline, so totals that are wrong can hide a
+    certificate but never make one.
     """
     return _check(
         CertificateKind.DOMINANCE,

@@ -39,9 +39,8 @@ scaled by D on each call; the band is checked once per (m, n).
 Other exact contracts, such as independent scoring, sum their members'
 payments on integers too (``_member_sums``): numerators are added over a
 running common denominator, and each total becomes one ``Fraction``.
-Independent quadratic scoring also has members-only integer totals
-(``_independent_numerators``), over the square of the lcm of the
-members' report scales, for the dominance screen in ``arbitrage``.
+Independent quadratic scoring's dominance screen needs no contract:
+``arbitrage`` reads the members' cached score numerators directly.
 Inexact contracts, such as the log rule's, keep a float sum, in the same
 function.  An expert's view of the family (``InducedExpertRule``) has
 the quadratic rule's closed-form expected score plus the belief-weighted
@@ -432,29 +431,6 @@ def _family_numerators(
     return denominator, [
         base + a_coef * s - t_coef * t for s, t in zip(sums, totals)
     ]
-
-
-def _independent_numerators(
-    profile: ReportProfile, coalition: Coalition
-) -> tuple[int, list[int]]:
-    """The coalition's totals under independent quadratic scoring, as
-    integers over one denominator.
-
-    Returns (L**2, numerators) with L the lcm of the members' report
-    scales.  From member i's ``scaled`` = (D_i, c_i, square_i), outcome
-    j's numerator is the sum over the members of
-    (2*D_i*c_ij - square_i) * (L / D_i)**2, each member's score
-    numerators read from ``Distribution._score_numerators``.  Reports of
-    experts outside the coalition are never read.
-    """
-    members = [profile.reports[i] for i in coalition.members]
-    scale = lcm(*[r.scaled[0] for r in members])
-    rows = [
-        r._score_numerators if r.scaled[0] == scale
-        else [x * (scale // r.scaled[0]) ** 2 for x in r._score_numerators]
-        for r in members
-    ]
-    return scale * scale, [sum(column) for column in zip(*rows)]
 
 
 def _member_sums(rows, members, exact: bool = True) -> tuple:

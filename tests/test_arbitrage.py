@@ -32,7 +32,6 @@ from elicit import (
     uniform_report_arbitrage_interval,
 )
 from elicit import arbitrage
-from elicit.contracts import _independent_numerators
 from elicit.sampling import random_distribution
 from elicit.scoring import quadratic_score
 from elicit.arbitrage import (
@@ -61,6 +60,7 @@ from conftest import (
 
 INTRO = ReportProfile.of(("2/5", "3/5"), ("1/2", "1/2"), ("9/10", "1/10"))
 ALL_HALF = ReportProfile.of(("1/2", "1/2"), ("1/2", "1/2"), ("1/2", "1/2"))
+MISUSE = ReportProfile.of(("1/2", "1/2"), ("1/3", "2/3"), ("1/4", "3/4"))
 QUADRATIC = IndependentScoring(rule=QuadraticRule())
 LOG = IndependentScoring(rule=LogRule())
 
@@ -750,6 +750,39 @@ class TestCachedBaselineTotals:
         low = [t - abs(w) for t, w in zip(true, wrong)]
         assert CHECKS[kind](contract, baseline, deviation, coalition, low) == fresh
 
+    @pytest.mark.parametrize("kind", list(CertificateKind))
+    @pytest.mark.parametrize("tag", sorted(CONTRACTS))
+    def test_totals_are_read_once_from_any_iterable(self, tag, kind):
+        # A generator was once consumed by the screen's type test, which
+        # hid the certificate the same totals in a list give.
+        contract = CONTRACTS[tag]
+        coalition = Coalition.of([1, 2])
+        deviation = mean_collusion(MISUSE, coalition)
+        totals = coalition_totals(contract, MISUSE, coalition)
+        want = CHECKS[kind](contract, MISUSE, deviation, coalition, list(totals))
+        assert want == CHECKS[kind](contract, MISUSE, deviation, coalition)
+        if contract is QUADRATIC:
+            assert want is not None
+        got = CHECKS[kind](
+            contract, MISUSE, deviation, coalition, (t for t in totals)
+        )
+        assert got == want
+
+    @pytest.mark.parametrize("kind", list(CertificateKind))
+    @pytest.mark.parametrize("tag", sorted(CONTRACTS))
+    @pytest.mark.parametrize("length", [0, 1, 3])
+    def test_totals_of_another_length_are_refused(self, tag, kind, length):
+        # Too few totals once screened only the outcomes they covered, and
+        # none passed every deviation unseen.
+        contract = CONTRACTS[tag]
+        coalition = Coalition.of([1, 2])
+        deviation = mean_collusion(MISUSE, coalition)
+        totals = coalition_totals(contract, MISUSE, coalition)
+        wrong = (totals + totals)[:length]
+        with pytest.raises(ValueError) as raised:
+            CHECKS[kind](contract, MISUSE, deviation, coalition, wrong)
+        assert str(raised.value) == f"{length} baseline totals for 2 outcomes"
+
     def test_grid_size_is_checked_before_enumerating(self, monkeypatch):
         monkeypatch.setattr(arbitrage, "MAX_GRID_DEVIATIONS", 20)
         three = ReportProfile.of(
@@ -1066,8 +1099,7 @@ def members_cases(draw):
 
 def screen(deviation, coalition, before):
     """The verdict of the integer screen of independent quadratic scoring."""
-    scale, numerators = _independent_numerators(deviation, coalition)
-    return arbitrage._dominates(numerators, before, scale)
+    return arbitrage._independent_dominates(deviation, coalition, before)
 
 
 def plain_dominates(after, before):
@@ -1096,16 +1128,55 @@ class TestMembersScreen:
     never show in an output, since the plain path re-checks every pass."""
 
     @settings(max_examples=200)
-    @given(members_cases())
-    def test_numerators_equal_plain_totals(self, case):
+    @given(members_cases(), st.integers(1, 3))
+    def test_numerators_equal_plain_totals(self, case, multiple):
+        # The members' rows at their common scale L, or at a multiple of
+        # it, sum to the plain totals over the square of that scale.
         profile, coalition = case
-        denominator, numerators = _independent_numerators(profile, coalition)
-        scale = math.lcm(*[profile.reports[i].scaled[0] for i in coalition])
-        assert denominator == scale * scale
-        assert all(type(x) is int for x in numerators)
-        assert [Fraction(x, denominator) for x in numerators] == list(
+        scale = multiple * math.lcm(
+            *[profile.reports[i].scaled[0] for i in coalition]
+        )
+        rows = [profile.reports[i]._score_numerators_at(scale) for i in coalition]
+        assert all(type(x) is int for row in rows for x in row)
+        assert [Fraction(sum(c), scale * scale) for c in zip(*rows)] == list(
             plain_coalition_totals(QUADRATIC, profile, coalition)
         )
+
+    def test_cached_rows_serve_partners_of_every_scale(self):
+        # One lattice point of scale 2 paired in turn with partners of
+        # scales 1, 2, 3, 4, 6, 3 and 4: at L = 2 its own row serves, and
+        # its rows at L = 6 and 4 are built once and then reused, in this
+        # round and the next.  Every verdict matches the plain totals.
+        point = Distribution.of("1/2", "1/2", "0")
+        partners = [
+            Distribution.of(*w)
+            for w in [
+                ("1", "0", "0"), ("0", "1/2", "1/2"), ("1/3", "1/3", "1/3"),
+                ("1/4", "1/2", "1/4"), ("1/6", "1/3", "1/2"),
+                ("1/3", "2/3", "0"), ("0", "1/4", "3/4"),
+            ]
+        ]
+        baseline = ReportProfile.of(
+            ("1/5", "2/5", "2/5"), ("1/2", "1/4", "1/4"), ("1/7", "3/7", "3/7")
+        )
+        coalition = Coalition.of([0, 1])
+        totals = coalition_totals(QUADRATIC, baseline, coalition)
+        verdicts = []
+        for rounds in range(2):
+            for partner, nudge in product(partners, (-1, 0, 1)):
+                deviation = baseline.replace({0: point, 1: partner})
+                after = plain_coalition_totals(QUADRATIC, deviation, coalition)
+                nudged = tuple(a + Fraction(nudge, 100) for a in after)
+                for before in (totals, nudged):
+                    want = plain_dominates(after, before)
+                    assert screen(deviation, coalition, before) is want
+                    verdicts.append(want)
+            assert sorted(point._score_rows) == [4, 6]
+            if rounds == 0:
+                rows = dict(point._score_rows)
+        assert point._score_rows == rows
+        assert all(point._score_rows[k] is rows[k] for k in rows)
+        assert True in verdicts and False in verdicts
 
     @settings(max_examples=300)
     @given(members_cases(), st.data())

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -443,6 +445,7 @@ class TestReplaceOracle:
 FIRST_USE_CACHES = [
     (Distribution, "quadratic_scores", "The quadratic score of this report"),
     (Distribution, "weights", "The weights of a report built by"),
+    (Distribution, "_score_rows", "``_score_numerators_at``'s rows"),
     (ReportProfile, "scaled", "The reports as integers over one common"),
     (ReportProfile, "scaled_totals", "The column totals over the same D"),
 ]
@@ -472,9 +475,14 @@ class TestFirstUseCaches:
         used.scaled_totals
         for r in used.reports:
             r.quadratic_scores
+            r._score_numerators_at(6 * r.scaled[0])
+            assert r._score_rows
         pairs = [(used, fresh)] + list(zip(used.reports, fresh.reports))
         for a, b in pairs:
             assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+            for clone in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+                assert clone == b and hash(clone) == hash(b)
+                assert repr(clone) == repr(b)
         assert [f.name for f in dataclasses.fields(ReportProfile)] == ["reports"]
         assert [f.name for f in dataclasses.fields(Distribution)] == ["weights"]
 
