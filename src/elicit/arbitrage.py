@@ -23,6 +23,14 @@ stopping at the first that loses, no expert outside the coalition is
 scored and no ``Fraction`` is built.  Only a deviation that passes the
 screen is scored through ``coalition_totals``, and every certificate
 still comes from that plain path.
+
+What the screen needs of the baseline totals is decided by
+``_baseline_totals``: it reads them once, checks their count, applies
+the exact-type gate and reads each total's integer ratio.  A search
+decides once, and every deviation's check reuses the decision; a direct
+call given a sequence decides per call.  Totals the screen does not
+apply to carry no decision, so a check of them repeats only the count
+and type tests.
 """
 
 from __future__ import annotations
@@ -241,17 +249,18 @@ def _dominates(after: Sequence, before: Sequence) -> bool:
 
 
 def _independent_dominates(
-    deviation: ReportProfile, coalition: Coalition, before: Sequence
+    deviation: ReportProfile, coalition: Coalition, ratios: Sequence
 ) -> bool:
     """``_dominates`` for the coalition's totals under independent
-    quadratic scoring, against Fraction or int totals ``before``.
+    quadratic scoring, against the baseline totals whose integer ratios
+    ``(p, q)`` are ``ratios``.
 
     With L the lcm of the members' report scales, a member's scores are
     its ``_score_numerators`` over L**2 when its own scale is L, and
     otherwise its row re-scaled to L, cached on the report per L.  Each
-    outcome's column sum is compared with ``before`` by integer
-    cross-products as it is reached, and the first outcome that loses
-    decides.  Experts outside the coalition are never read.
+    outcome's column sum is compared with p / q by integer cross-products
+    as it is reached, and the first outcome that loses decides.  Experts
+    outside the coalition are never read.
     """
     reports = deviation.reports
     members = [reports[i] for i in coalition.members]
@@ -263,8 +272,7 @@ def _independent_dominates(
     ]
     square = scale * scale
     strict = False
-    for column, b in zip(zip(*rows), before):
-        p, q = b.as_integer_ratio()
+    for column, (p, q) in zip(zip(*rows), ratios):
         a, b = sum(column) * q, p * square
         if a > b:
             strict = True
@@ -285,6 +293,46 @@ def _deltas(after: Sequence, before: Sequence) -> tuple:
     )
 
 
+class _Screened(tuple):
+    """Baseline totals that the independent quadratic screen applies to.
+
+    ``_baseline_totals`` sets ``contract`` and ``kind``, the check they
+    were decided for, and ``ratios``, each total's integer ratio.
+    """
+
+
+def _baseline_totals(
+    contract: ContractFunction,
+    baseline: ReportProfile,
+    totals: Sequence,
+    kind: CertificateKind,
+) -> tuple:
+    """``totals`` read once and decided for a ``kind`` check of ``contract``.
+
+    ValueError names both lengths unless there is one total per outcome
+    of ``baseline``.  The screen applies to a dominance check under
+    exactly ``IndependentScoring(QuadraticRule())`` (a subclass may
+    score differently) with Fraction or int totals: then the totals come
+    back as ``_Screened``, and otherwise as a plain tuple.
+    """
+    totals = tuple(totals)
+    if len(totals) != baseline.n:
+        raise ValueError(
+            f"{len(totals)} baseline totals for {baseline.n} outcomes"
+        )
+    if not (
+        type(contract) is IndependentScoring
+        and type(contract.rule) is QuadraticRule
+        and kind is CertificateKind.DOMINANCE
+        and _RATIONALS.issuperset(map(type, totals))
+    ):
+        return totals
+    screened = _Screened(totals)
+    screened.contract, screened.kind = contract, kind
+    screened.ratios = [t.as_integer_ratio() for t in totals]
+    return screened
+
+
 def _check(
     kind: CertificateKind,
     contract: ContractFunction,
@@ -295,31 +343,27 @@ def _check(
 ) -> Optional[ArbitrageCertificate]:
     """The check behind ``check_dominance`` and ``check_expected_arbitrage``.
 
-    After the agreement guard, ``baseline_totals`` is read once into a
-    tuple, and ValueError names both lengths unless it holds one total
-    per outcome.  A dominance check under exactly
-    ``IndependentScoring(QuadraticRule())`` (a subclass may score
-    differently) with Fraction or int totals is screened by
-    ``_independent_dominates``, and returns None at once on a reject.
-    Every other check, and a passing one, takes the plain path: the
-    deviation's ``coalition_totals`` screened against
+    After the agreement guard, ``baseline_totals`` goes through
+    ``_baseline_totals`` unless it is ``_Screened`` for this same
+    contract and kind, as a search's are.  When the independent
+    quadratic screen applies, ``_independent_dominates`` returns None at
+    once on a reject.  Every other check, and a passing one, takes the
+    plain path: the deviation's ``coalition_totals`` screened against
     ``baseline_totals``, then compared with the baseline's own totals,
     from which the certificate's deltas are built.
     """
     ensure_agreement_outside(baseline, deviation, coalition)
     if baseline_totals is not None:
-        baseline_totals = tuple(baseline_totals)
-        if len(baseline_totals) != baseline.n:
-            raise ValueError(
-                f"{len(baseline_totals)} baseline totals for "
-                f"{baseline.n} outcomes"
+        if not (
+            type(baseline_totals) is _Screened
+            and baseline_totals.contract is contract
+            and baseline_totals.kind is kind
+        ):
+            baseline_totals = _baseline_totals(
+                contract, baseline, baseline_totals, kind
             )
-        if (
-            type(contract) is IndependentScoring
-            and type(contract.rule) is QuadraticRule
-            and kind is CertificateKind.DOMINANCE
-            and _RATIONALS.issuperset(map(type, baseline_totals))
-            and not _independent_dominates(deviation, coalition, baseline_totals)
+        if type(baseline_totals) is _Screened and not _independent_dominates(
+            deviation, coalition, baseline_totals.ratios
         ):
             return None
     exact = contract.exact
@@ -362,7 +406,10 @@ def check_dominance(
     totals, one per outcome (any other iterable is read once into a
     tuple), and another count raises ValueError.  A caller checking many
     deviations of one baseline computes it once and saves scoring the
-    baseline on every check.  On an exact contract the
+    baseline on every check; given a sequence, each call still reads and
+    decides the totals afresh (their count, and whether the screen below
+    applies), while ``search_arbitrage`` decides them once per search.
+    On an exact contract the
     deviation's totals are compared with the baseline's directly, without
     building a delta: for Fraction or int totals a >= b is decided on the
     integers a.numerator * b.denominator and b.numerator * a.denominator,
@@ -660,7 +707,8 @@ def search_arbitrage(
     MAX_GRID_DEVIATIONS deviations, or a random search of more trials,
     raises ValueError before anything is enumerated or drawn.  Random
     search is reproducible via its seed.  The baseline's coalition totals
-    are computed once per search.
+    are computed and decided (``_baseline_totals``) once per search, and
+    every deviation's check reuses them.
     """
     coalition.validate_for(baseline.m)
     if isinstance(strategy, GridSearch):
@@ -690,7 +738,9 @@ def search_arbitrage(
         if kind is CertificateKind.DOMINANCE
         else check_expected_arbitrage
     )
-    before = coalition_totals(contract, baseline, coalition)
+    before = _baseline_totals(
+        contract, baseline, coalition_totals(contract, baseline, coalition), kind
+    )
     for deviation in deviations:
         cert = check(contract, baseline, deviation, coalition, before)
         if cert is not None:

@@ -76,6 +76,12 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _parse_rows(rows: Sequence[Sequence], n: Optional[int]) -> ReportProfile:
+    """Profile from rows of cell values, one row per expert.
+
+    Each row's weights are summed once, by the ``Distribution`` built from
+    them; only a row it refuses is summed again, as a Fraction, to name
+    that sum in the error.
+    """
     if not rows:
         raise InputError("no expert reports given")
     dists = []
@@ -103,15 +109,18 @@ def _parse_rows(rows: Sequence[Sequence], n: Optional[int]) -> ReportProfile:
             weights.append(value)
         if len(weights) < 2:
             raise InputError(f"row {r} has fewer than 2 outcomes")
-        total = sum(weights)
-        if total != 1:
+        try:
+            dists.append(Distribution(tuple(weights)))
+        except ValueError:
+            # The weights are nonnegative rationals, so the sum is all the
+            # report can refuse.
+            total = sum(weights)
             if not _printable(total):
                 raise InputError(
                     f"row {r} does not sum to 1 (its sum has more than "
                     f"{_MAX_DIGITS} digits)"
-                )
-            raise InputError(f"row {r} sums to {total}, not 1")
-        dists.append(Distribution(tuple(weights)))
+                ) from None
+            raise InputError(f"row {r} sums to {total}, not 1") from None
     lengths = {d.n for d in dists}
     if len(lengths) > 1:
         raise InputError(

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 import re
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -652,6 +654,20 @@ class TestSearch:
         assert all(g >= 0 for g in gains) and any(g > 0 for g in gains)
 
 
+class ShiftedQuadratic(QuadraticRule):
+    """The quadratic score plus 1: the same certificates, other totals."""
+
+    def score(self, report, j):
+        return quadratic_score(report, j) + 1
+
+
+class ShiftedScoring(IndependentScoring):
+    """Pays ``ShiftedQuadratic`` whatever its rule is."""
+
+    def evaluate(self, profile, j):
+        return tuple(ShiftedQuadratic().score(r, j) for r in profile.reports)
+
+
 # The CLI's four contracts; zero-sum-pair is the alpha family at alpha = 0
 # on two experts, and nr sits in the prone band so that searches have
 # certificates to find.
@@ -661,6 +677,16 @@ CONTRACTS = {
     "zero-sum-pair": ArbitrageFreeContract(alpha=Fraction(0), permissive=True),
     "nr": ArbitrageFreeContract(alpha=Fraction(3), permissive=True),
 }
+# Searches run on these too: nr at a safe alpha, and subclasses of
+# independent quadratic scoring's rule and contract, which the integer
+# screen must not take for the exact quadratic rule.
+SEARCH_CONTRACTS = {
+    **CONTRACTS,
+    "nr-safe": ArbitrageFreeContract(alpha=Fraction(-1)),
+    "rule-subclass": IndependentScoring(rule=ShiftedQuadratic()),
+    "contract-subclass": ShiftedScoring(rule=QuadraticRule()),
+}
+STRATEGIES = [GridSearch(steps=3), RandomSearch(trials=15, seed=4, denominator=6)]
 CHECKS = {
     CertificateKind.DOMINANCE: check_dominance,
     CertificateKind.EXPECTED: check_expected_arbitrage,
@@ -693,16 +719,12 @@ def reference_search(contract, baseline, coalition, strategy, kind):
 
 class TestCachedBaselineTotals:
     @pytest.mark.parametrize("kind", list(CertificateKind))
-    @pytest.mark.parametrize("tag", sorted(CONTRACTS))
-    @pytest.mark.parametrize(
-        "strategy",
-        [GridSearch(steps=3), RandomSearch(trials=15, seed=4, denominator=6)],
-        ids=["grid", "random"],
-    )
+    @pytest.mark.parametrize("tag", sorted(SEARCH_CONTRACTS))
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=["grid", "random"])
     @settings(max_examples=15)
     @given(data=st.data())
     def test_search_matches_uncached_reference(self, tag, kind, strategy, data):
-        contract = CONTRACTS[tag]
+        contract = SEARCH_CONTRACTS[tag]
         baseline, coalition = data.draw(search_cases(tag))
         got = search_arbitrage(contract, baseline, coalition, strategy, kind)
         want = reference_search(contract, baseline, coalition, strategy, kind)
@@ -1098,28 +1120,16 @@ def members_cases(draw):
 
 
 def screen(deviation, coalition, before):
-    """The verdict of the integer screen of independent quadratic scoring."""
-    return arbitrage._independent_dominates(deviation, coalition, before)
+    """The verdict of the integer screen of independent quadratic scoring,
+    given the integer ratios of the Fraction or int totals ``before``."""
+    ratios = [b.as_integer_ratio() for b in before]
+    return arbitrage._independent_dominates(deviation, coalition, ratios)
 
 
 def plain_dominates(after, before):
     return all(a >= b for a, b in zip(after, before)) and any(
         a > b for a, b in zip(after, before)
     )
-
-
-class ShiftedQuadratic(QuadraticRule):
-    """The quadratic score plus 1: the same certificates, other totals."""
-
-    def score(self, report, j):
-        return quadratic_score(report, j) + 1
-
-
-class ShiftedScoring(IndependentScoring):
-    """Pays ``ShiftedQuadratic`` whatever its rule is."""
-
-    def evaluate(self, profile, j):
-        return tuple(ShiftedQuadratic().score(r, j) for r in profile.reports)
 
 
 class TestMembersScreen:
@@ -1265,3 +1275,95 @@ class TestMembersScreen:
             assert got == fresh
         nan = [math.nan] * baseline.n
         assert check_dominance(QUADRATIC, baseline, deviation, coalition, nan) is None
+
+
+@contextlib.contextmanager
+def counting_decisions():
+    """Count the calls of ``arbitrage._baseline_totals`` while open."""
+    with mock.patch.object(
+        arbitrage, "_baseline_totals", wraps=arbitrage._baseline_totals
+    ) as spy:
+        yield spy
+
+
+class TestDecidedTotals:
+    """A search decides its baseline totals once; its certificate is the
+    one a plain loop of checks without totals finds (see also
+    ``TestCachedBaselineTotals``)."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=["grid", "random"])
+    def test_a_screened_search_decides_once(self, strategy):
+        # No certificate: every deviation of the search is checked.
+        coalition = Coalition.of([0, 1])
+        baseline = INTRO.replace({1: INTRO.reports[0]})
+        with counting_decisions() as spy:
+            cert = search_arbitrage(QUADRATIC, baseline, coalition, strategy)
+        assert cert is None
+        assert spy.call_count == 1
+
+    @pytest.mark.parametrize("kind", list(CertificateKind))
+    @pytest.mark.parametrize("tag", sorted(SEARCH_CONTRACTS))
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=["grid", "random"])
+    def test_fixed_profiles_match_plain_loop(self, tag, kind, strategy):
+        # The intro profile, or its first two experts for zero-sum-pair.
+        contract = SEARCH_CONTRACTS[tag]
+        baseline = INTRO
+        if tag == "zero-sum-pair":
+            baseline = ReportProfile(INTRO.reports[:2])
+        coalition = Coalition.full(baseline.m)
+        got = search_arbitrage(contract, baseline, coalition, strategy, kind)
+        want = reference_search(contract, baseline, coalition, strategy, kind)
+        assert got == want
+
+    def test_a_direct_call_decides_per_call(self):
+        coalition = Coalition.full(3)
+        deviation = mean_collusion(INTRO, coalition)
+        totals = list(coalition_totals(QUADRATIC, INTRO, coalition))
+        with counting_decisions() as spy:
+            for _ in range(2):
+                check_dominance(QUADRATIC, INTRO, deviation, coalition, totals)
+        assert spy.call_count == 2
+        decided = arbitrage._baseline_totals(
+            QUADRATIC, INTRO, totals, CertificateKind.DOMINANCE
+        )
+        assert decided.ratios == [t.as_integer_ratio() for t in totals]
+        with counting_decisions() as spy:
+            cert = check_dominance(QUADRATIC, INTRO, deviation, coalition, decided)
+            assert cert == check_dominance(QUADRATIC, INTRO, deviation, coalition)
+            assert cert is not None
+            assert spy.call_count == 0
+            # Decided for dominance, the totals are decided again for an
+            # expected check.
+            check_expected_arbitrage(
+                QUADRATIC, INTRO, deviation, coalition, decided
+            )
+            assert spy.call_count == 1
+
+    @pytest.mark.parametrize(
+        "contract",
+        [SEARCH_CONTRACTS["rule-subclass"], SEARCH_CONTRACTS["contract-subclass"]],
+        ids=["rule-subclass", "contract-subclass"],
+    )
+    def test_totals_decided_for_another_contract_are_decided_again(
+        self, contract
+    ):
+        # The subclass's own totals, decided for exact quadratic scoring,
+        # carry ratios 3 above every quadratic total of the coalition: the
+        # quadratic screen would reject the mean collusion.  Passed with
+        # the subclass, they are decided again and take the plain path.
+        coalition = Coalition.full(3)
+        deviation = mean_collusion(INTRO, coalition)
+        shifted = coalition_totals(contract, INTRO, coalition)
+        decided = arbitrage._baseline_totals(
+            QUADRATIC, INTRO, shifted, CertificateKind.DOMINANCE
+        )
+        assert decided.ratios is not None
+        want = check_dominance(contract, INTRO, deviation, coalition)
+        assert want is not None
+        with counting_decisions() as spy:
+            got = check_dominance(contract, INTRO, deviation, coalition, decided)
+        assert spy.call_count == 1
+        assert got == want
+        assert not arbitrage._independent_dominates(
+            deviation, coalition, decided.ratios
+        )

@@ -86,6 +86,13 @@ class TestScore:
         "first_row,message",
         [
             ('["49/100", "1/2"]', "row 1 sums to 99/100, not 1"),
+            ('["3/5", "3/5"]', "row 1 sums to 6/5, not 1"),
+            # The refused row is the second of three: its number survives.
+            pytest.param(
+                '["1/2", "1/2"], ["3/5", "3/5"]',
+                "row 2 sums to 6/5, not 1",
+                id="second-row-sum",
+            ),
             # Each entry prints, but the row's sum has 8598 digits.
             pytest.param(
                 f'["1/{10**4299 - 1}", "1/{10**4299 - 3}"]',

@@ -31,7 +31,7 @@ REPORTS = (
      "1,0,0; 0,1,0; 0,0,1", "0.5,0.5; 0.25,0.75; 1,0; 0,1",
      "1e-4299,1-1e-4299; 1/2,1/2"],
     ["1/2,1/2", "0.4,0.6; 1e400,0", "1/2,1/2; 1/2", "", ";", "a,b; c,d",
-     "-1,2; 1/2,1/2", "1/0,1; 1,0", "1e-4299,1; 1,0"],
+     "-1,2; 1/2,1/2", "1/0,1; 1,0", "1e-4299,1; 1,0", "3/5,3/5; 1/2,1/2"],
 )
 COALITIONS = (
     ["1,2", "2,1", " 1 , 2 ", "1"],

@@ -126,6 +126,25 @@ class TestParseProfileJson:
             "row 2 does not sum to 1 (its sum has more than 4300 digits)"
         )
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("3/5,3/5; 1/2,1/2", "row 1 sums to 6/5, not 1"),
+            ("1/2,1/2; 3/5,3/5", "row 2 sums to 6/5, not 1"),
+            ("1/2,1/2; 1/2,1/2; 1/3,1/3", "row 3 sums to 2/3, not 1"),
+        ],
+    )
+    def test_refused_sum_names_the_row(self, text, message):
+        # Inline and JSON rows share one parser and refuse with one text.
+        rows = [row.split(",") for row in text.split("; ")]
+        for parse, source in (
+            (parse_inline_profile, text),
+            (parse_profile_json, json.dumps({"reports": rows})),
+        ):
+            with pytest.raises(InputError) as info:
+                parse(source)
+            assert str(info.value) == message
+
     def test_json_floats_are_refused(self):
         text = '{"n": 2, "reports": [[0.4, 0.6]]}'
         with pytest.raises(InputError, match="JSON float"):
