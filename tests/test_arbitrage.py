@@ -1332,25 +1332,48 @@ class TestDecidedTotals:
             assert cert == check_dominance(QUADRATIC, INTRO, deviation, coalition)
             assert cert is not None
             assert spy.call_count == 0
-            # Decided for dominance, the totals are decided again for an
-            # expected check.
-            check_expected_arbitrage(
+
+    def test_totals_decided_for_dominance_take_the_plain_path_when_expected(
+        self,
+    ):
+        # An expected arbitrage that is no dominance: the dominance screen
+        # rejects it, so an expected check of the decided totals certifies
+        # only if it takes the plain path.
+        coalition = Coalition.full(3)
+        deviation = INTRO.replace(
+            {1: Distribution.of("7/10", "3/10"), 2: Distribution.of("4/5", "1/5")}
+        )
+        assert check_dominance(QUADRATIC, INTRO, deviation, coalition) is None
+        want = check_expected_arbitrage(QUADRATIC, INTRO, deviation, coalition)
+        assert want is not None
+        decided = arbitrage._baseline_totals(
+            QUADRATIC,
+            INTRO,
+            coalition_totals(QUADRATIC, INTRO, coalition),
+            CertificateKind.DOMINANCE,
+        )
+        assert not arbitrage._independent_dominates(
+            deviation, coalition, decided.ratios
+        )
+        with counting_decisions() as spy:
+            got = check_expected_arbitrage(
                 QUADRATIC, INTRO, deviation, coalition, decided
             )
-            assert spy.call_count == 1
+        assert spy.call_count == 0
+        assert got == want
 
     @pytest.mark.parametrize(
         "contract",
         [SEARCH_CONTRACTS["rule-subclass"], SEARCH_CONTRACTS["contract-subclass"]],
         ids=["rule-subclass", "contract-subclass"],
     )
-    def test_totals_decided_for_another_contract_are_decided_again(
+    def test_totals_decided_for_another_contract_take_the_plain_path(
         self, contract
     ):
         # The subclass's own totals, decided for exact quadratic scoring,
         # carry ratios 3 above every quadratic total of the coalition: the
         # quadratic screen would reject the mean collusion.  Passed with
-        # the subclass, they are decided again and take the plain path.
+        # the subclass, they take the plain path.
         coalition = Coalition.full(3)
         deviation = mean_collusion(INTRO, coalition)
         shifted = coalition_totals(contract, INTRO, coalition)
@@ -1362,7 +1385,7 @@ class TestDecidedTotals:
         assert want is not None
         with counting_decisions() as spy:
             got = check_dominance(contract, INTRO, deviation, coalition, decided)
-        assert spy.call_count == 1
+        assert spy.call_count == 0
         assert got == want
         assert not arbitrage._independent_dominates(
             deviation, coalition, decided.ratios

@@ -1,7 +1,7 @@
 """The per-layer record of ``tools/layers.py``: its schema and fixed inputs.
 
-The tool runs once with one timing of one call per layer.  The times are
-only checked to be positive numbers; the inputs must be the seeded ones.
+The tool runs once with one timing per layer.  The times are only
+checked to be positive numbers; the inputs must be the seeded ones.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ def rows(profile):
 def record(tmp_path_factory):
     out = tmp_path_factory.mktemp("layers") / "record.json"
     subprocess.run(
-        [sys.executable, str(TOOL), "--out", str(out), "--repeats", "1",
-         "--number", "1"],
+        [sys.executable, str(TOOL), "--out", str(out), "--repeats", "1"],
         check=True,
         timeout=120,
     )
@@ -62,7 +61,7 @@ def test_schema(record):
     assert set(record["layers"]) == LAYERS
     for entry in record["layers"].values():
         assert set(entry) == FIELDS
-        assert entry["number"] == 1
+        assert type(entry["number"]) is int and entry["number"] > 0
         assert isinstance(entry["what"], str) and entry["what"]
         for key in ("us_per_call", "raw_us_per_call", "calibration_ms"):
             assert isinstance(entry[key], float) and entry[key] > 0

@@ -2,14 +2,14 @@
 
 Each layer runs on seeded inputs at (m, n) = (4, 3): the alpha family at
 a safe alpha, independent quadratic scoring, and a three-member
-coalition.  A layer's figure is the best of ``--repeats`` timings of
-``--number`` calls, in µs per call, scaled to reference host speed with
-the ``calibrate`` loop of ``bench/run.py``: the raw figure times the
-reference mean calibration over the best of the calibrations taken
-around that layer, so both best figures come from the host's fast
-state.  The raw figure is recorded too.
+coalition.  A layer's figure is the best of ``--repeats`` timings of its
+fixed number of calls (``NUMBERS``), in µs per call, scaled to reference
+host speed with the ``calibrate`` loop of ``bench/run.py``: the raw
+figure times the reference mean calibration over the best of the
+calibrations taken around that layer, so both best figures come from the
+host's fast state.  The raw figure is recorded too.
 
-    python tools/layers.py --out BENCH_<n>.json [--repeats 30] [--number N]
+    python tools/layers.py --out BENCH_<n>.json [--repeats 30]
 
 The record holds each layer's fixed inputs, so records from different
 changes compare like with like; nothing in it depends on the timings but
@@ -195,15 +195,14 @@ def measure(make, number: int, repeats: int) -> tuple[float, float, float]:
     return raw * CALIBRATION_REF_MS["mean"] / speed, raw, speed
 
 
-def record(repeats: int, number=None) -> dict:
+def record(repeats: int) -> dict:
     out = {}
     for name, (what, inputs, make) in layers().items():
-        calls = number or NUMBERS[name]
-        scaled, raw, speed = measure(make, calls, repeats)
+        scaled, raw, speed = measure(make, NUMBERS[name], repeats)
         out[name] = {
             "what": what,
             "inputs": inputs,
-            "number": calls,
+            "number": NUMBERS[name],
             "us_per_call": round(scaled, 3),
             "raw_us_per_call": round(raw, 3),
             "calibration_ms": round(speed, 3),
@@ -220,14 +219,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--repeats", type=int, default=30)
-    parser.add_argument(
-        "--number", type=int, default=None,
-        help="calls per timing for every layer (default: each layer's own)",
-    )
     args = parser.parse_args(argv)
-    if args.repeats < 1 or (args.number is not None and args.number < 1):
-        parser.error("--repeats and --number must be positive")
-    result = record(args.repeats, args.number)
+    if args.repeats < 1:
+        parser.error("--repeats must be positive")
+    result = record(args.repeats)
     args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     return 0
 
