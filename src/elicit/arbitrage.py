@@ -14,15 +14,19 @@ resulting certificates are flagged as numeric.  Searches are plain
 enumeration or seeded random sampling; both are deterministic, and any
 certificate they return re-verifies under the corresponding check.
 
+Every check first runs the agreement guard (``ensure_agreement_outside``):
+one pass over the experts that skips the members and the reports the
+deviation shares with the baseline by identity.
+
 Under independent quadratic scoring only the members' scores move the
 coalition's total, so a dominance check against exact baseline totals
-first screens the deviation in one integer pass over the members' score
-numerators (``_independent_dominates``), each report's row re-scaled to
-the members' common scale once and cached on it: outcome by outcome,
-stopping at the first that loses, no expert outside the coalition is
-scored and no ``Fraction`` is built.  Only a deviation that passes the
-screen is scored through ``coalition_totals``, and every certificate
-still comes from that plain path.
+first screens the deviation on integers (``_independent_dominates``):
+the members' score numerators are summed over a running denominator,
+and each outcome's sum is compared with the baseline's, stopping at the
+first that loses.  No expert outside the coalition is scored and no
+``Fraction`` is built.  Only a deviation that passes the screen is
+scored through ``coalition_totals``, and every certificate still comes
+from that plain path.
 
 What the screen needs of the baseline totals is decided by
 ``_baseline_totals``: it reads them once, checks their count, applies
@@ -40,7 +44,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, lcm
+from math import comb, gcd
 from typing import Iterator, Optional, Sequence
 
 from .contracts import (
@@ -120,23 +124,31 @@ _DOMINANCE = CertificateKind.DOMINANCE
 def ensure_agreement_outside(
     baseline: ReportProfile, deviation: ReportProfile, coalition: Coalition
 ) -> None:
-    """Raise DeviationMismatchError unless only coalition reports changed."""
+    """Raise DeviationMismatchError unless only coalition reports changed.
+
+    The shapes are compared first, then the coalition's range, by the
+    test ``Coalition.validate_for`` makes (which is called, for its
+    error, only when the test fails).  One pass over the baseline's
+    reports then skips those identical to the deviation's and the
+    members', and the first other expert whose reports differ is named.
+    """
     if deviation.m != baseline.m or deviation.n != baseline.n:
         raise DeviationMismatchError(
             f"deviation shape ({deviation.m} experts, {deviation.n} "
             f"outcomes) does not match baseline ({baseline.m}, {baseline.n})"
         )
-    coalition.validate_for(baseline.m)
     members = coalition.members
-    pairs = zip(baseline.reports, deviation.reports)
-    for i, (before, after) in enumerate(pairs):
-        if before is after or i in members:
-            continue
-        if before != after:
+    if members[-1] >= baseline.m:
+        coalition.validate_for(baseline.m)
+    after = deviation.reports
+    i = 0
+    for before in baseline.reports:
+        if before is not after[i] and i not in members and before != after[i]:
             raise DeviationMismatchError(
                 f"expert {i + 1} (1-based) is outside the coalition but "
                 f"reports differ between baseline and deviation"
             )
+        i += 1
 
 
 @dataclass(frozen=True)
@@ -262,25 +274,36 @@ def _independent_dominates(
     quadratic scoring, against the baseline totals whose integer ratios
     ``(p, q)`` are ``ratios``.
 
-    With L the lcm of the members' report scales, a member's scores are
-    its ``_score_numerators`` over L**2 when its own scale is L, and
-    otherwise its row re-scaled to L, cached on the report per L.  Each
-    outcome's column sum is compared with p / q by integer cross-products
-    as it is reached, and the first outcome that loses decides.  Experts
-    outside the coalition are never read.
+    The members' ``_score_numerators`` are summed over a running
+    denominator, as ``contracts._member_sums`` sums payments: with d a
+    member's report scale squared, a row over the running denominator is
+    added as it is, one over a d that divides it is added scaled up, and
+    any other takes both to their lcm through one gcd.  Each outcome's
+    sum is then compared with p / q by integer cross-products, and the
+    first outcome that loses decides.  Experts outside the coalition are
+    never read, and no ``Fraction`` is built.
     """
     reports = deviation.reports
-    members = [reports[i] for i in coalition.members]
-    scale = lcm(*[r.scaled[0] for r in members])
-    rows = [
-        r._score_numerators if r.scaled[0] == scale
-        else r._score_numerators_at(scale)
-        for r in members
-    ]
-    square = scale * scale
+    first, *rest = coalition.members
+    sums = reports[first]._score_numerators
+    den = reports[first].scaled[0] ** 2
+    for i in rest:
+        report = reports[i]
+        d = report.scaled[0] ** 2
+        pairs = zip(sums, report._score_numerators)
+        if d == den:
+            sums = [a + x for a, x in pairs]
+        elif den % d == 0:
+            f = den // d
+            sums = [a + x * f for a, x in pairs]
+        else:
+            g = gcd(den, d)
+            f, h = d // g, den // g
+            sums = [a * f + x * h for a, x in pairs]
+            den *= f
     strict = False
-    for column, (p, q) in zip(zip(*rows), ratios):
-        a, b = sum(column) * q, p * square
+    for a, (p, q) in zip(sums, ratios):
+        a, b = a * q, p * den
         if a > b:
             strict = True
         elif a < b:
@@ -425,13 +448,13 @@ def check_dominance(
     integers a.numerator * b.denominator and b.numerator * a.denominator,
     and the comparison stops at the first outcome that loses.  Under
     independent quadratic scoring with Fraction or int totals, the
-    deviation is screened before any total is built, in one pass over its
-    members' integer score numerators over L**2 (L the lcm of their
-    report scales) that stops at the first outcome that loses; the
-    experts outside the coalition are not scored.  The totals only screen
-    deviations: before a certificate is returned its deltas are
-    recomputed from the baseline, so totals that are wrong can hide a
-    certificate but never make one.
+    deviation is screened before any total is built: its members'
+    integer score numerators are summed over a running denominator, and
+    the sums are compared with the baseline's totals until the first
+    outcome that loses; the experts outside the coalition are not
+    scored.  The totals only screen deviations: before a certificate is
+    returned its deltas are recomputed from the baseline, so totals that
+    are wrong can hide a certificate but never make one.
     """
     return _check(
         _DOMINANCE,

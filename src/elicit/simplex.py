@@ -14,18 +14,17 @@ computation on the report (its quadratic scores, a profile's rows) starts
 from them.  A report's quadratic scores are cached on it
 (``Distribution.quadratic_scores``), built on first use, so a report
 scored again and again, such as a lattice point a grid search reuses in
-every combination, builds its n scores once.  Its score numerators
-re-scaled to a larger common scale (``_score_numerators_at``) are cached
-on it too, one row per scale, so a lattice point paired with partners
-of other scales re-scales once per scale, not once per combination.
+every combination, builds its n scores once.  Their integer numerators
+over D**2 (``_score_numerators``) are cached the same way; the dominance
+screen of independent quadratic scoring sums the members' rows of them
+over a running denominator.
 ``ReportProfile.scaled`` rescales the reports' counts to one common D,
 and ``ReportProfile.scaled_totals`` holds the integer column totals and
 per-expert sums that the alpha family's ``evaluate`` needs, once per
 profile.  These first-use caches (``_cached``) store their value in the
-instance ``__dict__`` (the rows by scale as one dict) and take no lock,
-so a cache hit is a plain attribute lookup and a miss costs only the
-computation; none is a dataclass field, so eq, hash and repr ignore
-them.
+instance ``__dict__`` and take no lock, so a cache hit is a plain
+attribute lookup and a miss costs only the computation; none is a
+dataclass field, so eq, hash and repr ignore them.
 
 Shapes are set once: construction stores a report's outcome count ``n``
 and a profile's ``m`` and ``n`` as plain instance attributes, the way
@@ -270,30 +269,12 @@ class Distribution:
 
         With (D, c, square) = ``scaled``, the score at j is
         2*w_j - sum(w**2) = (2*D*c_j - square) / D**2.  The one place that
-        numerator is written: ``quadratic_scores``,
-        ``_score_numerators_at`` and the dominance screen of independent
-        quadratic scoring read it.  Built once per report on first use.
+        numerator is written: ``quadratic_scores`` and the dominance
+        screen of independent quadratic scoring read it.  Built once per
+        report on first use.
         """
         scale, counts, square = self.scaled
         return tuple([2 * scale * c - square for c in counts])
-
-    @_cached
-    def _score_rows(self) -> dict:
-        """``_score_numerators_at``'s rows, by scale; empty until asked."""
-        return {}
-
-    def _score_numerators_at(self, scale: int) -> tuple[int, ...]:
-        """``_score_numerators`` over scale**2, for a multiple scale of D.
-
-        Each entry times (scale / D)**2, built once per report and scale
-        and kept in ``_score_rows``.
-        """
-        rows = self._score_rows
-        row = rows.get(scale)
-        if row is None:
-            factor = (scale // self.scaled[0]) ** 2
-            row = rows[scale] = tuple([x * factor for x in self._score_numerators])
-        return row
 
     @_cached
     def quadratic_scores(self) -> tuple[Fraction, ...]:

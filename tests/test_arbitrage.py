@@ -11,7 +11,7 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from elicit import (
     ArbitrageFreeContract,
@@ -192,6 +192,102 @@ class TestAgreementGuard:
         assert str(raised.value) == (
             "expert 2 (1-based) is outside the coalition but reports "
             "differ between baseline and deviation"
+        )
+
+
+def reference_agreement_guard(baseline, deviation, coalition):
+    """The agreement guard as a plain loop: the shapes, then the
+    coalition's range through ``validate_for``, then every pair of
+    reports in order, skipping identical objects and members."""
+    if deviation.m != baseline.m or deviation.n != baseline.n:
+        raise DeviationMismatchError(
+            f"deviation shape ({deviation.m} experts, {deviation.n} "
+            f"outcomes) does not match baseline ({baseline.m}, {baseline.n})"
+        )
+    coalition.validate_for(baseline.m)
+    members = coalition.members
+    pairs = zip(baseline.reports, deviation.reports)
+    for i, (before, after) in enumerate(pairs):
+        if before is after or i in members:
+            continue
+        if before != after:
+            raise DeviationMismatchError(
+                f"expert {i + 1} (1-based) is outside the coalition but "
+                f"reports differ between baseline and deviation"
+            )
+
+
+def guard_outcome(guard, baseline, deviation, coalition):
+    """None, or the type and message of the exception the guard raises."""
+    try:
+        return guard(baseline, deviation, coalition)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def guard_cases(draw):
+    """A baseline, a deviation and a coalition that may reach past the
+    baseline's experts.  The deviation has another number of experts or
+    outcomes, or keeps each report as the same object, as an equal but
+    distinct one (built from its weights or from its counts), or draws
+    another, which may differ from the baseline's anywhere."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(2, 3))
+    baseline = ReportProfile(tuple(draw(distributions(n=n)) for _ in range(m)))
+    members = draw(st.lists(st.integers(0, m + 1), min_size=1, max_size=2))
+    shape = draw(st.sampled_from(["same", "same", "experts", "outcomes"]))
+    if shape == "same":
+        reports = []
+        for r in baseline.reports:
+            how = draw(st.sampled_from(["same", "weights", "counts", "other"]))
+            if how == "weights":
+                r = Distribution(r.weights)
+            elif how == "counts":
+                r = Distribution._from_counts(r.scaled[1], r.scaled[0])
+            elif how == "other":
+                r = draw(distributions(n=n))
+            reports.append(r)
+    else:
+        size, width = m, n
+        if shape == "experts":
+            size = draw(st.integers(1, 6).filter(lambda k: k != m))
+        else:
+            width = n + 1
+        reports = [draw(distributions(n=width)) for _ in range(size)]
+    return baseline, ReportProfile(tuple(reports)), Coalition.of(members)
+
+
+FIVE_HALVES = ReportProfile.of(*[("1/2", "1/2")] * 5)
+
+
+class TestAgreementGuardOracle:
+    """``ensure_agreement_outside`` raises what the plain loop raises.
+
+    The examples are a shape mismatch with a coalition past the
+    baseline's experts (the shape error wins), non-members that differ
+    at experts 3 and 5 (expert 3 is named), and equal but distinct
+    reports outside the coalition (no error)."""
+
+    @settings(max_examples=500)
+    @given(guard_cases())
+    @example((INTRO, ReportProfile.of(*INTRO.reports[:2]), Coalition.of([5])))
+    @example((
+        FIVE_HALVES,
+        FIVE_HALVES.replace({i: Distribution.of(1, 0) for i in (0, 2, 4)}),
+        Coalition.of([0, 1]),
+    ))
+    @example((
+        INTRO,
+        ReportProfile((
+            Distribution(INTRO.reports[0].weights),
+            Distribution._from_counts((1, 1), 2),
+            Distribution(INTRO.reports[2].weights),
+        )),
+        Coalition.of([0]),
+    ))
+    def test_matches_the_plain_loop(self, case):
+        assert guard_outcome(ensure_agreement_outside, *case) == guard_outcome(
+            reference_agreement_guard, *case
         )
 
 
@@ -1140,23 +1236,33 @@ class TestMembersScreen:
     @settings(max_examples=200)
     @given(members_cases(), st.integers(1, 3))
     def test_numerators_equal_plain_totals(self, case, multiple):
-        # The members' rows at their common scale L, or at a multiple of
-        # it, sum to the plain totals over the square of that scale.
+        # The members' numerators summed over the running denominator are
+        # the plain totals exactly: against the totals themselves the
+        # screen finds no gain, and with any one outcome's total lowered
+        # by 1/100 it finds one, so every sum is at least its total and
+        # none is above it.  The ratios are handed in unreduced too.
         profile, coalition = case
-        scale = multiple * math.lcm(
-            *[profile.reports[i].scaled[0] for i in coalition]
-        )
-        rows = [profile.reports[i]._score_numerators_at(scale) for i in coalition]
-        assert all(type(x) is int for row in rows for x in row)
-        assert [Fraction(sum(c), scale * scale) for c in zip(*rows)] == list(
-            plain_coalition_totals(QUADRATIC, profile, coalition)
-        )
+        totals = plain_coalition_totals(QUADRATIC, profile, coalition)
 
-    def test_cached_rows_serve_partners_of_every_scale(self):
-        # One lattice point of scale 2 paired in turn with partners of
-        # scales 1, 2, 3, 4, 6, 3 and 4: at L = 2 its own row serves, and
-        # its rows at L = 6 and 4 are built once and then reused, in this
-        # round and the next.  Every verdict matches the plain totals.
+        def verdict(before):
+            ratios = [
+                (p * multiple, q * multiple)
+                for p, q in (b.as_integer_ratio() for b in before)
+            ]
+            return arbitrage._independent_dominates(profile, coalition, ratios)
+
+        assert verdict(totals) is False
+        for j in range(profile.n):
+            lowered = list(totals)
+            lowered[j] -= Fraction(1, 100)
+            assert verdict(lowered) is True
+
+    def test_partners_of_every_scale(self):
+        # One lattice point of scale 2 paired with partners of scales 1,
+        # 2, 3, 4, 6, 3 and 4, as the first member and as the second, so
+        # the running denominator meets an equal square, one that divides
+        # it and ones that need their lcm, found through one gcd.  Every
+        # verdict matches the plain totals on both sides of a tie.
         point = Distribution.of("1/2", "1/2", "0")
         partners = [
             Distribution.of(*w)
@@ -1172,20 +1278,21 @@ class TestMembersScreen:
         coalition = Coalition.of([0, 1])
         totals = coalition_totals(QUADRATIC, baseline, coalition)
         verdicts = []
-        for rounds in range(2):
-            for partner, nudge in product(partners, (-1, 0, 1)):
-                deviation = baseline.replace({0: point, 1: partner})
-                after = plain_coalition_totals(QUADRATIC, deviation, coalition)
-                nudged = tuple(a + Fraction(nudge, 100) for a in after)
-                for before in (totals, nudged):
-                    want = plain_dominates(after, before)
+        branches = set()
+        for partner, nudge, first in product(partners, (-1, 0, 1), (0, 1)):
+            deviation = baseline.replace({first: point, 1 - first: partner})
+            d0, d1 = [deviation.reports[i].scaled[0] for i in (0, 1)]
+            branch = "equal" if d0 == d1 else "divides" if d0 % d1 == 0 else "lcm"
+            branches.add(branch)
+            after = plain_coalition_totals(QUADRATIC, deviation, coalition)
+            nudged = tuple(a + Fraction(nudge, 100) for a in after)
+            for before in (totals, nudged):
+                want = plain_dominates(after, before)
+                with mock.patch.object(arbitrage, "gcd", wraps=math.gcd) as spy:
                     assert screen(deviation, coalition, before) is want
-                    verdicts.append(want)
-            assert sorted(point._score_rows) == [4, 6]
-            if rounds == 0:
-                rows = dict(point._score_rows)
-        assert point._score_rows == rows
-        assert all(point._score_rows[k] is rows[k] for k in rows)
+                assert spy.call_count == (branch == "lcm")
+                verdicts.append(want)
+        assert branches == {"equal", "divides", "lcm"}
         assert True in verdicts and False in verdicts
 
     @settings(max_examples=300)

@@ -1,7 +1,8 @@
 """The per-layer record of ``tools/layers.py``: its schema and fixed inputs.
 
 The tool runs once with one timing per layer.  The times are only
-checked to be positive numbers; the inputs must be the seeded ones.
+checked to be positive numbers, scaled by the record's one calibration;
+the inputs must be the seeded ones.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ FIELDS = {
     "number",
     "us_per_call",
     "raw_us_per_call",
-    "calibration_ms",
 }
 
 
@@ -55,16 +55,28 @@ def record(tmp_path_factory):
 
 def test_schema(record):
     assert set(record) == {
-        "python", "repeats", "reference_calibration_ms", "layers"
+        "python", "repeats", "reference_calibration_ms", "calibration_ms",
+        "layers",
     }
     assert record["repeats"] == 1
+    assert isinstance(record["calibration_ms"], float)
+    assert record["calibration_ms"] > 0
     assert set(record["layers"]) == LAYERS
     for entry in record["layers"].values():
         assert set(entry) == FIELDS
         assert type(entry["number"]) is int and entry["number"] > 0
         assert isinstance(entry["what"], str) and entry["what"]
-        for key in ("us_per_call", "raw_us_per_call", "calibration_ms"):
+        for key in ("us_per_call", "raw_us_per_call"):
             assert isinstance(entry[key], float) and entry[key] > 0
+
+
+def test_one_factor_scales_every_layer(record):
+    # Both figures and the calibration are rounded to 0.001.
+    factor = record["reference_calibration_ms"] / record["calibration_ms"]
+    for entry in record["layers"].values():
+        assert entry["us_per_call"] == pytest.approx(
+            entry["raw_us_per_call"] * factor, rel=1e-3, abs=0.003
+        )
 
 
 def test_inputs_are_the_seeded_ones(record):

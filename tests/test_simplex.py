@@ -445,7 +445,6 @@ class TestReplaceOracle:
 FIRST_USE_CACHES = [
     (Distribution, "quadratic_scores", "The quadratic score of this report"),
     (Distribution, "weights", "The weights of a report built by"),
-    (Distribution, "_score_rows", "``_score_numerators_at``'s rows"),
     (ReportProfile, "scaled", "The reports as integers over one common"),
     (ReportProfile, "scaled_totals", "The column totals over the same D"),
 ]
@@ -475,8 +474,6 @@ class TestFirstUseCaches:
         used.scaled_totals
         for r in used.reports:
             r.quadratic_scores
-            r._score_numerators_at(6 * r.scaled[0])
-            assert r._score_rows
         pairs = [(used, fresh)] + list(zip(used.reports, fresh.reports))
         for a, b in pairs:
             assert a == b and hash(a) == hash(b) and repr(a) == repr(b)

@@ -2,12 +2,17 @@
 
 Each layer runs on seeded inputs at (m, n) = (4, 3): the alpha family at
 a safe alpha, independent quadratic scoring, and a three-member
-coalition.  A layer's figure is the best of ``--repeats`` timings of its
-fixed number of calls (``NUMBERS``), in µs per call, scaled to reference
-host speed with the ``calibrate`` loop of ``bench/run.py``: the raw
-figure times the reference mean calibration over the best of the
-calibrations taken around that layer, so both best figures come from the
-host's fast state.  The raw figure is recorded too.
+coalition.  A layer's raw figure is the best of ``--repeats`` timings of
+its fixed number of calls (``NUMBERS``), in µs per call.  The timings
+run in rounds, each layer once a round, with the ``calibrate`` loop of
+``bench/run.py`` before every timing and after the last.  The record is
+calibrated once: one factor, the reference mean calibration over the
+best of all its calibrations, scales every layer's raw figure to
+reference host speed, and both figures are recorded.  The host drifts
+between a fast and a slow state; since every layer and the calibration
+are sampled across the whole record, each best figure has the whole
+record to meet the fast state in, and within a record the layers
+compare as their raw figures do.
 
     python tools/layers.py --out BENCH_<n>.json [--repeats 30]
 
@@ -59,9 +64,6 @@ ALPHA = Fraction(-1)
 MEMBERS = (0, 1, 2)
 LATTICE_STEPS = 50
 SEARCH_STEPS = 4
-# Calibrations taken before and after each layer.
-CALIBRATIONS = 5
-
 # Calls per timing: each timing takes a few milliseconds on a 2-core
 # Xeon at Python 3.11, short enough that the best of many repeats falls
 # in one state of a host that drifts between a fast and a slow one.
@@ -183,35 +185,34 @@ def layers() -> dict:
     }
 
 
-def measure(make, number: int, repeats: int) -> tuple[float, float, float]:
-    """(scaled µs, raw µs, best calibration ms) per call of one layer."""
-    calibrations = [calibrate() for _ in range(CALIBRATIONS)]
-    best = min(
-        timeit.Timer(make(number)).timeit(number=1) for _ in range(repeats)
-    )
-    calibrations += [calibrate() for _ in range(CALIBRATIONS)]
-    speed = min(calibrations) * 1000
-    raw = best / number * 1e6
-    return raw * CALIBRATION_REF_MS["mean"] / speed, raw, speed
-
-
 def record(repeats: int) -> dict:
-    out = {}
-    for name, (what, inputs, make) in layers().items():
-        scaled, raw, speed = measure(make, NUMBERS[name], repeats)
-        out[name] = {
-            "what": what,
-            "inputs": inputs,
-            "number": NUMBERS[name],
-            "us_per_call": round(scaled, 3),
-            "raw_us_per_call": round(raw, 3),
-            "calibration_ms": round(speed, 3),
-        }
+    table = layers()
+    best = dict.fromkeys(table, float("inf"))
+    calibrations = []
+    for _ in range(repeats):
+        for name, (_, _, make) in table.items():
+            calibrations.append(calibrate())
+            number = NUMBERS[name]
+            us = timeit.Timer(make(number)).timeit(number=1) / number * 1e6
+            best[name] = min(best[name], us)
+    calibrations.append(calibrate())
+    speed = min(calibrations) * 1000
+    factor = CALIBRATION_REF_MS["mean"] / speed
     return {
         "python": platform.python_version(),
         "repeats": repeats,
         "reference_calibration_ms": CALIBRATION_REF_MS["mean"],
-        "layers": out,
+        "calibration_ms": round(speed, 3),
+        "layers": {
+            name: {
+                "what": what,
+                "inputs": inputs,
+                "number": NUMBERS[name],
+                "us_per_call": round(best[name] * factor, 3),
+                "raw_us_per_call": round(best[name], 3),
+            }
+            for name, (what, inputs, _) in table.items()
+        },
     }
 
 
