@@ -274,23 +274,22 @@ def _independent_dominates(
     quadratic scoring, against the baseline totals whose integer ratios
     ``(p, q)`` are ``ratios``.
 
-    The members' ``_score_numerators`` are summed over a running
-    denominator, as ``contracts._member_sums`` sums payments: with d a
-    member's report scale squared, a row over the running denominator is
-    added as it is, one over a d that divides it is added scaled up, and
-    any other takes both to their lcm through one gcd.  Each outcome's
-    sum is then compared with p / q by integer cross-products, and the
-    first outcome that loses decides.  Experts outside the coalition are
-    never read, and no ``Fraction`` is built.
+    Each member's score row, d its report scale squared with the
+    numerators over it, is read as one cached pair (``_score_row``).
+    The rows are summed over a running denominator, as
+    ``contracts._member_sums`` sums payments: a row over the running
+    denominator is added as it is, one over a d that divides it is added
+    scaled up, and any other takes both to their lcm through one gcd.
+    Each outcome's sum is then compared with p / q by integer
+    cross-products, and the first outcome that loses decides.  Experts
+    outside the coalition are never read, and no ``Fraction`` is built.
     """
     reports = deviation.reports
     first, *rest = coalition.members
-    sums = reports[first]._score_numerators
-    den = reports[first].scaled[0] ** 2
+    den, sums = reports[first]._score_row
     for i in rest:
-        report = reports[i]
-        d = report.scaled[0] ** 2
-        pairs = zip(sums, report._score_numerators)
+        d, row = reports[i]._score_row
+        pairs = zip(sums, row)
         if d == den:
             sums = [a + x for a, x in pairs]
         elif den % d == 0:
@@ -371,32 +370,37 @@ def _check(
 ) -> Optional[ArbitrageCertificate]:
     """The check behind ``check_dominance`` and ``check_expected_arbitrage``.
 
-    After the agreement guard, ``baseline_totals`` goes through
-    ``_baseline_totals`` unless it is already ``_Screened``, as a
-    search's are.  When ``_Screened`` totals meet a dominance check
-    under exactly ``IndependentScoring(QuadraticRule())``, the
-    independent quadratic screen applies and ``_independent_dominates``
-    returns None at once on a reject; with any other contract or kind
-    they are a plain tuple of the same values.  Every other check, and a
-    passing one, takes the plain path: the deviation's
-    ``coalition_totals`` screened against ``baseline_totals``, then
-    compared with the baseline's own totals, from which the certificate's
-    deltas are built.
+    After the agreement guard, ``_Screened`` totals, as a search's are,
+    are tested first: when they meet a dominance check under exactly
+    ``IndependentScoring(QuadraticRule())``, the independent quadratic
+    screen applies and ``_independent_dominates`` returns None at once
+    on a reject; with any other contract or kind they are a plain tuple
+    of the same values.  Other totals go through ``_baseline_totals``,
+    and are screened the same way when it returns them ``_Screened``.
+    Every other check, and a passing one, takes the plain path: the
+    deviation's ``coalition_totals`` screened against ``baseline_totals``,
+    then compared with the baseline's own totals, from which the
+    certificate's deltas are built.
     """
     ensure_agreement_outside(baseline, deviation, coalition)
-    if baseline_totals is not None:
-        if type(baseline_totals) is not _Screened:
-            baseline_totals = _baseline_totals(
-                contract, baseline, baseline_totals, kind
-            )
+    if type(baseline_totals) is _Screened:
         if (
-            type(baseline_totals) is _Screened
-            and kind is _DOMINANCE
+            kind is _DOMINANCE
             and type(contract) is IndependentScoring
             and type(contract.rule) is QuadraticRule
             and not _independent_dominates(
                 deviation, coalition, baseline_totals.ratios
             )
+        ):
+            return None
+    elif baseline_totals is not None:
+        # Decided for this contract and kind, so _Screened totals here
+        # pass the gate above.
+        baseline_totals = _baseline_totals(
+            contract, baseline, baseline_totals, kind
+        )
+        if type(baseline_totals) is _Screened and not _independent_dominates(
+            deviation, coalition, baseline_totals.ratios
         ):
             return None
     exact = contract.exact
@@ -699,7 +703,7 @@ def _grid_deviations(
     coalition: Coalition,
     steps: int,
 ) -> Iterator[ReportProfile]:
-    members = tuple(coalition)
+    members = coalition.members
     if isinstance(contract, ArbitrageFreeContract):
         # The coalition's totals depend only on its per-outcome sums, so
         # enumerate sum vectors (one lattice point, scaled by |C|) and
@@ -708,9 +712,13 @@ def _grid_deviations(
         for point in simplex_lattice(baseline.n, steps):
             yield baseline.replace({i: point for i in members})
     else:
+        # The lattice is listed once, and each member paired with every
+        # point once, so a deviation's changes are its combination as it
+        # is; the product keeps the lexicographic order.
         lattice = list(simplex_lattice(baseline.n, steps))
-        for combo in product(lattice, repeat=len(members)):
-            yield baseline.replace(dict(zip(members, combo)))
+        entries = [[(i, point) for point in lattice] for i in members]
+        for combo in product(*entries):
+            yield baseline.replace(dict(combo))
 
 
 def _random_deviations(

@@ -14,10 +14,10 @@ computation on the report (its quadratic scores, a profile's rows) starts
 from them.  A report's quadratic scores are cached on it
 (``Distribution.quadratic_scores``), built on first use, so a report
 scored again and again, such as a lattice point a grid search reuses in
-every combination, builds its n scores once.  Their integer numerators
-over D**2 (``_score_numerators``) are cached the same way; the dominance
-screen of independent quadratic scoring sums the members' rows of them
-over a running denominator.
+every combination, builds its n scores once.  Their denominator D**2 and
+integer numerators are cached the same way, as one pair
+(``_score_row``); the dominance screen of independent quadratic scoring
+sums the members' rows of them over a running denominator.
 ``ReportProfile.scaled`` rescales the reports' counts to one common D,
 and ``ReportProfile.scaled_totals`` holds the integer column totals and
 per-expert sums that the alpha family's ``evaluate`` needs, once per
@@ -30,8 +30,9 @@ Shapes are set once: construction stores a report's outcome count ``n``
 and a profile's ``m`` and ``n`` as plain instance attributes, the way
 ``scaled`` is stored, so reading them calls nothing.  ``replace`` checks
 each swapped-in report's index (an int, not a bool), outcome count and
-type, and trusts the reports it keeps, which come from a valid profile:
-the copy is built without validating them again.  In the same way
+type, with one test for the exact types a search swaps in, and trusts
+the reports it keeps, which come from a valid profile: the copy is built
+without validating them again.  In the same way
 ``Distribution._from_counts`` builds a report from integer counts its
 caller knows are valid (a random draw's count row, a lattice point): one
 gcd of the denominator and the counts gives the reduced scale D, and
@@ -264,27 +265,27 @@ class Distribution:
         return report
 
     @_cached
-    def _score_numerators(self) -> tuple[int, ...]:
-        """The quadratic score's numerators over D**2, one per outcome.
+    def _score_row(self) -> tuple[int, tuple[int, ...]]:
+        """The quadratic score's denominator D**2 and its numerators.
 
         With (D, c, square) = ``scaled``, the score at j is
         2*w_j - sum(w**2) = (2*D*c_j - square) / D**2.  The one place that
         numerator is written: ``quadratic_scores`` and the dominance
-        screen of independent quadratic scoring read it.  Built once per
-        report on first use.
+        screen of independent quadratic scoring read the pair.  Built once
+        per report on first use.
         """
         scale, counts, square = self.scaled
-        return tuple([2 * scale * c - square for c in counts])
+        return scale * scale, tuple([2 * scale * c - square for c in counts])
 
     @_cached
     def quadratic_scores(self) -> tuple[Fraction, ...]:
         """The quadratic score of this report at every outcome.
 
-        Each ``_score_numerators`` entry over D**2: one ``Fraction`` per
+        Each ``_score_row`` numerator over its D**2: one ``Fraction`` per
         outcome, built once per report on first use.
         """
-        denominator = self.scaled[0] ** 2
-        return tuple([Fraction(x, denominator) for x in self._score_numerators])
+        denominator, numerators = self._score_row
+        return tuple([Fraction(x, denominator) for x in numerators])
 
     def __len__(self) -> int:
         return self.n
@@ -421,28 +422,39 @@ class ReportProfile:
         ``Coalition`` refuses it), and each swapped-in value is checked
         here, with the constructor's messages; the reports it keeps come
         from this valid profile, so the copy is built without re-running
-        ``__post_init__`` over them.
+        ``__post_init__`` over them.  A pair of an exact ``int`` in range
+        and an exact ``Distribution`` of this n, such as every pair a grid
+        search swaps in, passes one test; any other pair goes through the
+        checks one by one, in order, for its message.
         """
         reports = list(self.reports)
         m, n = self.m, self.n
         for i, d in changes.items():
-            # Inline, not _require_index: this runs per member per deviation.
-            if type(i) is not int and (
-                isinstance(i, bool) or not isinstance(i, int)
+            if not (
+                type(i) is int
+                and 0 <= i < m
+                and type(d) is Distribution
+                and d.n == n
             ):
-                raise TypeError(f"expert index {i!r} is not an int")
-            if not 0 <= i < m:
-                raise IndexError(f"expert {i} out of range for m={m}")
-            if not isinstance(d, Distribution):
-                raise TypeError(f"report {i} is not a Distribution")
-            if d.n != n:
-                raise ValueError(
-                    f"replacement for expert {i} has {d.n} outcomes, "
-                    f"expected {n}"
-                )
+                if type(i) is not int and (
+                    isinstance(i, bool) or not isinstance(i, int)
+                ):
+                    raise TypeError(f"expert index {i!r} is not an int")
+                if not 0 <= i < m:
+                    raise IndexError(f"expert {i} out of range for m={m}")
+                if not isinstance(d, Distribution):
+                    raise TypeError(f"report {i} is not a Distribution")
+                if d.n != n:
+                    raise ValueError(
+                        f"replacement for expert {i} has {d.n} outcomes, "
+                        f"expected {n}"
+                    )
             reports[i] = d
         copy = object.__new__(ReportProfile)
-        copy.__dict__.update(reports=tuple(reports), m=m, n=n)
+        attributes = copy.__dict__
+        attributes["reports"] = tuple(reports)
+        attributes["m"] = m
+        attributes["n"] = n
         return copy
 
 

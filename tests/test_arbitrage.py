@@ -750,6 +750,50 @@ class TestSearch:
         assert all(g >= 0 for g in gains) and any(g > 0 for g in gains)
 
 
+GRID_BASELINE = ReportProfile.of(
+    ("1/2", "1/3", "1/6"), ("1/4", "1/4", "1/2"), ("3/5", "1/5", "1/5"),
+    ("1/10", "7/10", "1/5"),
+)
+
+
+class TestGridOrder:
+    """``_grid_deviations`` against a reference that shares none of its code.
+
+    The first certificate a grid search returns is the lexicographically
+    smallest, so the order of the deviations is pinned one by one.
+    """
+
+    @pytest.mark.parametrize(
+        "members", [(2,), (0, 3), (0, 1, 3)], ids=["one", "two", "three"]
+    )
+    @pytest.mark.parametrize(
+        "contract",
+        [QUADRATIC, ArbitrageFreeContract(alpha=-1)],
+        ids=["quadratic", "alpha-family"],
+    )
+    def test_deviations_in_reference_order(self, contract, members):
+        steps = 3
+        combos = product(
+            list(simplex_lattice(GRID_BASELINE.n, steps)), repeat=len(members)
+        )
+        if isinstance(contract, ArbitrageFreeContract):
+            # One point per search deviation: every member reports it.
+            combos = [c for c in combos if all(p is c[0] for p in c)]
+        want = [GRID_BASELINE.replace(dict(zip(members, c))) for c in combos]
+        got = list(
+            _grid_deviations(
+                contract, GRID_BASELINE, Coalition.of(members), steps
+            )
+        )
+        assert len(got) == len(want) == 10 ** (
+            1 if isinstance(contract, ArbitrageFreeContract) else len(members)
+        )
+        for g, w in zip(got, want):
+            assert type(g) is ReportProfile
+            assert (g.m, g.n) == (4, 3)
+            assert g.reports == w.reports
+
+
 class ShiftedQuadratic(QuadraticRule):
     """The quadratic score plus 1: the same certificates, other totals."""
 

@@ -1,12 +1,13 @@
 """The per-layer record of ``tools/layers.py``: its schema and fixed inputs.
 
 The tool runs once with one timing per layer.  The times are only
-checked to be positive numbers, scaled by the record's one calibration;
-the inputs must be the seeded ones.
+checked to be positive numbers, each scaled by the calibration taken
+just before it; the inputs must be the seeded ones.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 import subprocess
@@ -28,6 +29,7 @@ LAYERS = {
     "simplex_lattice",
     "properness_probe",
     "search_check",
+    "search_build",
 }
 FIELDS = {
     "what",
@@ -35,6 +37,7 @@ FIELDS = {
     "number",
     "us_per_call",
     "raw_us_per_call",
+    "calibration_ms",
 }
 
 
@@ -55,28 +58,43 @@ def record(tmp_path_factory):
 
 def test_schema(record):
     assert set(record) == {
-        "python", "repeats", "reference_calibration_ms", "calibration_ms",
-        "layers",
+        "python", "repeats", "reference_calibration_ms", "layers",
     }
     assert record["repeats"] == 1
-    assert isinstance(record["calibration_ms"], float)
-    assert record["calibration_ms"] > 0
     assert set(record["layers"]) == LAYERS
     for entry in record["layers"].values():
         assert set(entry) == FIELDS
         assert type(entry["number"]) is int and entry["number"] > 0
         assert isinstance(entry["what"], str) and entry["what"]
-        for key in ("us_per_call", "raw_us_per_call"):
+        for key in ("us_per_call", "raw_us_per_call", "calibration_ms"):
             assert isinstance(entry[key], float) and entry[key] > 0
 
 
-def test_one_factor_scales_every_layer(record):
-    # Both figures and the calibration are rounded to 0.001.
-    factor = record["reference_calibration_ms"] / record["calibration_ms"]
+def test_each_timing_is_scaled_by_its_own_calibration(record):
+    # One repeat: a layer's one timing over the calibration taken just
+    # before it.  All three figures are rounded to 0.001.
+    reference = record["reference_calibration_ms"]
     for entry in record["layers"].values():
         assert entry["us_per_call"] == pytest.approx(
-            entry["raw_us_per_call"] * factor, rel=1e-3, abs=0.003
+            entry["raw_us_per_call"] * reference / entry["calibration_ms"],
+            rel=1e-3,
+            abs=0.003,
         )
+
+
+def test_best_scaled_and_best_raw_figures_are_kept_apart():
+    spec = importlib.util.spec_from_file_location("layers_tool", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    reference = tool.CALIBRATION_REF_MS["mean"]
+    # (calibration ms, µs per call): the fastest raw timing ran in a fast
+    # state, the second in a state twice as slow, which scales it best.
+    samples = [(5.0, 3.0), (10.0, 4.0), (8.0, 8.0)]
+    assert tool.figures(samples) == {
+        "us_per_call": round(4.0 * reference / 10.0, 3),
+        "calibration_ms": 10.0,
+        "raw_us_per_call": 3.0,
+    }
 
 
 def test_inputs_are_the_seeded_ones(record):
@@ -103,6 +121,8 @@ def test_inputs_are_the_seeded_ones(record):
         "n": 3, "steps": 50, "belief": [fraction_str(w) for w in belief.weights]
     }
     point = list(simplex_lattice(3, 4))[1]
-    assert layers["search_check"]["inputs"] == {
-        **common, "steps": 4, "point": [fraction_str(w) for w in point.weights]
-    }
+    for name in ("search_check", "search_build"):
+        assert layers[name]["inputs"] == {
+            **common, "steps": 4,
+            "point": [fraction_str(w) for w in point.weights],
+        }

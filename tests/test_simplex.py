@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import enum
 import itertools
 import math
 import pickle
@@ -337,6 +338,22 @@ GOOD = Distribution.of(1, 0)
 THREE = Distribution.of("1/3", "1/3", "1/3")
 
 
+class Expert(enum.IntEnum):
+    """Expert indices of an int subclass, which ``replace`` accepts."""
+
+    FIRST = 0
+    SECOND = 1
+    THIRD = 2
+
+
+class Marked(Distribution):
+    """A Distribution subclass, which ``replace`` accepts."""
+
+
+MARKED = Marked(GOOD.weights)
+MARKED_THREE = Marked(THREE.weights)
+
+
 class TestReplaceOracle:
     """``replace`` trusts the reports it keeps and checks the rest."""
 
@@ -376,12 +393,25 @@ class TestReplaceOracle:
             {0: NOT_A_REPORT, 5: GOOD},
             {0: GOOD, 5: GOOD, 1: THREE},
             {0: GOOD, 1: THREE, 5: GOOD},
+            {Expert.THIRD: GOOD},
+            {0: MARKED_THREE},
+            # The first pair passes the one test of exact types; the
+            # second fails it and is refused by the checks in order.
+            {0: GOOD, Expert.THIRD: GOOD},
+            {0: GOOD, 2: GOOD},
+            {0: GOOD, 1: NOT_A_REPORT},
+            {0: GOOD, 1: MARKED_THREE},
+            {0: GOOD, Expert.SECOND: THREE},
         ],
         ids=[
             "index-past-end", "negative-index", "outcome-count", "no-n",
             "not-a-distribution", "first-non-distribution",
             "bad-index-after-non-distribution", "first-bad-key-index",
-            "first-bad-key-shape",
+            "first-bad-key-shape", "int-subclass-past-end",
+            "subclass-outcome-count", "exact-then-int-subclass-past-end",
+            "exact-then-past-end", "exact-then-not-a-distribution",
+            "exact-then-subclass-outcome-count",
+            "exact-then-int-subclass-outcome-count",
         ],
     )
     def test_refusals_match_validated_profile(self, changes):
@@ -416,6 +446,35 @@ class TestReplaceOracle:
         with pytest.raises(TypeError) as caught:
             p.replace({key: GOOD})
         assert str(caught.value) == f"expert index {key!r} is not an int"
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {Expert.SECOND: GOOD},
+            {1: MARKED},
+            {Expert.FIRST: MARKED},
+            {0: GOOD, Expert.SECOND: MARKED},
+        ],
+        ids=[
+            "int-subclass-key", "subclass-value", "both",
+            "exact-then-both",
+        ],
+    )
+    def test_pairs_off_the_exact_types_are_checked_and_kept(self, changes):
+        p = ReportProfile.of(("2/5", "3/5"), ("1/2", "1/2"))
+        got = p.replace(changes)
+        want = reference_replace(p, changes)
+        assert type(got) is ReportProfile
+        assert all(a is b for a, b in zip(got.reports, want.reports))
+        assert (got.m, got.n) == (2, 2)
+
+    def test_a_bool_key_after_an_exact_pair_is_refused(self):
+        p = ReportProfile.of(("2/5", "3/5"), ("1/2", "1/2"))
+        reports = p.reports
+        with pytest.raises(TypeError) as caught:
+            p.replace({0: GOOD, True: GOOD})
+        assert str(caught.value) == "expert index True is not an int"
+        assert p.reports is reports
 
     def test_keys_are_checked_in_order(self):
         p = ReportProfile.of(("2/5", "3/5"), ("1/2", "1/2"))

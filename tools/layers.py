@@ -2,17 +2,14 @@
 
 Each layer runs on seeded inputs at (m, n) = (4, 3): the alpha family at
 a safe alpha, independent quadratic scoring, and a three-member
-coalition.  A layer's raw figure is the best of ``--repeats`` timings of
-its fixed number of calls (``NUMBERS``), in µs per call.  The timings
-run in rounds, each layer once a round, with the ``calibrate`` loop of
-``bench/run.py`` before every timing and after the last.  The record is
-calibrated once: one factor, the reference mean calibration over the
-best of all its calibrations, scales every layer's raw figure to
-reference host speed, and both figures are recorded.  The host drifts
-between a fast and a slow state; since every layer and the calibration
-are sampled across the whole record, each best figure has the whole
-record to meet the fast state in, and within a record the layers
-compare as their raw figures do.
+coalition.  A layer is timed ``--repeats`` times, each timing a fixed
+number of calls (``NUMBERS``), in µs per call.  The timings run in
+rounds, each layer once a round, with the ``calibrate`` loop of
+``bench/run.py`` just before every timing.  The host drifts between a
+fast and a slow state, so each timing is scaled to reference host speed
+by its own calibration: the reference mean calibration over the one
+taken just before it.  A layer keeps its best scaled figure, with the
+calibration that scaled it, and its best raw figure beside them.
 
     python tools/layers.py --out BENCH_<n>.json [--repeats 30]
 
@@ -75,6 +72,7 @@ NUMBERS = {
     "simplex_lattice": 1,
     "properness_probe": 1,
     "search_check": 1000,
+    "search_build": 1000,
 }
 
 
@@ -101,10 +99,12 @@ def layers() -> dict:
     family = ArbitrageFreeContract(alpha=ALPHA)
     quadratic = IndependentScoring(rule=QuadraticRule())
     family_totals = coalition_totals(family, baseline, coalition)
-    # A search deviation of the benchmark's kind: every member reports a
-    # lattice point, and the certificate is rejected by the screen.
+    # A search deviation of the benchmark's kind, built as a grid search
+    # builds it, from one lattice entry paired with each member: every
+    # member reports a lattice point, and the screen rejects it.
     point = list(simplex_lattice(N, SEARCH_STEPS))[1]
-    search_deviation = baseline.replace({i: point for i in MEMBERS})
+    paired = [(i, point) for i in MEMBERS]
+    search_deviation = baseline.replace(dict(paired))
     decided = _baseline_totals(
         quadratic,
         baseline,
@@ -182,34 +182,50 @@ def layers() -> dict:
                 )
             ),
         ),
+        "search_build": (
+            "one grid search deviation built by replace from paired "
+            "lattice entries",
+            {**common, "steps": SEARCH_STEPS, "point": _row(point)},
+            repeat(lambda: baseline.replace(dict(paired))),
+        ),
+    }
+
+
+def figures(samples) -> dict:
+    """A layer's figures from its (calibration ms, µs per call) timings.
+
+    Each timing is scaled by the calibration taken just before it; the
+    best scaled figure is kept with that calibration, and the best raw
+    figure beside them.
+    """
+    reference = CALIBRATION_REF_MS["mean"]
+    ms, us = min(samples, key=lambda sample: sample[1] / sample[0])
+    return {
+        "us_per_call": round(us * reference / ms, 3),
+        "calibration_ms": round(ms, 3),
+        "raw_us_per_call": round(min(raw for _, raw in samples), 3),
     }
 
 
 def record(repeats: int) -> dict:
     table = layers()
-    best = dict.fromkeys(table, float("inf"))
-    calibrations = []
+    samples = {name: [] for name in table}
     for _ in range(repeats):
         for name, (_, _, make) in table.items():
-            calibrations.append(calibrate())
+            ms = calibrate() * 1000
             number = NUMBERS[name]
             us = timeit.Timer(make(number)).timeit(number=1) / number * 1e6
-            best[name] = min(best[name], us)
-    calibrations.append(calibrate())
-    speed = min(calibrations) * 1000
-    factor = CALIBRATION_REF_MS["mean"] / speed
+            samples[name].append((ms, us))
     return {
         "python": platform.python_version(),
         "repeats": repeats,
         "reference_calibration_ms": CALIBRATION_REF_MS["mean"],
-        "calibration_ms": round(speed, 3),
         "layers": {
             name: {
                 "what": what,
                 "inputs": inputs,
                 "number": NUMBERS[name],
-                "us_per_call": round(best[name] * factor, 3),
-                "raw_us_per_call": round(best[name], 3),
+                **figures(samples[name]),
             }
             for name, (what, inputs, _) in table.items()
         },
