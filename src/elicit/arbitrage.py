@@ -370,37 +370,32 @@ def _check(
 ) -> Optional[ArbitrageCertificate]:
     """The check behind ``check_dominance`` and ``check_expected_arbitrage``.
 
-    After the agreement guard, ``_Screened`` totals, as a search's are,
-    are tested first: when they meet a dominance check under exactly
-    ``IndependentScoring(QuadraticRule())``, the independent quadratic
-    screen applies and ``_independent_dominates`` returns None at once
-    on a reject; with any other contract or kind they are a plain tuple
-    of the same values.  Other totals go through ``_baseline_totals``,
-    and are screened the same way when it returns them ``_Screened``.
-    Every other check, and a passing one, takes the plain path: the
-    deviation's ``coalition_totals`` screened against ``baseline_totals``,
-    then compared with the baseline's own totals, from which the
-    certificate's deltas are built.
+    After the agreement guard, ``baseline_totals`` goes through
+    ``_baseline_totals`` unless it is already ``_Screened``, as a
+    search's are.  When ``_Screened`` totals meet a dominance check
+    under exactly ``IndependentScoring(QuadraticRule())``, the
+    independent quadratic screen applies and ``_independent_dominates``
+    returns None at once on a reject; with any other contract or kind
+    they are a plain tuple of the same values.  Every other check, and a
+    passing one, takes the plain path: the deviation's
+    ``coalition_totals`` screened against ``baseline_totals``, then
+    compared with the baseline's own totals, from which the certificate's
+    deltas are built.
     """
     ensure_agreement_outside(baseline, deviation, coalition)
-    if type(baseline_totals) is _Screened:
+    if baseline_totals is not None:
+        if type(baseline_totals) is not _Screened:
+            baseline_totals = _baseline_totals(
+                contract, baseline, baseline_totals, kind
+            )
         if (
-            kind is _DOMINANCE
+            type(baseline_totals) is _Screened
+            and kind is _DOMINANCE
             and type(contract) is IndependentScoring
             and type(contract.rule) is QuadraticRule
             and not _independent_dominates(
                 deviation, coalition, baseline_totals.ratios
             )
-        ):
-            return None
-    elif baseline_totals is not None:
-        # Decided for this contract and kind, so _Screened totals here
-        # pass the gate above.
-        baseline_totals = _baseline_totals(
-            contract, baseline, baseline_totals, kind
-        )
-        if type(baseline_totals) is _Screened and not _independent_dominates(
-            deviation, coalition, baseline_totals.ratios
         ):
             return None
     exact = contract.exact

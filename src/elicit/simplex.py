@@ -30,9 +30,8 @@ Shapes are set once: construction stores a report's outcome count ``n``
 and a profile's ``m`` and ``n`` as plain instance attributes, the way
 ``scaled`` is stored, so reading them calls nothing.  ``replace`` checks
 each swapped-in report's index (an int, not a bool), outcome count and
-type, with one test for the exact types a search swaps in, and trusts
-the reports it keeps, which come from a valid profile: the copy is built
-without validating them again.  In the same way
+type, and trusts the reports it keeps, which come from a valid profile:
+the copy is built without validating them again.  In the same way
 ``Distribution._from_counts`` builds a report from integer counts its
 caller knows are valid (a random draw's count row, a lattice point): one
 gcd of the denominator and the counts gives the reduced scale D, and
@@ -422,33 +421,26 @@ class ReportProfile:
         ``Coalition`` refuses it), and each swapped-in value is checked
         here, with the constructor's messages; the reports it keeps come
         from this valid profile, so the copy is built without re-running
-        ``__post_init__`` over them.  A pair of an exact ``int`` in range
-        and an exact ``Distribution`` of this n, such as every pair a grid
-        search swaps in, passes one test; any other pair goes through the
-        checks one by one, in order, for its message.
+        ``__post_init__`` over them.  The report check tests the exact
+        ``Distribution`` type first, the type every grid search swaps in.
         """
         reports = list(self.reports)
         m, n = self.m, self.n
         for i, d in changes.items():
-            if not (
-                type(i) is int
-                and 0 <= i < m
-                and type(d) is Distribution
-                and d.n == n
+            # Inline, not _require_index: this runs per member per deviation.
+            if type(i) is not int and (
+                isinstance(i, bool) or not isinstance(i, int)
             ):
-                if type(i) is not int and (
-                    isinstance(i, bool) or not isinstance(i, int)
-                ):
-                    raise TypeError(f"expert index {i!r} is not an int")
-                if not 0 <= i < m:
-                    raise IndexError(f"expert {i} out of range for m={m}")
-                if not isinstance(d, Distribution):
-                    raise TypeError(f"report {i} is not a Distribution")
-                if d.n != n:
-                    raise ValueError(
-                        f"replacement for expert {i} has {d.n} outcomes, "
-                        f"expected {n}"
-                    )
+                raise TypeError(f"expert index {i!r} is not an int")
+            if not 0 <= i < m:
+                raise IndexError(f"expert {i} out of range for m={m}")
+            if type(d) is not Distribution and not isinstance(d, Distribution):
+                raise TypeError(f"report {i} is not a Distribution")
+            if d.n != n:
+                raise ValueError(
+                    f"replacement for expert {i} has {d.n} outcomes, "
+                    f"expected {n}"
+                )
             reports[i] = d
         copy = object.__new__(ReportProfile)
         attributes = copy.__dict__

@@ -82,19 +82,25 @@ def test_each_timing_is_scaled_by_its_own_calibration(record):
         )
 
 
-def test_best_scaled_and_best_raw_figures_are_kept_apart():
+def test_median_scaled_and_best_raw_figures_are_kept_apart():
     spec = importlib.util.spec_from_file_location("layers_tool", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     reference = tool.CALIBRATION_REF_MS["mean"]
-    # (calibration ms, µs per call): the fastest raw timing ran in a fast
-    # state, the second in a state twice as slow, which scales it best.
-    samples = [(5.0, 3.0), (10.0, 4.0), (8.0, 8.0)]
+    # (calibration ms, µs per call).  Scaled, the timings read 0.6, 0.4,
+    # 1.0 and 0.5 of the reference: the 0.4 ran fast after a slow
+    # calibration, and the lower middle of the four is the 0.5.  The
+    # fastest raw timing, 3.0, is kept beside it.
+    samples = [(5.0, 3.0), (10.0, 4.0), (8.0, 8.0), (8.0, 4.0)]
     assert tool.figures(samples) == {
-        "us_per_call": round(4.0 * reference / 10.0, 3),
-        "calibration_ms": 10.0,
+        "us_per_call": round(4.0 * reference / 8.0, 3),
+        "calibration_ms": 8.0,
         "raw_us_per_call": 3.0,
     }
+    # One timing is its own median.
+    assert tool.figures([(4.0, 2.0)])["us_per_call"] == round(
+        2.0 * reference / 4.0, 3
+    )
 
 
 def test_inputs_are_the_seeded_ones(record):

@@ -395,8 +395,8 @@ class TestReplaceOracle:
             {0: GOOD, 1: THREE, 5: GOOD},
             {Expert.THIRD: GOOD},
             {0: MARKED_THREE},
-            # The first pair passes the one test of exact types; the
-            # second fails it and is refused by the checks in order.
+            # The first pair is of the exact types a search swaps in
+            # and passes; the second is refused by the checks in order.
             {0: GOOD, Expert.THIRD: GOOD},
             {0: GOOD, 2: GOOD},
             {0: GOOD, 1: NOT_A_REPORT},

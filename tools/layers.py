@@ -8,8 +8,11 @@ rounds, each layer once a round, with the ``calibrate`` loop of
 ``bench/run.py`` just before every timing.  The host drifts between a
 fast and a slow state, so each timing is scaled to reference host speed
 by its own calibration: the reference mean calibration over the one
-taken just before it.  A layer keeps its best scaled figure, with the
-calibration that scaled it, and its best raw figure beside them.
+taken just before it.  A layer keeps its median scaled figure (the lower
+middle one, a real timing), with the calibration that scaled it, and its
+best raw figure beside them.  The median does not follow the timings
+that ran in one state after a calibration in the other, as the least
+scaled figure would.
 
     python tools/layers.py --out BENCH_<n>.json [--repeats 30]
 
@@ -62,8 +65,9 @@ MEMBERS = (0, 1, 2)
 LATTICE_STEPS = 50
 SEARCH_STEPS = 4
 # Calls per timing: each timing takes a few milliseconds on a 2-core
-# Xeon at Python 3.11, short enough that the best of many repeats falls
-# in one state of a host that drifts between a fast and a slow one.
+# Xeon at Python 3.11, short enough that most timings fall in the same
+# state as the calibration just before them, on a host that drifts
+# between a fast and a slow one.
 NUMBERS = {
     "evaluate": 300,
     "coalition_totals": 300,
@@ -195,11 +199,12 @@ def figures(samples) -> dict:
     """A layer's figures from its (calibration ms, µs per call) timings.
 
     Each timing is scaled by the calibration taken just before it; the
-    best scaled figure is kept with that calibration, and the best raw
-    figure beside them.
+    median scaled figure (the lower middle one) is kept with that
+    calibration, and the best raw figure beside them.
     """
     reference = CALIBRATION_REF_MS["mean"]
-    ms, us = min(samples, key=lambda sample: sample[1] / sample[0])
+    ranked = sorted(samples, key=lambda sample: sample[1] / sample[0])
+    ms, us = ranked[(len(ranked) - 1) // 2]
     return {
         "us_per_call": round(us * reference / ms, 3),
         "calibration_ms": round(ms, 3),
