@@ -277,29 +277,21 @@ def _independent_dominates(
     Each member's score row, d its report scale squared with the
     numerators over it, is read as one cached pair (``_score_row``).
     The rows are summed over a running denominator, as
-    ``contracts._member_sums`` sums payments: a row over the running
-    denominator is added as it is, one over a d that divides it is added
-    scaled up, and any other takes both to their lcm through one gcd.
-    Each outcome's sum is then compared with p / q by integer
-    cross-products, and the first outcome that loses decides.  Experts
+    ``contracts._member_sums`` sums payments: each row takes one gcd step
+    that scales it and the running sums to the lcm of d and the running
+    denominator.  Each outcome's sum is then compared with p / q by
+    integer cross-products, and the first outcome that loses decides.  Experts
     outside the coalition are never read, and no ``Fraction`` is built.
     """
     reports = deviation.reports
-    first, *rest = coalition.members
-    den, sums = reports[first]._score_row
-    for i in rest:
+    members = coalition.members
+    den, sums = reports[members[0]]._score_row
+    for i in members[1:]:
         d, row = reports[i]._score_row
-        pairs = zip(sums, row)
-        if d == den:
-            sums = [a + x for a, x in pairs]
-        elif den % d == 0:
-            f = den // d
-            sums = [a + x * f for a, x in pairs]
-        else:
-            g = gcd(den, d)
-            f, h = d // g, den // g
-            sums = [a * f + x * h for a, x in pairs]
-            den *= f
+        g = gcd(den, d)
+        f, h = d // g, den // g
+        sums = [a * f + x * h for a, x in zip(sums, row)]
+        den *= f
     strict = False
     for a, (p, q) in zip(sums, ratios):
         a, b = a * q, p * den

@@ -438,14 +438,13 @@ def _member_sums(rows, members, exact: bool = True) -> tuple:
 
     Exact rows (``Fraction``s or ints) are summed on integers: the
     members' numerators are added over a running common denominator,
-    starting from the first member's: an equal denominator adds the
-    numerator, one that divides the running denominator adds it scaled,
-    and any other grows the running denominator to their lcm.  So a row
-    costs integer operations and one ``Fraction``, however many members
-    it sums.  Inexact rows are summed as floats, starting from the first
-    member's payment, so two -inf payments sum to -inf.
+    starting from the first member's, and each payment p / q takes one
+    gcd step that grows the running denominator to its lcm with q.  So a
+    row costs integer operations and one ``Fraction``, however many
+    members it sums.  Inexact rows are summed as floats, starting from
+    the first member's payment, so two -inf payments sum to -inf.
     """
-    first, *rest = members
+    first, rest = members[0], members[1:]
     if not exact:
         return tuple([sum([row[i] for i in rest], row[first]) for row in rows])
     totals = []
@@ -455,14 +454,9 @@ def _member_sums(rows, members, exact: bool = True) -> tuple:
         for i in rest:
             v = row[i]
             p, q = v.numerator, v.denominator
-            if q == den:
-                num += p
-            elif den % q == 0:
-                num += p * (den // q)
-            else:
-                g = gcd(den, q)
-                num = num * (q // g) + p * (den // g)
-                den = den // g * q
+            g = gcd(den, q)
+            num = num * (q // g) + p * (den // g)
+            den = den // g * q
         totals.append(Fraction(num, den))
     return tuple(totals)
 

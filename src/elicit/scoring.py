@@ -185,7 +185,8 @@ def _expectation(
     An exact expectation is summed on integers.  With the belief's counts
     c over D (``Distribution.scaled``) it is sum(c_j * v_j) / D: each
     value's numerator, times c_j, is added over a running common
-    denominator of the values, and the result is one ``Fraction``.
+    denominator of the values, one gcd step a value, and the result is
+    one ``Fraction``.
     Values may be ``Fraction``s or ints.  An inexact sum starts from 0.0.
     """
     if exact:
@@ -196,14 +197,9 @@ def _expectation(
                 continue
             v = value(j)
             p, q = c * v.numerator, v.denominator
-            if q == den:
-                num += p
-            elif den % q == 0:
-                num += p * (den // q)
-            else:
-                g = math.gcd(den, q)
-                num = num * (q // g) + p * (den // g)
-                den = den // g * q
+            g = math.gcd(den, q)
+            num = num * (q // g) + p * (den // g)
+            den = den // g * q
         return Fraction(num, den * scale)
     total = 0.0
     for j, q in enumerate(belief.weights):
@@ -220,11 +216,11 @@ def _expectation(
 class ProbeResult:
     """Outcome of an empirical properness check over a report grid.
 
-    ``maximizers`` holds every grid report achieving the best expected
-    score, in grid enumeration order; ``argmax`` is the first.  A strictly
-    proper rule must yield a unique maximizer (the belief itself) whenever
-    the belief lies on the grid; a tie-set larger than one on such a grid
-    is a properness violation.
+    ``maximizers`` holds every grid report whose expected score equals
+    ``best_value``, in grid enumeration order; ``argmax`` is the first.
+    A strictly proper rule must yield a unique maximizer (the belief
+    itself) whenever the belief lies on the grid; a tie-set larger than
+    one on such a grid is a properness violation.
     """
 
     best_value: object
@@ -240,25 +236,18 @@ class ProbeResult:
 
 
 def properness_probe(
-    rule: ScoringRule,
-    belief: Distribution,
-    steps: int,
-    tolerance: float = 0.0,
+    rule: ScoringRule, belief: Distribution, steps: int
 ) -> ProbeResult:
     """Which grid reports maximize expected score under the belief.
 
     Enumerates the full simplex lattice with denominator ``steps``
     (spacing 1/steps), so the probe is exhaustive at that resolution.
-    With an exact rule, ties are exact equalities and ``tolerance`` is
-    ignored; with a float rule, reports within ``tolerance`` of the best
-    value count as maximizers.
+    The maximizers are the reports whose expected score equals the best
+    one: an exact equality for an exact rule, a float equality for a
+    float rule.
     """
     candidates = list(simplex_lattice(belief.n, steps))
     values = [expected_score(rule, c, belief) for c in candidates]
     best = max(values)
-    if rule.exact or tolerance == 0.0:
-        keep = [v == best for v in values]
-    else:
-        keep = [v >= best - tolerance for v in values]
-    maximizers = tuple(c for c, k in zip(candidates, keep) if k)
+    maximizers = tuple(c for c, v in zip(candidates, values) if v == best)
     return ProbeResult(best_value=best, maximizers=maximizers)

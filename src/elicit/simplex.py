@@ -169,7 +169,10 @@ def _require_shape(m: int = 2, n: int = 2) -> None:
 
 
 def _require_index(kind: str, i: int, size: int) -> None:
-    """Refuse an ``"expert"`` or ``"outcome"`` index outside range(size)."""
+    """Refuse an ``"expert"`` or ``"outcome"`` index that is not an int (a
+    bool is refused) or lies outside range(size)."""
+    if type(i) is not int and (isinstance(i, bool) or not isinstance(i, int)):
+        raise TypeError(f"{kind} index {i!r} is not an int")
     if not 0 <= i < size:
         shape = "m" if kind == "expert" else "n"
         raise IndexError(f"{kind} {i} out of range for {shape}={size}")

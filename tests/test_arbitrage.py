@@ -1313,8 +1313,8 @@ class TestMembersScreen:
         # One lattice point of scale 2 paired with partners of scales 1,
         # 2, 3, 4, 6, 3 and 4, as the first member and as the second, so
         # the running denominator meets an equal square, one that divides
-        # it and ones that need their lcm, found through one gcd.  Every
-        # verdict matches the plain totals on both sides of a tie.
+        # it and ones that need their lcm; each takes the one gcd step.
+        # Every verdict matches the plain totals on both sides of a tie.
         point = Distribution.of("1/2", "1/2", "0")
         partners = [
             Distribution.of(*w)
@@ -1330,21 +1330,22 @@ class TestMembersScreen:
         coalition = Coalition.of([0, 1])
         totals = coalition_totals(QUADRATIC, baseline, coalition)
         verdicts = []
-        branches = set()
+        scales = set()
         for partner, nudge, first in product(partners, (-1, 0, 1), (0, 1)):
             deviation = baseline.replace({first: point, 1 - first: partner})
             d0, d1 = [deviation.reports[i].scaled[0] for i in (0, 1)]
-            branch = "equal" if d0 == d1 else "divides" if d0 % d1 == 0 else "lcm"
-            branches.add(branch)
+            scales.add(
+                "equal" if d0 == d1 else "divides" if d0 % d1 == 0 else "lcm"
+            )
             after = plain_coalition_totals(QUADRATIC, deviation, coalition)
             nudged = tuple(a + Fraction(nudge, 100) for a in after)
             for before in (totals, nudged):
                 want = plain_dominates(after, before)
                 with mock.patch.object(arbitrage, "gcd", wraps=math.gcd) as spy:
                     assert screen(deviation, coalition, before) is want
-                assert spy.call_count == (branch == "lcm")
+                assert spy.call_count == 1
                 verdicts.append(want)
-        assert branches == {"equal", "divides", "lcm"}
+        assert scales == {"equal", "divides", "lcm"}
         assert True in verdicts and False in verdicts
 
     @settings(max_examples=300)

@@ -1,12 +1,13 @@
 """The library's three argument rules, each checked at every site it guards.
 
 ``simplex`` owns them: ``_require_shape`` (at least 2 experts and 2
-outcomes), ``_require_index`` (an expert or outcome index inside the
-shape) and ``_require_int`` (an int, not a bool, optionally with a lower
-bound).  Each case below calls one public entry point with one bad
-argument and pins the exact exception type and message; sites whose
-message another test already pins (``quadratic_score``, ``replace``,
-``VerifyConfig``) are left to it.
+outcomes), ``_require_index`` (an int expert or outcome index, not a
+bool, inside the shape) and ``_require_int`` (an int, not a bool,
+optionally with a lower bound).  Each case below calls one public entry
+point with one bad argument and pins the exact exception type and
+message; sites whose message another test already pins
+(``quadratic_score``, ``replace``, ``VerifyConfig``) are left to it,
+except that every index site is given each kind of non-int.
 """
 
 from __future__ import annotations
@@ -23,13 +24,18 @@ from elicit import (
     QuadraticRule,
     RandomSearch,
     ReportProfile,
+    coalition_reward_poly,
     coalition_total,
     expected_reward,
+    general_form_residual,
     leave_one_out_mean,
     log_score,
+    monotonicity_check,
+    quadratic_score,
     simplex_lattice,
     threshold_general,
     threshold_two_outcome,
+    two_outcome_form_residual,
     uniform_report_arbitrage_interval,
     validate_alpha,
     vertex,
@@ -125,6 +131,48 @@ def test_owner_message_at_each_site(call, error, message):
     assert type(raised.value) is error
     assert str(raised.value) == message
     assert rng.getstate() == state
+
+
+# (id, kind, call with the index under test): every site of the index
+# rule, the two-outcome analyses and the residual rows included.
+INDICES = [
+    ("quadratic_score", "outcome", lambda j: quadratic_score(REPORT, j)),
+    ("log_score", "outcome", lambda j: log_score(REPORT, j)),
+    ("vertex", "outcome", lambda j: vertex(2, j)),
+    ("independent_evaluate", "outcome",
+     lambda j: INDEPENDENT.evaluate(PAIR, j)),
+    ("family_evaluate", "outcome", lambda j: FAMILY.evaluate(PAIR, j)),
+    ("coalition_total", "outcome",
+     lambda j: coalition_total(FAMILY, PAIR, BOTH, j)),
+    ("uniform_report_interval", "outcome",
+     lambda j: uniform_report_arbitrage_interval(PAIR, BOTH, j)),
+    ("coalition_reward_poly", "outcome",
+     lambda j: coalition_reward_poly(PAIR, BOTH, j, -1)),
+    ("monotonicity_check", "outcome",
+     lambda j: monotonicity_check(FAMILY, PAIR, BOTH, j)),
+    ("two_outcome_form_residual", "outcome",
+     lambda j: two_outcome_form_residual(PAIR, j, -1)),
+    ("general_form_residual", "outcome",
+     lambda j: general_form_residual(PAIR, j, -1)),
+    ("independent_expert_view", "expert",
+     lambda i: INDEPENDENT.expert_view(PAIR, i)),
+    ("family_expert_view", "expert", lambda i: FAMILY.expert_view(PAIR, i)),
+    ("expected_reward", "expert",
+     lambda i: expected_reward(INDEPENDENT, PAIR, i, REPORT)),
+    ("leave_one_out_mean", "expert", lambda i: leave_one_out_mean(PAIR, i)),
+]
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, 1.5, "1", None])
+@pytest.mark.parametrize(
+    "kind, call",
+    [case[1:] for case in INDICES],
+    ids=[case[0] for case in INDICES],
+)
+def test_index_must_be_an_int(kind, call, value):
+    with pytest.raises(TypeError) as raised:
+        call(value)
+    assert str(raised.value) == f"{kind} index {value!r} is not an int"
 
 
 # (id, name, call with the count under test): the count must be an int.

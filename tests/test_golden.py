@@ -81,6 +81,14 @@ CASES = {
             "intro_mean_deviation.json", "--expected", "--format", "json",
         ),
     ),
+    "search_expected_grid": (
+        3,
+        (
+            "search", "--reports", "1/2,1/3,1/6; 1/4,1/4,1/2; 7/10,1/5,1/10",
+            "--contract", "independent-quadratic", "--expected", "--grid",
+            "6", "--coalition", "1,2", "--format", "json",
+        ),
+    ),
     "demo_intro_coalition": (
         0, ("demo-intro", "--coalition", "1,3", "--format", "json")
     ),
@@ -115,6 +123,7 @@ TEXT_CASES = {
     "search_certificate": CASES["search_certificate"],
     "search_none": CASES["search_none"],
     "search_deviation_expected": CASES["search_deviation_expected"],
+    "search_expected_grid": CASES["search_expected_grid"],
     "verify_readme": (
         0,
         (

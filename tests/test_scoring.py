@@ -22,7 +22,7 @@ from elicit import (
     vertex,
 )
 from elicit.contracts import InducedExpertRule
-from elicit.scoring import ScoringRule
+from elicit.scoring import ScoringRule, _expectation
 
 from conftest import (
     distributions,
@@ -149,6 +149,22 @@ class TestExpectedScore:
         assert got == plain_expectation(belief, values)
         assert type(got) is Fraction
 
+    def test_every_denominator_case(self):
+        # After 1/6 the running denominator meets an equal one, two that
+        # divide it (3, and the int 2's 1), 4, which shares only the
+        # factor 2 with 6, and 5, coprime to 12.  The outcome of zero
+        # belief is never scored.
+        belief = Distribution.of(
+            "1/8", "1/8", "1/8", "0", "1/8", "1/4", "1/4"
+        )
+        values = (
+            Fraction(1, 6), Fraction(5, 6), Fraction(1, 3), None, 2,
+            Fraction(-3, 4), Fraction(2, 5),
+        )
+        got = _expectation(belief, values.__getitem__, exact=True)
+        assert got == plain_expectation(belief, values) == Fraction(79, 240)
+        assert type(got) is Fraction
+
     @given(st.data())
     def test_quadratic_expectation_on_mixed_denominators(self, data):
         # Beliefs include vertices and zero-belief outcomes; the closed
@@ -268,9 +284,9 @@ class TestPropernessProbe:
         with pytest.raises(ValueError, match=message):
             properness_probe(QuadraticRule(), belief, steps)
 
-    def test_log_rule_probe_uses_tolerance(self):
+    def test_log_rule_probe_finds_the_belief(self):
         belief = Distribution.of("1/2", "1/2")
-        probe = properness_probe(LogRule(), belief, steps=4, tolerance=1e-12)
+        probe = properness_probe(LogRule(), belief, steps=4)
         assert probe.unique and probe.argmax == belief
 
     @given(st.integers(2, 4), st.data())

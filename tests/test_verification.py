@@ -322,10 +322,11 @@ class TestSharedRow:
         alpha = Fraction(5, 3)
         two = residual is two_outcome_form_residual
         expected = plain_residual_row(BOUNDARY, 1, alpha, two)
-        residual(BOUNDARY, 1, alpha)
-        assert residual(BOUNDARY, True, alpha) == expected
-        residual(BOUNDARY, 0, alpha)
-        assert residual(BOUNDARY, True, alpha) == expected
+        for j in (1, 0):
+            residual(BOUNDARY, j, alpha)
+            with pytest.raises(TypeError, match="^outcome index True is not"):
+                residual(BOUNDARY, True, alpha)
+        assert residual(BOUNDARY, 1, alpha) == expected
         for j in (-1, BOUNDARY.n):
             with pytest.raises(IndexError, match="out of range"):
                 residual(BOUNDARY, j, alpha)
