@@ -10,9 +10,14 @@ member a strict one.
 
 Checks on exact contracts compare Fractions and certify exactly; on
 float-valued contracts (the log rule) they use a fixed tolerance and the
-resulting certificates are flagged as numeric.  Searches are plain
-enumeration or seeded random sampling; both are deterministic, and any
-certificate they return re-verifies under the corresponding check.
+resulting certificates are flagged as numeric.  A dominance certificate
+under exactly ``IndependentScoring(LogRule())`` is still decided
+exactly: the float comparisons only screen, and a deviation that passes
+them certifies only if the members' per-outcome weight products
+(``_weight_products``) dominate the baseline's, since ln is increasing.
+Searches are plain enumeration or seeded random sampling; both are
+deterministic, and any certificate they return re-verifies under the
+corresponding check.
 
 Every check first runs the agreement guard (``ensure_agreement_outside``):
 one pass over the experts that skips the members and the reports the
@@ -28,13 +33,16 @@ first that loses.  No expert outside the coalition is scored and no
 scored through ``coalition_totals``, and every certificate still comes
 from that plain path.
 
-What the screen needs of the baseline totals is decided by
-``_baseline_totals``: it reads them once, checks their count, applies
-the exact-type gate and reads each total's integer ratio.  A search
+Whether the screen applies is decided by ``_baseline_totals`` alone:
+it reads the totals once, checks their count, applies the exact-type
+gate and, when the screen applies, returns them as ``_Screened`` with
+each total's integer ratio and the contract it decided for.  A check
+screens only ``_Screened`` totals of its own contract object in a
+dominance check, so it repeats none of the gate's tests.  A search
 decides once, and every deviation's check reuses the decision; a direct
 call given a sequence decides per call.  Totals the screen does not
 apply to carry no decision, so a check of them repeats only the count
-and type tests.
+test.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd
+from math import comb, gcd, prod
 from typing import Iterator, Optional, Sequence
 
 from .contracts import (
@@ -54,7 +62,7 @@ from .contracts import (
     coalition_totals,
 )
 from .sampling import DEFAULT_DENOMINATOR, exact_bounds, random_deviation
-from .scoring import QuadraticRule, _expectation
+from .scoring import LogRule, QuadraticRule, _expectation
 from .simplex import (
     Coalition,
     Distribution,
@@ -158,8 +166,14 @@ class ArbitrageCertificate:
     ``deltas`` holds the per-outcome change in the coalition's total
     payment (deviation minus baseline).  ``exact`` marks whether the
     comparisons behind the certificate were exact rational arithmetic or
-    float comparisons at NUMERIC_TOLERANCE.  Construction re-validates
-    the defining inequalities, so an instance that exists is sound.
+    float comparisons at NUMERIC_TOLERANCE.  Construction checks the
+    agreement guard, the delta count and the signs of the deltas it is
+    given; it holds no contract, so it cannot recompute them, and a
+    certificate built by hand can be false:
+    ``ArbitrageCertificate(p, p, C, (1, 0), CertificateKind.DOMINANCE)``
+    constructs for a deviation equal to its baseline.  The certificates
+    that ``check_dominance``, ``check_expected_arbitrage`` and
+    ``search_arbitrage`` return have deltas recomputed from the baseline.
     """
 
     baseline: ReportProfile
@@ -302,6 +316,17 @@ def _independent_dominates(
     return strict
 
 
+def _weight_products(profile: ReportProfile, coalition: Coalition) -> list:
+    """Per outcome, the product of the members' weights, as a Fraction.
+
+    The exponential of the coalition's total under independent log
+    scoring: ln is increasing, so these products order the totals
+    exactly, and a zero product stands for a -inf total.
+    """
+    reports = profile.reports
+    return [prod(w) for w in zip(*[reports[i].weights for i in coalition])]
+
+
 def _deltas(after: Sequence, before: Sequence) -> tuple:
     """Per-outcome change in the coalition total, deviation minus baseline.
 
@@ -317,7 +342,8 @@ def _deltas(after: Sequence, before: Sequence) -> tuple:
 class _Screened(tuple):
     """Baseline totals that the independent quadratic screen applies to.
 
-    ``_baseline_totals`` sets ``ratios``, each total's integer ratio.
+    ``_baseline_totals`` sets ``contract``, the contract object it
+    decided for, and ``ratios``, each total's integer ratio.
     """
 
 
@@ -333,7 +359,10 @@ def _baseline_totals(
     of ``baseline``.  The screen applies to a dominance check under
     exactly ``IndependentScoring(QuadraticRule())`` (a subclass may
     score differently) with Fraction or int totals: then the totals come
-    back as ``_Screened``, and otherwise as a plain tuple.
+    back as ``_Screened``, carrying ``contract`` and ``ratios``, and
+    otherwise as a plain tuple.  This is the one place that gate is
+    written; ``_check`` trusts the ``_Screened`` type and the contract
+    recorded on it.
     """
     totals = tuple(totals)
     if len(totals) != baseline.n:
@@ -348,6 +377,7 @@ def _baseline_totals(
     ):
         return totals
     screened = _Screened(totals)
+    screened.contract = contract
     screened.ratios = [t.as_integer_ratio() for t in totals]
     return screened
 
@@ -364,15 +394,17 @@ def _check(
 
     After the agreement guard, ``baseline_totals`` goes through
     ``_baseline_totals`` unless it is already ``_Screened``, as a
-    search's are.  When ``_Screened`` totals meet a dominance check
-    under exactly ``IndependentScoring(QuadraticRule())``, the
-    independent quadratic screen applies and ``_independent_dominates``
-    returns None at once on a reject; with any other contract or kind
-    they are a plain tuple of the same values.  Every other check, and a
-    passing one, takes the plain path: the deviation's
-    ``coalition_totals`` screened against ``baseline_totals``, then
-    compared with the baseline's own totals, from which the certificate's
-    deltas are built.
+    search's are.  When ``_Screened`` totals meet a dominance check of
+    the contract object they were decided for, the independent quadratic
+    screen applies and ``_independent_dominates`` returns None at once
+    on a reject; with another contract object or kind they are a plain
+    tuple of the same values.  Every other check, and a passing one,
+    takes the plain path: the deviation's ``coalition_totals`` screened
+    against ``baseline_totals``, then compared with the baseline's own
+    totals, from which the certificate's deltas are built.  A dominance
+    check under exactly ``IndependentScoring(LogRule())`` that passes
+    those float comparisons certifies only if the members' weight
+    products dominate the baseline's.
     """
     ensure_agreement_outside(baseline, deviation, coalition)
     if baseline_totals is not None:
@@ -382,9 +414,8 @@ def _check(
             )
         if (
             type(baseline_totals) is _Screened
+            and baseline_totals.contract is contract
             and kind is _DOMINANCE
-            and type(contract) is IndependentScoring
-            and type(contract.rule) is QuadraticRule
             and not _independent_dominates(
                 deviation, coalition, baseline_totals.ratios
             )
@@ -401,6 +432,14 @@ def _check(
     before = coalition_totals(contract, baseline, coalition)
     if not _passes(kind, baseline, coalition, after, before, exact):
         return None
+    if kind is _DOMINANCE and type(contract) is IndependentScoring:
+        # Under the log rule a float loss within NUMERIC_TOLERANCE passes
+        # the test above; the members' exact weight products decide.
+        if type(contract.rule) is LogRule and not _dominates(
+            _weight_products(deviation, coalition),
+            _weight_products(baseline, coalition),
+        ):
+            return None
     return ArbitrageCertificate(
         baseline=baseline,
         deviation=deviation,
@@ -445,7 +484,10 @@ def check_dominance(
     outcome that loses; the experts outside the coalition are not
     scored.  The totals only screen deviations: before a certificate is
     returned its deltas are recomputed from the baseline, so totals that
-    are wrong can hide a certificate but never make one.
+    are wrong can hide a certificate but never make one.  Under exactly
+    ``IndependentScoring(LogRule())`` the float totals screen too: a
+    certificate needs the members' exact per-outcome weight products to
+    dominate the baseline's.
     """
     return _check(
         _DOMINANCE,

@@ -31,7 +31,7 @@ one sum per expert) are cached once per profile in
 integer operations.  A coalition's totals need no per-expert term at
 all: as the paper's construction says, they depend only on two integer
 column-sum vectors, T over all experts and S over the members, and a
-total on one outcome (``coalition_total``) builds that outcome alone.
+total on one outcome (``coalition_total``) is one entry of them.
 Each payment becomes a ``Fraction`` once, at the boundary.  The
 alpha-dependent coefficients are cached on the contract per (m, n) and
 scaled by D on each call; the band is checked once per (m, n).
@@ -366,20 +366,11 @@ def coalition_total(
 ):
     """The coalition's combined payment on outcome j.
 
-    Equals ``coalition_totals(contract, profile, coalition)[j]`` and
-    builds outcome j only: one ``Fraction`` from the alpha family's
-    integer numerators, or one ``evaluate(profile, j)`` row summed over
-    the members (``_member_sums``) for any other contract.
+    Entry j of ``coalition_totals(contract, profile, coalition)``, read
+    after j is checked: an index into the tuple would accept -1.
     """
     _require_index("outcome", j, profile.n)
-    coalition.validate_for(profile.m)
-    if isinstance(contract, ArbitrageFreeContract):
-        denominator, numerators = _family_numerators(
-            contract, profile, coalition
-        )
-        return Fraction(numerators[j], denominator)
-    row = contract.evaluate(profile, j)
-    return _member_sums([row], coalition.members, contract.exact)[0]
+    return coalition_totals(contract, profile, coalition)[j]
 
 
 def coalition_totals(

@@ -1550,3 +1550,104 @@ class TestDecidedTotals:
         assert not arbitrage._independent_dominates(
             deviation, coalition, decided.ratios
         )
+
+    def test_totals_decided_for_an_equal_contract_take_the_plain_path(self):
+        # Decided for one quadratic contract object and passed with an
+        # equal but distinct one: the check trusts only the object the
+        # totals were decided for, so it never screens.
+        coalition = Coalition.full(3)
+        deviation = mean_collusion(INTRO, coalition)
+        decided = arbitrage._baseline_totals(
+            QUADRATIC,
+            INTRO,
+            coalition_totals(QUADRATIC, INTRO, coalition),
+            CertificateKind.DOMINANCE,
+        )
+        other = IndependentScoring(rule=QuadraticRule())
+        assert other == QUADRATIC and other is not QUADRATIC
+        want = check_dominance(other, INTRO, deviation, coalition)
+        assert want is not None
+        with mock.patch.object(
+            arbitrage,
+            "_independent_dominates",
+            wraps=arbitrage._independent_dominates,
+        ) as spy:
+            got = check_dominance(other, INTRO, deviation, coalition, decided)
+        assert spy.call_count == 0
+        assert got == want
+
+
+def plain_products(profile, coalition):
+    """Per outcome, the members' weights multiplied one by one."""
+    products = []
+    for j in range(profile.n):
+        value = Fraction(1)
+        for i in coalition:
+            value *= profile.reports[i][j]
+        products.append(value)
+    return products
+
+
+# Two members at (9/10, 1/10) move to a report whose log totals differ
+# from the baseline's by -8.9e-10 and 8e-9: inside NUMERIC_TOLERANCE of a
+# loss on outcome 1, where the exact product is lower.
+NEAR_TIE = ReportProfile.of(("9/10", "1/10"), ("9/10", "1/10"), ("1/2", "1/2"))
+NEAR_TIE_MOVE = Distribution.of("2249999999/2500000000", "250000001/2500000000")
+
+
+class TestLogDominance:
+    """Under exactly independent log scoring a dominance certificate needs
+    the members' exact weight products to dominate the baseline's."""
+
+    def test_a_float_loss_within_tolerance_does_not_certify(self):
+        coalition = Coalition.of([0, 1])
+        deviation = uniform_deviation(NEAR_TIE, coalition, NEAR_TIE_MOVE)
+        after = coalition_totals(LOG, deviation, coalition)
+        before = coalition_totals(LOG, NEAR_TIE, coalition)
+        # The float deltas alone pass at NUMERIC_TOLERANCE ...
+        deltas = arbitrage._deltas(after, before)
+        assert -arbitrage.NUMERIC_TOLERANCE < deltas[0] < 0 < deltas[1]
+        # ... but the exact product falls on outcome 1.
+        assert plain_products(deviation, coalition)[0] < plain_products(
+            NEAR_TIE, coalition
+        )[0]
+        for cached in (None, before):
+            assert (
+                check_dominance(LOG, NEAR_TIE, deviation, coalition, cached)
+                is None
+            )
+
+    def test_swapped_reports_tie(self):
+        baseline = ReportProfile.of(("1/3", "2/3"), ("2/3", "1/3"))
+        coalition = Coalition.full(2)
+        deviation = baseline.replace(
+            {0: baseline.reports[1], 1: baseline.reports[0]}
+        )
+        assert plain_products(deviation, coalition) == plain_products(
+            baseline, coalition
+        )
+        assert check_dominance(LOG, baseline, deviation, coalition) is None
+
+    def test_mean_collusion_of_differing_reports_certifies(self):
+        coalition = Coalition.full(3)
+        deviation = mean_collusion(INTRO, coalition)
+        cert = check_dominance(LOG, INTRO, deviation, coalition)
+        assert cert is not None and not cert.exact
+        assert all(d > 0 for d in cert.deltas)
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_every_certificate_has_dominating_products(self, data):
+        baseline, coalition = data.draw(profiles_with_coalitions())
+        if data.draw(st.booleans()):
+            deviation = mean_collusion(baseline, coalition)
+        else:
+            deviation = baseline.replace(
+                {i: data.draw(distributions(n=baseline.n)) for i in coalition}
+            )
+        cert = check_dominance(LOG, baseline, deviation, coalition)
+        if cert is not None:
+            assert plain_dominates(
+                plain_products(deviation, coalition),
+                plain_products(baseline, coalition),
+            )

@@ -535,6 +535,18 @@ class TestSearch:
         assert ["1", "0"] in rows
         assert ["2", "0.287682"] in rows and ["3", "0.287682"] in rows
 
+    def test_log_grid_certifies_a_gain_on_a_ruled_out_outcome(self, runner):
+        # Both experts moving to (0, 1) tie on outcome 1 (product 0 both
+        # before and after) and gain +inf on outcome 2.
+        result = invoke(
+            runner, "search", "--reports", "1,0; 0,1", "--contract",
+            "independent-log", "--grid", "4", "--format", "json",
+        )
+        assert result.exit_code == 3
+        (cert,) = json.loads(result.output)["certificates"]
+        assert cert["deltas"] == [0.0, "inf"]
+        assert cert["certainty"] == "numeric"
+
     def test_budget_flags_are_exclusive(self, runner):
         neither = invoke(runner, "search", "--reports", INTRO_ARG)
         assert neither.exit_code == 2

@@ -431,22 +431,6 @@ class TestCoalitionTotal:
         for j in range(2):
             assert coalition_total(contract, profile, coalition, j) == totals[j]
 
-    def test_evaluates_the_one_outcome_it_returns(self):
-        seen = []
-
-        @dataclasses.dataclass(frozen=True)
-        class Recording(CountContract):
-            def evaluate(self, profile, j):
-                seen.append(j)
-                return super().evaluate(profile, j)
-
-        profile = ReportProfile.of(("1/3", "2/3", 0), ("1/2", "1/4", "1/4"))
-        coalition = Coalition.of([0, 1])
-        assert coalition_total(Recording(), profile, coalition, 2) == (
-            coalition_totals(CountContract(), profile, coalition)[2]
-        )
-        assert seen == [2]
-
     def test_checks_the_outcome_before_the_coalition(self):
         profile = ReportProfile.of(("1/2", "1/2"), ("1/2", "1/2"))
         outside = Coalition.of([0, 5])

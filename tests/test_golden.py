@@ -92,6 +92,16 @@ CASES = {
     "demo_intro_coalition": (
         0, ("demo-intro", "--coalition", "1,3", "--format", "json")
     ),
+    # Float log totals within NUMERIC_TOLERANCE of a loss on outcome 1,
+    # where the members' exact weight product falls: no certificate.
+    "search_log_near_tie": (
+        0,
+        (
+            "search", "--reports", "9/10,1/10; 9/10,1/10; 1/2,1/2",
+            "--contract", "independent-log", "--coalition", "1,2",
+            "--deviation", "log_near_tie_deviation.json", "--format", "json",
+        ),
+    ),
 }
 
 
@@ -124,6 +134,7 @@ TEXT_CASES = {
     "search_none": CASES["search_none"],
     "search_deviation_expected": CASES["search_deviation_expected"],
     "search_expected_grid": CASES["search_expected_grid"],
+    "search_log_near_tie": CASES["search_log_near_tie"],
     "verify_readme": (
         0,
         (
