@@ -61,7 +61,7 @@ from .contracts import (
     IndependentScoring,
     coalition_totals,
 )
-from .sampling import DEFAULT_DENOMINATOR, exact_bounds, random_deviation
+from .sampling import exact_bounds, random_deviation
 from .scoring import LogRule, QuadraticRule, _expectation
 from .simplex import (
     Coalition,
@@ -103,6 +103,17 @@ NUMERIC_TOLERANCE = 1e-9
 # minute or two on a small profile; larger budgets are refused up front
 # instead of hanging.
 MAX_GRID_DEVIATIONS = 10**6
+
+
+def _refuse_over_limit(work: str, count: int, unit: str, advice: str) -> None:
+    """ValueError "<work> <count> <unit>, more than the limit of
+    MAX_GRID_DEVIATIONS; use <advice>" when ``count`` exceeds that limit.
+    """
+    if count > MAX_GRID_DEVIATIONS:
+        raise ValueError(
+            f"{work} {count} {unit}, more than the limit of "
+            f"{MAX_GRID_DEVIATIONS}; use {advice}"
+        )
 
 
 class DeviationMismatchError(ValueError):
@@ -704,16 +715,15 @@ class GridSearch:
 class RandomSearch:
     """Seeded random deviations; reproducible given (trials, seed).
 
-    ``denominator`` controls the rational resolution of drawn reports;
-    ``bounds``, when set, restricts every drawn weight to [lo, hi].  The
-    bounds must be exact rationals with 0 <= lo <= hi <= 1; they are
-    stored as Fractions, and floats are refused.  The other fields are ints
-    (not bools): ``random.Random("7")`` seeds another stream than 7.
+    Reports are drawn at ``sampling.DEFAULT_DENOMINATOR``.  ``bounds``,
+    when set, restricts every drawn weight to [lo, hi].  The bounds must
+    be exact rationals with 0 <= lo <= hi <= 1; they are stored as
+    Fractions, and floats are refused.  The other fields are ints (not
+    bools): ``random.Random("7")`` seeds another stream than 7.
     """
 
     trials: int
     seed: int
-    denominator: int = DEFAULT_DENOMINATOR
     bounds: Optional[tuple[Fraction, Fraction]] = None
 
     def __post_init__(self) -> None:
@@ -721,7 +731,6 @@ class RandomSearch:
         _require_int("seed", self.seed)
         if self.trials < 1:
             raise ValueError(f"need trials >= 1, got {self.trials}")
-        _require_int("denominator", self.denominator, 1)
         if self.bounds is not None:
             object.__setattr__(self, "bounds", exact_bounds(self.bounds))
 
@@ -734,11 +743,12 @@ def _grid_deviations(
 ) -> Iterator[ReportProfile]:
     members = coalition.members
     if isinstance(contract, ArbitrageFreeContract):
-        # The coalition's totals depend only on its per-outcome sums, so
-        # enumerate sum vectors (one lattice point, scaled by |C|) and
-        # realize each by the equal split where every member reports the
-        # lattice point itself.
-        for point in simplex_lattice(baseline.n, steps):
+        # The coalition's totals depend only on its per-outcome sums.  |C|
+        # members on the 1/steps lattice reach exactly the sums |C| times
+        # a point of the 1/(|C| * steps) lattice, so enumerate those points
+        # and realize each sum by the equal split where every member
+        # reports the point itself.
+        for point in simplex_lattice(baseline.n, coalition.size * steps):
             yield baseline.replace({i: point for i in members})
     else:
         # The lattice is listed once, and each member paired with every
@@ -757,9 +767,7 @@ def _random_deviations(
 ) -> Iterator[ReportProfile]:
     rng = random.Random(strategy.seed)
     for _ in range(strategy.trials):
-        yield random_deviation(
-            rng, baseline, coalition, strategy.denominator, strategy.bounds
-        )
+        yield random_deviation(rng, baseline, coalition, strategy.bounds)
 
 
 def search_arbitrage(
@@ -782,27 +790,24 @@ def search_arbitrage(
     """
     coalition.validate_for(baseline.m)
     if isinstance(strategy, GridSearch):
-        # C(S + n - 1, n - 1) lattice points; every combination of one
-        # point per member, except for the alpha family (one point each).
-        count = comb(strategy.steps + baseline.n - 1, baseline.n - 1)
-        if not isinstance(contract, ArbitrageFreeContract):
-            count **= coalition.size
-        search = f"grid search at steps {strategy.steps}"
+        # C(S + n - 1, n - 1) lattice points, and every combination of one
+        # point per member; the alpha family lists the C(c*S + n - 1, n - 1)
+        # points of one finer lattice instead, c = |C|.
+        steps, n = strategy.steps, baseline.n
+        if isinstance(contract, ArbitrageFreeContract):
+            count = comb(coalition.size * steps + n - 1, n - 1)
+        else:
+            count = comb(steps + n - 1, n - 1) ** coalition.size
+        search = f"grid search at steps {steps}"
         advice = "a coarser grid, a smaller coalition or random search"
-        deviations = _grid_deviations(
-            contract, baseline, coalition, strategy.steps
-        )
+        deviations = _grid_deviations(contract, baseline, coalition, steps)
     elif isinstance(strategy, RandomSearch):
         count = strategy.trials
         search, advice = f"random search with {count} trials", "fewer trials"
         deviations = _random_deviations(baseline, coalition, strategy)
     else:
         raise TypeError(f"unknown search strategy {strategy!r}")
-    if count > MAX_GRID_DEVIATIONS:
-        raise ValueError(
-            f"{search} would check {count} deviations, more than the limit "
-            f"of {MAX_GRID_DEVIATIONS}; use {advice}"
-        )
+    _refuse_over_limit(f"{search} would check", count, "deviations", advice)
     check = (
         check_dominance
         if kind is CertificateKind.DOMINANCE

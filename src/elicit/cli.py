@@ -418,19 +418,12 @@ def demo_intro(coalition_text, fmt) -> None:
         f"{_vcell(report.deltas[0])} / {_vcell(report.deltas[1])}"
     )
     lines.append("")
-    if iv.empty:
-        lines.append("no uniform report strictly dominates the baseline")
-    else:
-        lines.append(
-            "any shared report with outcome-1 probability in the closed "
-            "interval below dominates the baseline:"
-        )
-        lines.append(
-            f"  lower: {iv.lower}  = {iv.lower.value():.6f}"
-        )
-        lines.append(
-            f"  upper: {iv.upper}  = {iv.upper.value():.6f}"
-        )
+    lines.append(
+        "any shared report with outcome-1 probability in the closed "
+        "interval below dominates the baseline:"
+    )
+    lines.append(f"  lower: {iv.lower}  = {iv.lower.value():.6f}")
+    lines.append(f"  upper: {iv.upper}  = {iv.upper.value():.6f}")
     if report.reference_checked:
         lines.append("all values re-verified against frozen references")
     table = "\n".join(lines) + "\n"

@@ -173,14 +173,6 @@ class ContractFunction:
     def evaluate(self, profile: ReportProfile, j: int) -> tuple:
         raise NotImplementedError
 
-    def expert_view(self, profile: ReportProfile, i: int) -> ScoringRule:
-        """The scoring rule expert i effectively faces, others held fixed.
-
-        Only defined for contracts where the payment decomposes as a
-        function of the expert's own report plus terms constant in it.
-        """
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class IndependentScoring(ContractFunction):
@@ -199,10 +191,6 @@ class IndependentScoring(ContractFunction):
         _require_index("outcome", j, profile.n)
         score = self.rule.score
         return tuple([score(r, j) for r in profile.reports])
-
-    def expert_view(self, profile: ReportProfile, i: int) -> ScoringRule:
-        _require_index("expert", i, profile.m)
-        return self.rule
 
 
 @dataclass(frozen=True)

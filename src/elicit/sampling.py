@@ -188,18 +188,18 @@ def random_deviation(
     rng: random.Random,
     baseline: ReportProfile,
     coalition: Coalition,
-    denominator: int = DEFAULT_DENOMINATOR,
     bounds: Optional[tuple[Fraction, Fraction]] = None,
 ) -> ReportProfile:
     """The baseline with a fresh random report for every coalition member.
 
-    Members draw in coalition order, one count row each, using the
-    generator exactly as one ``random_distribution`` each would, so the
+    Members draw in coalition order, one count row each over
+    ``DEFAULT_DENOMINATOR``, using the generator exactly as one
+    ``random_distribution(rng, n, bounds=bounds)`` each would, so the
     reports are the ones those calls return.  The bounds are checked once
     per deviation, and each report is built from its counts without
     validating them again.
     """
-    n = baseline.n
+    n, denominator = baseline.n, DEFAULT_DENOMINATOR
     limits = _count_limits(n, denominator, bounds)
     return baseline.replace(
         {

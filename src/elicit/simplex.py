@@ -289,15 +289,6 @@ class Distribution:
         denominator, numerators = self._score_row
         return tuple([Fraction(x, denominator) for x in numerators])
 
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.weights)
-
-    def __getitem__(self, j: int) -> Fraction:
-        return self.weights[j]
-
 
 def _weights_from_counts(report: Distribution) -> tuple[Fraction, ...]:
     """The weights of a report built by ``Distribution._from_counts``.
@@ -499,20 +490,11 @@ class Coalition:
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
 
-    def __contains__(self, i: int) -> bool:
-        return i in self.members
-
     def validate_for(self, m: int) -> None:
         if self.members[-1] >= m:
             raise ValueError(
                 f"coalition {self.members} includes an expert >= m={m}"
             )
-
-    def complement(self, m: int) -> tuple[int, ...]:
-        """Indices outside the coalition (may be empty)."""
-        self.validate_for(m)
-        inside = set(self.members)
-        return tuple(i for i in range(m) if i not in inside)
 
 
 def _check_expert_index(i) -> None:

@@ -36,9 +36,9 @@ from itertools import cycle
 from typing import Callable, Optional, Sequence
 
 from .arbitrage import (
-    MAX_GRID_DEVIATIONS,
     GridSearch,
     RandomSearch,
+    _refuse_over_limit,
     check_dominance,
     check_expected_arbitrage,
     mean_collusion,
@@ -130,12 +130,10 @@ class VerifyConfig:
         _require_int("seed", self.seed)
         if type(self.permissive) is not bool:
             raise ValueError(f"permissive must be a bool, got {self.permissive!r}")
-        if self.trials > MAX_GRID_DEVIATIONS:
-            raise ValueError(
-                f"trials {self.trials} would have the edge-case suite's random "
-                f"search check {self.trials} deviations, more than the limit "
-                f"of {MAX_GRID_DEVIATIONS}; use fewer trials"
-            )
+        _refuse_over_limit(
+            f"trials {self.trials} would have a suite cell check",
+            self.trials, "deviations", "fewer trials",
+        )
         alphas = self.alphas
         if alphas is not None:
             alphas = () if isinstance(alphas, str) else tuple(map(_as_fraction, alphas))
@@ -152,12 +150,10 @@ class VerifyConfig:
                 f"[1/grid, 1 - 1/grid]"
             )
         reports = math.comb(self.grid + k - 1, k - 1)
-        if reports > MAX_GRID_DEVIATIONS:
-            raise ValueError(
-                f"grid {self.grid} would have each {k}-outcome properness "
-                f"probe list {reports} lattice reports, more than the limit "
-                f"of {MAX_GRID_DEVIATIONS}; use a coarser grid"
-            )
+        _refuse_over_limit(
+            f"grid {self.grid} would have each {k}-outcome properness probe "
+            f"list", reports, "lattice reports", "a coarser grid",
+        )
 
 
 @dataclass(frozen=True)

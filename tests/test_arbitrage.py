@@ -34,6 +34,7 @@ from elicit import (
     uniform_report_arbitrage_interval,
 )
 from elicit import arbitrage
+from elicit.contracts import safe_cutoff
 from elicit.sampling import random_distribution
 from elicit.scoring import quadratic_score
 from elicit.arbitrage import (
@@ -375,7 +376,8 @@ class TestExpectedArbitrage:
             return
         strict = {j for j, d in enumerate(cert.deltas) if d > 0}
         if all(
-            any(profile.reports[i][j] > 0 for j in strict) for i in coalition
+            any(profile.reports[i].weights[j] > 0 for j in strict)
+            for i in coalition
         ):
             assert (
                 check_expected_arbitrage(QUADRATIC, profile, deviation, coalition)
@@ -432,7 +434,7 @@ class TestExpectedArbitrage:
                     if d > arbitrage.NUMERIC_TOLERANCE
                 }
                 if not all(
-                    any(baseline.reports[i][j] > 0 for j in strict)
+                    any(baseline.reports[i].weights[j] > 0 for j in strict)
                     for i in coalition
                 ):
                     continue
@@ -472,7 +474,7 @@ class TestReconstruction:
         target = (Fraction(3, 2), Fraction(1, 2))
         rebuilt = profile_with_coalition_sums(INTRO, coalition, target)
         for j in range(2):
-            assert sum(rebuilt.reports[i][j] for i in coalition) == target[j]
+            assert sum(rebuilt.reports[i].weights[j] for i in coalition) == target[j]
         assert rebuilt.reports[2] == INTRO.reports[2]
 
     def test_rejects_infeasible_targets(self):
@@ -679,7 +681,7 @@ class TestSearch:
         cert = search_arbitrage(QUADRATIC, INTRO, Coalition.full(3), strategy)
         assert cert is not None
         for i in cert.coalition:
-            for w in cert.deviation.reports[i]:
+            for w in cert.deviation.reports[i].weights:
                 assert lo <= w <= hi
 
     def test_strategy_validation(self):
@@ -694,9 +696,8 @@ class TestSearch:
             ("steps", lambda v: GridSearch(steps=v)),
             ("trials", lambda v: RandomSearch(trials=v, seed=1)),
             ("seed", lambda v: RandomSearch(trials=5, seed=v)),
-            ("denominator", lambda v: RandomSearch(5, 1, denominator=v)),
         ],
-        ids=["steps", "trials", "seed", "denominator"],
+        ids=["steps", "trials", "seed"],
     )
     @pytest.mark.parametrize("value", [2.5, True, "7", None])
     def test_a_field_that_is_not_an_int_is_refused(self, field, build, value):
@@ -704,10 +705,6 @@ class TestSearch:
         # random.Random("7") seeds a different stream than 7.
         with pytest.raises(ValueError, match=rf"^{field} must be an int, got "):
             build(value)
-
-    def test_random_search_rejects_empty_denominator(self):
-        with pytest.raises(ValueError, match="denominator"):
-            RandomSearch(trials=5, seed=1, denominator=0)
 
     def test_random_search_rejects_float_bounds(self):
         with pytest.raises(TypeError, match="float"):
@@ -774,13 +771,20 @@ class TestGridOrder:
         ids=["quadratic", "alpha-family"],
     )
     def test_deviations_in_reference_order(self, contract, members):
-        steps = 3
-        combos = product(
-            list(simplex_lattice(GRID_BASELINE.n, steps)), repeat=len(members)
-        )
+        steps, c = 3, len(members)
         if isinstance(contract, ArbitrageFreeContract):
-            # One point per search deviation: every member reports it.
-            combos = [c for c in combos if all(p is c[0] for p in c)]
+            # One point of the 1/(c * steps) lattice per search deviation,
+            # and every member reports it.
+            combos = [
+                (point,) * c
+                for point in simplex_lattice(GRID_BASELINE.n, c * steps)
+            ]
+            count = math.comb(c * steps + 2, 2)
+        else:
+            combos = product(
+                list(simplex_lattice(GRID_BASELINE.n, steps)), repeat=c
+            )
+            count = 10**c
         want = [
             tuple(
                 combo[members.index(k)] if k in members else report
@@ -793,13 +797,81 @@ class TestGridOrder:
                 contract, GRID_BASELINE, Coalition.of(members), steps
             )
         )
-        assert len(got) == len(want) == 10 ** (
-            1 if isinstance(contract, ArbitrageFreeContract) else len(members)
-        )
+        assert len(got) == len(want) == count
         for g, w in zip(got, want):
             assert type(g) is ReportProfile
             assert (g.m, g.n) == (4, 3)
             assert g.reports == w
+
+
+def product_grid_certifies(contract, baseline, coalition, steps):
+    """Whether a member-by-member grid certifies dominance: every
+    combination of one point of the 1/steps lattice per member."""
+    lattice = list(simplex_lattice(baseline.n, steps))
+    return any(
+        check_dominance(
+            contract,
+            baseline,
+            baseline.replace(dict(zip(coalition.members, combo))),
+            coalition,
+        )
+        is not None
+        for combo in product(lattice, repeat=coalition.size)
+    )
+
+
+@st.composite
+def family_grid_cases(draw, prone):
+    """An alpha-family contract, a baseline of 3 or 4 experts, a coalition
+    of 2 or 3 and grid steps; alpha in steps of 1/100, inside the
+    arbitrage-prone band [0, cutoff) or outside it."""
+    m = draw(st.integers(3, 4))
+    baseline = draw(profiles(m=m))
+    cutoff = 100 * safe_cutoff(m, baseline.n)
+    if prone:
+        hundredths = draw(st.integers(0, cutoff - 1))
+    else:
+        hundredths = draw(
+            st.one_of(st.integers(-10**4, -1), st.integers(cutoff, cutoff + 10**4))
+        )
+    contract = ArbitrageFreeContract(Fraction(hundredths, 100), permissive=prone)
+    size = draw(st.integers(2, 3))
+    coalition = Coalition.of(draw(st.permutations(range(m)))[:size])
+    return contract, baseline, coalition, draw(st.integers(2, 3))
+
+
+# The golden case search_nr_sum_grid: three members on the 1/2 lattice
+# reach the sum (0, 1, 2), which no shared point of that lattice makes.
+SUM_GRID_CASE = (
+    ArbitrageFreeContract(Fraction(87, 50), permissive=True),
+    ReportProfile.of(("1/6", "3/4", "1/12"), (0, 0, 1), (0, "1/6", "5/6")),
+    Coalition.full(3),
+    2,
+)
+
+
+class TestFamilySumGrid:
+    """The alpha family's grid lists every coalition sum that its members
+    can make on the 1/steps lattice: |C| times each point of the
+    1/(|C| * steps) lattice.  A coalition's totals depend only on its sum,
+    so it certifies exactly where a member-by-member grid does."""
+
+    @settings(max_examples=30)
+    @example(case=SUM_GRID_CASE)
+    @given(case=family_grid_cases(prone=True))
+    def test_certifies_where_a_product_grid_does(self, case):
+        contract, baseline, coalition, steps = case
+        cert = search_arbitrage(contract, baseline, coalition, GridSearch(steps))
+        assert (cert is not None) == product_grid_certifies(
+            contract, baseline, coalition, steps
+        )
+
+    @given(case=family_grid_cases(prone=False))
+    def test_never_certifies_at_a_safe_alpha(self, case):
+        contract, baseline, coalition, steps = case
+        assert search_arbitrage(
+            contract, baseline, coalition, GridSearch(steps)
+        ) is None
 
 
 class ShiftedQuadratic(QuadraticRule):
@@ -834,7 +906,7 @@ SEARCH_CONTRACTS = {
     "rule-subclass": IndependentScoring(rule=ShiftedQuadratic()),
     "contract-subclass": ShiftedScoring(rule=QuadraticRule()),
 }
-STRATEGIES = [GridSearch(steps=3), RandomSearch(trials=15, seed=4, denominator=6)]
+STRATEGIES = [GridSearch(steps=3), RandomSearch(trials=15, seed=4)]
 CHECKS = {
     CertificateKind.DOMINANCE: check_dominance,
     CertificateKind.EXPECTED: check_expected_arbitrage,
@@ -959,11 +1031,12 @@ class TestCachedBaselineTotals:
             ("1/3", "1/3", "1/3"), ("1/3", "1/3", "1/3"), ("1/2", "1/2", "0")
         )
         pair = Coalition.of([0, 1])
-        # 15 lattice points at steps 4, 21 at steps 5 (n = 3).
+        # The family lists one lattice at steps 2 * S (n = 3): 15 points
+        # at S = 2, 28 at S = 3.
         family = ArbitrageFreeContract(alpha=-1)
-        assert search_arbitrage(family, three, pair, GridSearch(steps=4)) is None
-        with pytest.raises(ValueError, match="21 deviations"):
-            search_arbitrage(family, three, pair, GridSearch(steps=5))
+        assert search_arbitrage(family, three, pair, GridSearch(steps=2)) is None
+        with pytest.raises(ValueError, match="28 deviations"):
+            search_arbitrage(family, three, pair, GridSearch(steps=3))
         # Other contracts enumerate one point per member: 6**2 at steps 2.
         with pytest.raises(ValueError, match="36 deviations"):
             search_arbitrage(QUADRATIC, three, pair, GridSearch(steps=2))
@@ -1583,7 +1656,7 @@ def plain_products(profile, coalition):
     for j in range(profile.n):
         value = Fraction(1)
         for i in coalition:
-            value *= profile.reports[i][j]
+            value *= profile.reports[i].weights[j]
         products.append(value)
     return products
 

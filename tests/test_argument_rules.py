@@ -22,7 +22,6 @@ from elicit import (
     Distribution,
     IndependentScoring,
     QuadraticRule,
-    RandomSearch,
     ReportProfile,
     coalition_reward_poly,
     coalition_total,
@@ -42,7 +41,6 @@ from elicit import (
 )
 from elicit.sampling import (
     random_coalition,
-    random_deviation,
     random_distribution,
     random_profile,
 )
@@ -95,8 +93,6 @@ CASES = [
     ("uniform_report_interval",
      lambda rng: uniform_report_arbitrage_interval(PAIR, BOTH, 5),
      IndexError, "outcome 5 out of range for n=2"),
-    ("independent_expert_view", lambda rng: INDEPENDENT.expert_view(PAIR, 5),
-     IndexError, "expert 5 out of range for m=2"),
     ("family_expert_view_i", lambda rng: FAMILY.expert_view(PAIR, 5),
      IndexError, "expert 5 out of range for m=2"),
     ("expected_reward",
@@ -107,14 +103,9 @@ CASES = [
     # Lower bounds on ints.
     ("lattice_steps", lambda rng: list(simplex_lattice(2, 0)),
      ValueError, "steps must be >= 1, got 0"),
-    ("random_search", lambda rng: RandomSearch(1, 0, denominator=0),
-     ValueError, "denominator must be >= 1, got 0"),
     ("random_distribution_denominator",
      lambda rng: random_distribution(rng, 2, denominator=0),
      ValueError, "denominator must be >= 1, got 0"),
-    ("random_deviation_denominator",
-     lambda rng: random_deviation(rng, PAIR, BOTH, denominator=-3),
-     ValueError, "denominator must be >= 1, got -3"),
 ]
 
 
@@ -154,8 +145,6 @@ INDICES = [
      lambda j: two_outcome_form_residual(PAIR, j, -1)),
     ("general_form_residual", "outcome",
      lambda j: general_form_residual(PAIR, j, -1)),
-    ("independent_expert_view", "expert",
-     lambda i: INDEPENDENT.expert_view(PAIR, i)),
     ("family_expert_view", "expert", lambda i: FAMILY.expert_view(PAIR, i)),
     ("expected_reward", "expert",
      lambda i: expected_reward(INDEPENDENT, PAIR, i, REPORT)),
@@ -187,8 +176,6 @@ COUNTS = [
      lambda rng, v: random_distribution(rng, v)),
     ("random_distribution_denominator", "denominator",
      lambda rng, v: random_distribution(rng, 2, denominator=v)),
-    ("random_deviation_denominator", "denominator",
-     lambda rng, v: random_deviation(rng, PAIR, BOTH, denominator=v)),
 ]
 
 

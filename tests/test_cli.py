@@ -844,9 +844,8 @@ class TestVerify:
             ),
             (
                 ("verify", "--trials", "1000001"),
-                "trials 1000001 would have the edge-case suite's random "
-                "search check 1000001 deviations, more than the limit of "
-                "1000000; use fewer trials",
+                "trials 1000001 would have a suite cell check 1000001 "
+                "deviations, more than the limit of 1000000; use fewer trials",
             ),
         ],
     )

@@ -68,7 +68,7 @@ def reference_reward(profile: ReportProfile, i: int, j: int, alpha: Fraction):
     return (
         quadratic_score(profile.reports[i], j)
         - (profile.m - 1) ** 2 * quadratic_score(loo, j)
-        + alpha * loo[j]
+        + alpha * loo.weights[j]
     )
 
 
@@ -144,13 +144,6 @@ class TestIndependentScoring:
             assert pay == tuple(
                 quadratic_score(r, j) for r in profile.reports
             )
-
-    def test_expert_view_ignores_opponents(self):
-        profile = ReportProfile.of(("2/5", "3/5"), ("1/2", "1/2"))
-        contract = IndependentScoring(rule=QuadraticRule())
-        view = contract.expert_view(profile, 0)
-        d = Distribution.of("1/4", "3/4")
-        assert view.score(d, 1) == quadratic_score(d, 1)
 
     def test_exactness_tracks_rule(self):
         assert IndependentScoring(rule=QuadraticRule()).exact
@@ -745,9 +738,9 @@ class TestRewardHelpers:
             belief = profile.reports[i]
             expectation = expected_reward(contract, profile, i, belief)
             direct = sum(
-                belief[j] * contract.evaluate(profile, j)[i]
+                belief.weights[j] * contract.evaluate(profile, j)[i]
                 for j in range(profile.n)
-                if belief[j] != 0
+                if belief.weights[j] != 0
             )
             assert expectation == direct
 

@@ -102,6 +102,17 @@ CASES = {
             "--deviation", "log_near_tie_deviation.json", "--format", "json",
         ),
     ),
+    # Three members on the 1/2 lattice reach the sum (0, 1, 2) that no
+    # shared point of that lattice makes; the alpha family's grid lists
+    # every such sum.
+    "search_nr_sum_grid": (
+        3,
+        (
+            "search", "--reports", "1/6,3/4,1/12; 0,0,1; 0,1/6,5/6",
+            "--contract", "nr", "--alpha", "87/50", "--permissive", "--grid",
+            "2", "--format", "json",
+        ),
+    ),
 }
 
 
@@ -135,6 +146,7 @@ TEXT_CASES = {
     "search_deviation_expected": CASES["search_deviation_expected"],
     "search_expected_grid": CASES["search_expected_grid"],
     "search_log_near_tie": CASES["search_log_near_tie"],
+    "search_nr_sum_grid": CASES["search_nr_sum_grid"],
     "verify_readme": (
         0,
         (

@@ -139,10 +139,6 @@ class TestRandomDistribution:
         with pytest.raises(ValueError) as caught:
             random_distribution(rng, n, denominator, bounds)
         assert str(caught.value) == message
-        baseline = random_profile(derived_rng(2, "t"), 2, n)
-        with pytest.raises(ValueError) as caught:
-            random_deviation(rng, baseline, Coalition.full(2), denominator, bounds)
-        assert str(caught.value) == message
         assert rng.getstate() == state
 
     def test_bounds_met_by_one_count_row_draw_it(self):
@@ -170,11 +166,6 @@ class TestRandomDistribution:
         state = rng.getstate()
         d = random_distribution(rng, n, denominator, bounds)
         assert d.weights == (Fraction(count, denominator),) * n
-        baseline = random_profile(derived_rng(2, "t"), 2, n)
-        deviation = random_deviation(
-            rng, baseline, Coalition.full(2), denominator, bounds
-        )
-        assert deviation.reports == (d, d)
         assert rng.getstate() == state
 
     def test_refuses_float_bounds(self):
@@ -219,54 +210,86 @@ class TestRandomDistribution:
             random_distribution(rng, 2, denominator=0)
 
 
-def reference_deviation(rng, baseline, coalition, denominator, bounds):
+def reference_deviation(rng, baseline, coalition, bounds):
     """The deviation through ``reference_draw`` and the validating profile."""
     reports = list(baseline.reports)
     for i in coalition:
-        reports[i] = reference_draw(rng, baseline.n, denominator, bounds)
+        reports[i] = reference_draw(rng, baseline.n, DEFAULT_DENOMINATOR, bounds)
     return ReportProfile(tuple(reports))
 
 
 @st.composite
 def deviation_cases(draw):
-    """A baseline, a coalition of any size, a denominator and bounds."""
+    """A baseline, a coalition of any size and bounds."""
     m, n = draw(st.integers(1, 5)), draw(st.integers(2, 5))
     baseline = random_profile(derived_rng(draw(st.integers(0, 10**6)), "b"), m, n)
     size = draw(st.integers(1, m))
     coalition = Coalition.of(draw(st.permutations(range(m)))[:size])
-    denominator = draw(st.sampled_from([1, 7, 10**4]))
     bounds = None
     if draw(st.booleans()):
         a = draw(st.fractions(0, 1, max_denominator=30))
         b = draw(st.fractions(0, 1, max_denominator=30))
-        # lo <= 1/(2n) and hi >= 2/n keep a draw likely; at denominator
-        # 1 or 7 some of these bounds meet no count row.
+        # lo <= 1/(2n) and hi >= 2/n keep a draw likely.
         bounds = (min(a, b, Fraction(1, 2 * n)), max(a, b, Fraction(2, n)))
-    return baseline, coalition, denominator, bounds
-
-
-def feasible(n, denominator, bounds):
-    """Whether some count row over ``denominator`` meets ``bounds``."""
-    if bounds is None:
-        return True
-    low = -(-bounds[0].numerator * denominator // bounds[0].denominator)
-    high = bounds[1].numerator * denominator // bounds[1].denominator
-    return n * low <= denominator <= n * high
+    return baseline, coalition, bounds
 
 
 class TestRandomDeviation:
+    @pytest.mark.parametrize(
+        "n, bounds, shown",
+        [
+            (3, (Fraction(1, 3), Fraction(1, 3)), "1/3, 1/3"),
+            # Counts in [0, 2500] cannot reach 10**4 over 3 outcomes.
+            (3, (0, Fraction(1, 4)), "0, 1/4"),
+            # Counts in [6000, 10**4] overshoot 10**4 over 2 outcomes.
+            (2, (Fraction(3, 5), 1), "3/5, 1"),
+        ],
+        ids=["one-third", "high-too-low", "low-too-high"],
+    )
+    def test_refuses_bounds_no_count_row_meets_before_drawing(
+        self, n, bounds, shown
+    ):
+        rng = derived_rng(1, "t")
+        state = rng.getstate()
+        baseline = random_profile(derived_rng(2, "t"), 2, n)
+        with pytest.raises(ValueError) as caught:
+            random_deviation(rng, baseline, Coalition.full(2), bounds)
+        assert str(caught.value) == (
+            f"bounds [{shown}] admit no distribution over {n} outcomes "
+            f"at denominator {DEFAULT_DENOMINATOR}"
+        )
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize(
+        "n, bounds",
+        [
+            # n * low = 10**4: every count is low.
+            (4, (Fraction(1, 4), Fraction(1, 4))),
+            (2, (Fraction(1, 2), 1)),
+            # n * high = 10**4: every count is high.
+            (2, (0, Fraction(1, 2))),
+            (4, (Fraction(1, 10), Fraction(1, 4))),
+        ],
+        ids=["quarter", "low-row", "high-row", "high-row-four"],
+    )
+    def test_bounds_one_count_row_meets_return_it_without_drawing(
+        self, n, bounds
+    ):
+        rng = derived_rng(1, "t")
+        state = rng.getstate()
+        baseline = random_profile(derived_rng(2, "t"), 2, n)
+        deviation = random_deviation(rng, baseline, Coalition.full(2), bounds)
+        share = Distribution((Fraction(1, n),) * n)
+        assert deviation.reports == (share, share)
+        assert rng.getstate() == state
+
     @given(st.integers(0, 10**6), deviation_cases())
     def test_matches_plain_fraction_reference(self, seed, case):
-        baseline, coalition, denominator, bounds = case
+        baseline, coalition, bounds = case
         rng, ref = derived_rng(seed, "d"), derived_rng(seed, "d")
-        if not feasible(baseline.n, denominator, bounds):
-            with pytest.raises(ValueError, match="admit no distribution"):
-                random_deviation(rng, baseline, coalition, denominator, bounds)
-            assert rng.getstate() == ref.getstate()
-            return
         for _ in range(2):
-            got = random_deviation(rng, baseline, coalition, denominator, bounds)
-            want = reference_deviation(ref, baseline, coalition, denominator, bounds)
+            got = random_deviation(rng, baseline, coalition, bounds)
+            want = reference_deviation(ref, baseline, coalition, bounds)
             assert got.reports == want.reports
             assert (got.m, got.n) == (want.m, want.n)
             for a, b in zip(got.reports, want.reports):
@@ -317,7 +340,7 @@ class TestFromCounts:
         counts, denominator = row
         got = Distribution._from_counts(counts, denominator)
         assert "weights" not in vars(got)
-        assert len(got) == got.n == len(counts)
+        assert got.n == len(counts)
         assert "weights" not in vars(got)
         weights = got.weights
         assert vars(got)["weights"] is weights and got.weights is weights
@@ -370,7 +393,7 @@ class TestRandomProfile:
         assert all(
             (w * DEFAULT_DENOMINATOR).denominator == 1
             for r in p1.reports
-            for w in r
+            for w in r.weights
         )
 
 

@@ -68,7 +68,9 @@ class TestQuadraticScore:
     @given(distributions())
     def test_equals_one_minus_squared_distance_to_vertex(self, d):
         for j in range(d.n):
-            dist_sq = sum((w - (1 if k == j else 0)) ** 2 for k, w in enumerate(d))
+            dist_sq = sum(
+                (w - (1 if k == j else 0)) ** 2 for k, w in enumerate(d.weights)
+            )
             assert quadratic_score(d, j) == 1 - dist_sq
 
     @given(distributions())
@@ -127,7 +129,7 @@ class TestExpectedScore:
     def test_matches_direct_sum(self, report, belief):
         value = expected_score(QuadraticRule(), report, belief)
         assert value == sum(
-            belief[j] * quadratic_score(report, j) for j in range(3)
+            belief.weights[j] * quadratic_score(report, j) for j in range(3)
         )
 
     @given(distributions(), st.data())

@@ -132,13 +132,6 @@ class TestDistribution:
         with pytest.raises(ValueError):
             Distribution.of()
 
-    def test_sequence_protocol(self):
-        d = Distribution.of("1/4", "3/4")
-        assert d.n == 2
-        assert len(d) == 2
-        assert d[1] == Fraction(3, 4)
-        assert list(d) == [Fraction(1, 4), Fraction(3, 4)]
-
     @given(distributions())
     def test_invariants(self, d):
         assert sum(d.weights) == 1
@@ -254,13 +247,15 @@ class TestReportProfile:
     @given(profiles())
     def test_totals_are_column_sums(self, p):
         for j in range(p.n):
-            assert p.totals()[j] == sum(r[j] for r in p.reports)
+            assert p.totals()[j] == sum(r.weights[j] for r in p.reports)
         assert sum(p.totals()) == p.m
 
     @given(st.one_of(profiles(max_m=5, max_n=4), fine_profiles()))
     def test_integer_caches_match_fresh_computation(self, p):
-        scale = math.lcm(*(w.denominator for r in p.reports for w in r))
-        rows = tuple(tuple(w * scale for w in r) for r in p.reports)
+        scale = math.lcm(
+            *(w.denominator for r in p.reports for w in r.weights)
+        )
+        rows = tuple(tuple(w * scale for w in r.weights) for r in p.reports)
         assert p.scaled == (scale, rows)
         totals = tuple(t * scale for t in p.totals())
         others = [[t - x for t, x in zip(totals, a)] for a in rows]
@@ -577,17 +572,13 @@ class TestCoalition:
         with pytest.raises(ValueError, match=r"^bad expert index 1\.0$"):
             Coalition.of([1, 1.0])
 
-    def test_complement(self):
-        assert Coalition.of([0, 2]).complement(4) == (1, 3)
-        assert Coalition.full(3).complement(3) == ()
-
 
 class TestAggregates:
     @given(profiles_with_coalitions())
     def test_coalition_sums_match_membership(self, pc):
         profile, coalition = pc
         assert coalition_sums(profile, coalition) == tuple(
-            sum(profile.reports[i][j] for i in coalition)
+            sum(profile.reports[i].weights[j] for i in coalition)
             for j in range(profile.n)
         )
 
@@ -621,7 +612,9 @@ class TestAggregates:
         for i in range(p.m):
             loo = leave_one_out_mean(p, i)
             for j in range(p.n):
-                assert loo[j] == (p.totals()[j] - p.reports[i][j]) / (p.m - 1)
+                assert loo.weights[j] == (
+                    p.totals()[j] - p.reports[i].weights[j]
+                ) / (p.m - 1)
 
     def test_leave_one_out_needs_two_experts(self):
         solo = ReportProfile.of(("1/2", "1/2"))

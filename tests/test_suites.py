@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
-from elicit import suites
+from elicit import arbitrage, suites
 from elicit.arbitrage import MAX_GRID_DEVIATIONS
 from elicit.contracts import (
     AlphaRangeError,
@@ -50,15 +50,16 @@ def test_permissive_that_is_not_a_bool_is_refused(value):
 
 
 def test_trials_above_the_search_limit_are_refused(monkeypatch):
-    # The edge-case suite runs a random search of `trials` deviations,
-    # which refuses more than the limit; so does the configuration.
-    monkeypatch.setattr(suites, "MAX_GRID_DEVIATIONS", 20)
+    # A suite cell checks up to `trials` deviations, and the edge-case
+    # suite's random search refuses more than the limit; so does the
+    # configuration, whichever suites run.
+    monkeypatch.setattr(arbitrage, "MAX_GRID_DEVIATIONS", 20)
     assert VerifyConfig(n_max=2, grid=2, trials=20).trials == 20
     with pytest.raises(ValueError) as caught:
         VerifyConfig(n_max=2, grid=2, trials=21)
     assert str(caught.value) == (
-        "trials 21 would have the edge-case suite's random search check 21 "
-        "deviations, more than the limit of 20; use fewer trials"
+        "trials 21 would have a suite cell check 21 deviations, more than "
+        "the limit of 20; use fewer trials"
     )
 
 
