@@ -205,11 +205,11 @@ class ArbitrageCertificate:
         ):
             if self.kind is CertificateKind.DOMINANCE:
                 raise ValueError(
-                    f"deltas {self.deltas} do not witness dominance"
+                    f"deltas {_shown(self.deltas)} do not witness dominance"
                 )
             raise ValueError(
-                f"member expected gains {self.member_expected_gains()} do "
-                f"not witness expected arbitrage"
+                f"member expected gains {_shown(self.member_expected_gains())}"
+                f" do not witness expected arbitrage"
             )
 
     def member_expected_gains(self) -> tuple:
@@ -220,6 +220,11 @@ class ArbitrageCertificate:
         return _member_gains(
             self.baseline, self.coalition, self.deltas, self.exact
         )
+
+
+def _shown(values) -> str:
+    """Values as text, each by its ``str``: "(1/2, 0)", not Fraction reprs."""
+    return "(" + ", ".join(map(str, values)) + ")"
 
 
 def _member_gains(

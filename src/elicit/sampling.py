@@ -5,15 +5,19 @@ fixed denominator instead of staying as floats.  A point is drawn uniformly
 on the simplex by normalizing exponential spacings, scaled by the
 denominator, floored, and the leftover units handed to the coordinates
 with the largest fractional parts (ties to the lowest index).  One routine,
-``_draw_counts``, does this on integers: it yields counts that sum to the
-denominator, and bounds are compared as integer counts too.  Bounds that
-no integer count can meet are refused before anything is drawn, and
-bounds that one count row alone meets give that row without a draw.
-``random_distribution`` turns one count row into a ``Distribution``
-through the validating constructor (which re-checks the sum on
-integers); ``random_deviation`` draws one count row per coalition member,
-with the same generator use, and builds each report from counts it knows
-are valid.  All randomness flows through an explicit ``random.Random``
+``_draw_counts``, does this on integers, in one pass per attempt that
+takes each floor, its fractional gap and the running leftover: it yields
+counts that sum to the denominator, and bounds are compared as integer
+counts too.  Bounds that no integer count can meet are refused before
+anything is drawn, and bounds that one count row alone meets give that
+row without a draw.  ``random_distribution`` turns one count row into a
+``Distribution`` through the validating constructor (which re-checks the
+sum on integers); ``random_deviation`` draws one count row per coalition
+member, with the same generator use, and builds each report from counts
+it knows are valid, checking count limits only when bounds are given.
+``random_coalition`` builds its sorted sample of expert indices without
+the ``Coalition`` constructor's checks, which such a sample always
+passes.  All randomness flows through an explicit ``random.Random``
 instance, so any result is reproducible from one seed.
 """
 
@@ -105,7 +109,8 @@ def _draw_counts(
     """n integer counts summing to ``denominator``, within ``limits``.
 
     Each attempt normalizes n exponential spacings, scales them by the
-    denominator and floors them; the leftover units, fewer than n, go one
+    denominator and floors them, in one pass that also records each
+    floor's gap and the leftover; the leftover units, fewer than n, go one
     each to the largest fractional parts (the sort is stable, so ties go
     to the lowest index).  Attempts outside ``limits`` = (low, high) are
     rejected and drawn again, as is one of all-zero spacings (every
@@ -127,11 +132,14 @@ def _draw_counts(
         total = sum(spacings)
         if not total:
             continue
-        scaled = [s / total * denominator for s in spacings]
-        counts = list(map(int, scaled))
-        leftover = denominator - sum(counts)
+        counts, gaps, leftover = [], [], denominator
+        for s in spacings:
+            x = s / total * denominator
+            c = int(x)
+            counts.append(c)
+            gaps.append(c - x)
+            leftover -= c
         if leftover:
-            gaps = [c - x for c, x in zip(counts, scaled)]
             for k in sorted(range(n), key=gaps.__getitem__)[:leftover]:
                 counts[k] += 1
         if limits is None or low <= min(counts) and max(counts) <= high:
@@ -167,13 +175,19 @@ def random_profile(rng: random.Random, m: int, n: int) -> ReportProfile:
     _require_int("m", m)
     if m < 1:
         raise ValueError(f"need at least 1 expert, got m={m}")
-    return ReportProfile(tuple(random_distribution(rng, n) for _ in range(m)))
+    reports = [random_distribution(rng, n) for _ in range(m)]
+    return ReportProfile(tuple(reports))
 
 
 def random_coalition(
     rng: random.Random, m: int, size: Optional[int] = None
 ) -> Coalition:
-    """A uniformly drawn coalition of the given size (default: any >= 2)."""
+    """A uniformly drawn coalition of the given size (default: any >= 2).
+
+    ``m`` and ``size`` are checked; the sorted sample of range(m) is
+    strictly increasing and in range by construction, so the coalition
+    is built from it without running ``Coalition.__post_init__``.
+    """
     _require_int("m", m)
     _require_shape(m=m)
     if size is None:
@@ -181,7 +195,13 @@ def random_coalition(
     _require_int("size", size)
     if not 1 <= size <= m:
         raise ValueError(f"coalition size {size} out of range for m={m}")
-    return Coalition(tuple(sorted(rng.sample(range(m), size))))
+    coalition = object.__new__(Coalition)
+    # As the frozen dataclass's own __init__ sets it: an item store into
+    # ``__dict__`` would make every later read of ``members`` several
+    # times slower on CPython 3.11.
+    members = tuple(sorted(rng.sample(range(m), size)))
+    object.__setattr__(coalition, "members", members)
+    return coalition
 
 
 def random_deviation(
@@ -195,12 +215,13 @@ def random_deviation(
     Members draw in coalition order, one count row each over
     ``DEFAULT_DENOMINATOR``, using the generator exactly as one
     ``random_distribution(rng, n, bounds=bounds)`` each would, so the
-    reports are the ones those calls return.  The bounds are checked once
-    per deviation, and each report is built from its counts without
-    validating them again.
+    reports are the ones those calls return.  Bounds, when given, are
+    checked once per deviation; without them nothing is checked, since
+    ``n`` comes from a valid profile and the denominator is fixed.  Each
+    report is built from its counts without validating them again.
     """
     n, denominator = baseline.n, DEFAULT_DENOMINATOR
-    limits = _count_limits(n, denominator, bounds)
+    limits = None if bounds is None else _count_limits(n, denominator, bounds)
     return baseline.replace(
         {
             i: Distribution._from_counts(

@@ -260,6 +260,11 @@ class Distribution:
             counts = [c // common for c in counts]
         counts = tuple(counts)
         report = object.__new__(cls)
+        # One update from keywords, not two item stores: on CPython 3.11
+        # the update gives the report a small dict of its own, which the
+        # interpreter's hinted attribute lookup reads; item stores keep
+        # the class's shared-key dict, and every later read of ``n`` or
+        # ``scaled`` then misses that lookup and takes about twice as long.
         report.__dict__.update(
             scaled=(denominator, counts, sum([c * c for c in counts])),
             n=len(counts),

@@ -1,8 +1,10 @@
 """The per-layer record of ``tools/layers.py``: its schema and fixed inputs.
 
-The tool runs once with one timing per layer.  The times are only
+The tool runs twice with one timing per layer.  The times are only
 checked to be positive numbers, each scaled by the calibration taken
-just before it; the inputs must be the seeded ones.
+just before it; the inputs must be the seeded ones, and the counted
+work (opcodes and Python calls per call) must be the same in both runs.
+No test pins a count.
 """
 
 from __future__ import annotations
@@ -38,15 +40,17 @@ FIELDS = {
     "us_per_call",
     "raw_us_per_call",
     "calibration_ms",
+    "opcodes",
+    "calls",
 }
+COUNTS = ("opcodes", "calls")
 
 
 def rows(profile):
     return [[fraction_str(w) for w in r.weights] for r in profile.reports]
 
 
-@pytest.fixture(scope="module")
-def record(tmp_path_factory):
+def run_tool(tmp_path_factory):
     out = tmp_path_factory.mktemp("layers") / "record.json"
     subprocess.run(
         [sys.executable, str(TOOL), "--out", str(out), "--repeats", "1"],
@@ -54,6 +58,11 @@ def record(tmp_path_factory):
         timeout=120,
     )
     return json.loads(out.read_text())
+
+
+@pytest.fixture(scope="module")
+def record(tmp_path_factory):
+    return run_tool(tmp_path_factory)
 
 
 def test_schema(record):
@@ -68,6 +77,17 @@ def test_schema(record):
         assert isinstance(entry["what"], str) and entry["what"]
         for key in ("us_per_call", "raw_us_per_call", "calibration_ms"):
             assert isinstance(entry[key], float) and entry[key] > 0
+        # Every layer runs Python code: at least the harness's own call.
+        for key in COUNTS:
+            assert isinstance(entry[key], float) and entry[key] >= 1
+
+
+def test_two_runs_count_the_same_work(record, tmp_path_factory):
+    again = run_tool(tmp_path_factory)["layers"]
+    for name, entry in record["layers"].items():
+        assert {k: entry[k] for k in COUNTS} == {
+            k: again[name][k] for k in COUNTS
+        }, name
 
 
 def test_each_timing_is_scaled_by_its_own_calibration(record):

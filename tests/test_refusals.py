@@ -42,12 +42,17 @@ CASES = [
     ("certificate_no_dominance",
      lambda: ArbitrageCertificate(PAIR, PAIR, BOTH, (1, -1), DOMINANCE),
      ValueError, "deltas (1, -1) do not witness dominance"),
+    # Rationals print as text, not as Fraction reprs.
+    ("certificate_fraction_deltas",
+     lambda: ArbitrageCertificate(
+         PAIR, PAIR, BOTH, (Fraction(1, 2), Fraction(-1, 2)), DOMINANCE
+     ),
+     ValueError, "deltas (1/2, -1/2) do not witness dominance"),
     # Each member's belief is (1/2, 1/2), so each expects 1/2 - 1/2 = 0.
     ("certificate_no_expected_arbitrage",
      lambda: ArbitrageCertificate(PAIR, PAIR, BOTH, (1, -1), EXPECTED),
      ValueError,
-     "member expected gains (Fraction(0, 1), Fraction(0, 1)) do not "
-     "witness expected arbitrage"),
+     "member expected gains (0, 0) do not witness expected arbitrage"),
     ("search_strategy",
      lambda: search_arbitrage(QUADRATIC, PAIR, BOTH, "grid"),
      TypeError, "unknown search strategy 'grid'"),

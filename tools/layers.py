@@ -14,6 +14,15 @@ best raw figure beside them.  The median does not follow the timings
 that ran in one state after a calibration in the other, as the least
 scaled figure would.
 
+After the timed rounds, a pass of its own counts each layer's work
+under ``sys.settrace``: the bytecode instructions executed (``opcodes``)
+and the Python function calls (``calls``) per call of the layer, over
+``COUNTED`` calls made after one warm call.  The counts include the
+timing harness's own loop, the same for every change, and are exact and
+repeatable where timings drift; they do not see work done in C (big
+integer arithmetic, ``gcd``, ``sum``), and compare only under one Python
+version, which the record names.
+
     python tools/layers.py --out BENCH_<n>.json [--repeats 30]
 
 The record holds each layer's fixed inputs, so records from different
@@ -78,6 +87,8 @@ NUMBERS = {
     "search_check": 1000,
     "search_build": 1000,
 }
+# Calls per counted pass: the one-call layers run once.
+COUNTED = {name: min(number, 20) for name, number in NUMBERS.items()}
 
 
 def _row(report) -> list:
@@ -212,6 +223,39 @@ def figures(samples) -> dict:
     }
 
 
+def work(make, number: int) -> dict:
+    """Opcodes and Python calls per call of ``make(number)``'s batch.
+
+    One fresh batch runs untraced first, so first-use caches are warm
+    and a seeded stream restarts; a second fresh batch runs traced.
+    """
+    make(number)()
+    opcodes = calls = 0
+
+    def local(frame, event, arg):
+        nonlocal opcodes
+        if event == "opcode":
+            opcodes += 1
+        return local
+
+    def enter(frame, event, arg):
+        nonlocal calls
+        calls += 1
+        frame.f_trace_opcodes = True
+        return local
+
+    batch = make(number)
+    sys.settrace(enter)
+    try:
+        batch()
+    finally:
+        sys.settrace(None)
+    return {
+        "opcodes": round(opcodes / number, 3),
+        "calls": round(calls / number, 3),
+    }
+
+
 def record(repeats: int) -> dict:
     table = layers()
     samples = {name: [] for name in table}
@@ -221,6 +265,9 @@ def record(repeats: int) -> dict:
             number = NUMBERS[name]
             us = timeit.Timer(make(number)).timeit(number=1) / number * 1e6
             samples[name].append((ms, us))
+    counts = {
+        name: work(make, COUNTED[name]) for name, (_, _, make) in table.items()
+    }
     return {
         "python": platform.python_version(),
         "repeats": repeats,
@@ -231,6 +278,7 @@ def record(repeats: int) -> dict:
                 "inputs": inputs,
                 "number": NUMBERS[name],
                 **figures(samples[name]),
+                **counts[name],
             }
             for name, (what, inputs, _) in table.items()
         },
