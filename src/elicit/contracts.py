@@ -328,10 +328,10 @@ class ArbitrageFreeContract(ContractFunction):
         denominator, qk, a_coef, t_coef = self._coefficients(profile)
         totals, gaps = profile.scaled_totals
         shift = t_coef * totals[j]
-        return tuple(
+        return tuple([
             Fraction(qk * g + a_coef * a[j] - shift, denominator)
             for a, g in zip(profile.scaled[1], gaps)
-        )
+        ])
 
     def expert_view(self, profile: ReportProfile, i: int) -> InducedExpertRule:
         _require_shape(m=profile.m)
@@ -400,8 +400,9 @@ def _family_numerators(
     denominator, qk, a_coef, t_coef = contract._coefficients(profile)
     rows = profile.scaled[1]
     totals = [sum(column) for column in zip(*rows)]
-    sums = [sum(column) for column in zip(*[rows[i] for i in coalition])]
-    size = coalition.size
+    members = coalition.members
+    sums = [sum(column) for column in zip(*[rows[i] for i in members])]
+    size = len(members)
     base = qk * (
         size * sum([t * t for t in totals])
         - 2 * sum([t * s for t, s in zip(totals, sums)])
@@ -417,22 +418,21 @@ def _member_sums(rows, members, exact: bool = True) -> tuple:
 
     Exact rows (``Fraction``s or ints) are summed on integers: the
     members' numerators are added over a running common denominator,
-    starting from the first member's, and each payment p / q takes one
-    gcd step that grows the running denominator to its lcm with q.  So a
-    row costs integer operations and one ``Fraction``, however many
-    members it sums.  Inexact rows are summed as floats, starting from
-    the first member's payment, so two -inf payments sum to -inf.
+    starting from the first member's, and each payment p / q, read once
+    with ``as_integer_ratio()``, takes one gcd step that grows the running
+    denominator to its lcm with q.  So a row costs integer operations and
+    one ``Fraction``, however many members it sums.  Inexact rows are
+    summed as floats, starting from the first member's payment, so two
+    -inf payments sum to -inf.
     """
     first, rest = members[0], members[1:]
     if not exact:
         return tuple([sum([row[i] for i in rest], row[first]) for row in rows])
     totals = []
     for row in rows:
-        v = row[first]
-        num, den = v.numerator, v.denominator
+        num, den = row[first].as_integer_ratio()
         for i in rest:
-            v = row[i]
-            p, q = v.numerator, v.denominator
+            p, q = row[i].as_integer_ratio()
             g = gcd(den, q)
             num = num * (q // g) + p * (den // g)
             den = den // g * q

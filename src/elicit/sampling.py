@@ -110,13 +110,15 @@ def _draw_counts(
 
     Each attempt normalizes n exponential spacings, scales them by the
     denominator and floors them, in one pass that also records each
-    floor's gap and the leftover; the leftover units, fewer than n, go one
-    each to the largest fractional parts (the sort is stable, so ties go
-    to the lowest index).  Attempts outside ``limits`` = (low, high) are
-    rejected and drawn again, as is one of all-zero spacings (every
-    ``random()`` returned 0.0).  A spacing is ``rng.expovariate(1.0)``
-    written out: -log(1.0 - random()), since dividing by 1.0 changes no
-    float; the draw uses the generator exactly as that call does.
+    floor's gap c - x and the leftover; the leftover units, fewer than n,
+    go one each to the largest fractional parts (the sort is stable, so
+    ties go to the lowest index).  A leftover of one unit goes to the
+    first largest fractional part, the first smallest gap, without a
+    sort.  Attempts outside ``limits`` = (low, high) are rejected and
+    drawn again, as is one of all-zero spacings (every ``random()``
+    returned 0.0).  A spacing is ``rng.expovariate(1.0)`` written out:
+    -log(1.0 - random()), since dividing by 1.0 changes no float; the
+    draw uses the generator exactly as that call does.
 
     Limits with n * low = denominator or n * high = denominator admit one
     count row alone, every count denominator / n.  That row is returned
@@ -139,7 +141,9 @@ def _draw_counts(
             counts.append(c)
             gaps.append(c - x)
             leftover -= c
-        if leftover:
+        if leftover == 1:
+            counts[gaps.index(min(gaps))] += 1
+        elif leftover:
             for k in sorted(range(n), key=gaps.__getitem__)[:leftover]:
                 counts[k] += 1
         if limits is None or low <= min(counts) and max(counts) <= high:
@@ -227,6 +231,6 @@ def random_deviation(
             i: Distribution._from_counts(
                 _draw_counts(rng, n, denominator, limits), denominator
             )
-            for i in coalition
+            for i in coalition.members
         }
     )

@@ -259,9 +259,10 @@ def _freeness_cell(config: VerifyConfig, rng, rec: _Recorder, m, n, alpha) -> No
         for t in range(per_baseline + (b < extra)):
             coalition = random_coalition(rng, m, next(sizes))
             deviation = random_deviation(rng, baseline, coalition)
-            before = totals.get(coalition)
+            members = coalition.members
+            before = totals.get(members)
             if before is None:
-                before = totals[coalition] = _member_sums(rows, coalition.members)
+                before = totals[members] = _member_sums(rows, members)
             cert = check_dominance(contract, baseline, deviation, coalition, before)
             rec.checks += 1
             if cert is not None:

@@ -3,8 +3,8 @@
 The tool runs twice with one timing per layer.  The times are only
 checked to be positive numbers, each scaled by the calibration taken
 just before it; the inputs must be the seeded ones, and the counted
-work (opcodes and Python calls per call) must be the same in both runs.
-No test pins a count.
+work (opcodes, Python calls and Fractions built per call) must be the
+same in both runs.  No test pins a count.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -42,8 +43,9 @@ FIELDS = {
     "calibration_ms",
     "opcodes",
     "calls",
+    "fractions",
 }
-COUNTS = ("opcodes", "calls")
+COUNTS = ("opcodes", "calls", "fractions")
 
 
 def rows(profile):
@@ -78,8 +80,10 @@ def test_schema(record):
         for key in ("us_per_call", "raw_us_per_call", "calibration_ms"):
             assert isinstance(entry[key], float) and entry[key] > 0
         # Every layer runs Python code: at least the harness's own call.
-        for key in COUNTS:
+        for key in ("opcodes", "calls"):
             assert isinstance(entry[key], float) and entry[key] >= 1
+        # A layer may build no Fraction at all.
+        assert isinstance(entry["fractions"], float) and entry["fractions"] >= 0
 
 
 def test_two_runs_count_the_same_work(record, tmp_path_factory):
@@ -102,10 +106,15 @@ def test_each_timing_is_scaled_by_its_own_calibration(record):
         )
 
 
-def test_median_scaled_and_best_raw_figures_are_kept_apart():
+def load_tool():
     spec = importlib.util.spec_from_file_location("layers_tool", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_median_scaled_and_best_raw_figures_are_kept_apart():
+    tool = load_tool()
     reference = tool.CALIBRATION_REF_MS["mean"]
     # (calibration ms, µs per call).  Scaled, the timings read 0.6, 0.4,
     # 1.0 and 0.5 of the reference: the 0.4 ran fast after a slow
@@ -121,6 +130,24 @@ def test_median_scaled_and_best_raw_figures_are_kept_apart():
     assert tool.figures([(4.0, 2.0)])["us_per_call"] == round(
         2.0 * reference / 4.0, 3
     )
+
+
+def test_fractions_are_counted_and_the_constructors_restored():
+    tool = load_tool()
+    names = ("__new__", "_from_coprime_ints")
+    originals = [Fraction.__dict__.get(name) for name in names]
+
+    def restored():
+        return all(
+            Fraction.__dict__.get(name) is original
+            for name, original in zip(names, originals)
+        )
+
+    assert tool.fractions_built(lambda: Fraction(1, 2)) == 1
+    assert restored()
+    with pytest.raises(ZeroDivisionError):
+        tool.fractions_built(lambda: Fraction(1, 0))
+    assert restored()
 
 
 def test_inputs_are_the_seeded_ones(record):

@@ -200,6 +200,19 @@ class TestRandomDistribution:
         assert stub.zeros == 0
         assert d == random_distribution(derived_rng(3, "t"), n, 10)
 
+    def test_tied_gaps_give_the_leftover_to_the_lowest_indices(self):
+        # Every random() returns 0.5, so all spacings are equal and so are
+        # all fractional parts: one leftover unit (taken without a sort)
+        # and two (taken from the stable sort) go to the lowest indices.
+        class Halves:
+            def random(self):
+                return 0.5
+
+        stub = Halves()
+        assert _draw_counts(stub, 2, 9999, None) == [5000, 4999]
+        assert _draw_counts(stub, 3, 10**4, None) == [3334, 3333, 3333]
+        assert _draw_counts(stub, 3, 10001, None) == [3334, 3334, 3333]
+
     def test_rejects_bounds_that_are_not_a_pair(self):
         rng = derived_rng(1, "t")
         with pytest.raises(ValueError, match="pair"):

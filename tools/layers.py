@@ -14,14 +14,16 @@ best raw figure beside them.  The median does not follow the timings
 that ran in one state after a calibration in the other, as the least
 scaled figure would.
 
-After the timed rounds, a pass of its own counts each layer's work
-under ``sys.settrace``: the bytecode instructions executed (``opcodes``)
-and the Python function calls (``calls``) per call of the layer, over
-``COUNTED`` calls made after one warm call.  The counts include the
-timing harness's own loop, the same for every change, and are exact and
-repeatable where timings drift; they do not see work done in C (big
-integer arithmetic, ``gcd``, ``sum``), and compare only under one Python
-version, which the record names.
+After the timed rounds, a pass of its own counts each layer's work per
+call of the layer, over ``COUNTED`` calls made after one warm call:
+under ``sys.settrace``, the bytecode instructions executed (``opcodes``)
+and the Python function calls (``calls``), and in one more untraced
+batch the ``Fraction``s built (``fractions``), counted as the benchmark
+tracer counts them.  The counts include the timing harness's own loop,
+the same for every change, and are exact and repeatable where timings
+drift; opcodes and calls do not see work done in C (big integer
+arithmetic, ``gcd``, ``sum``), and all three compare only under one
+Python version, which the record names.
 
     python tools/layers.py --out BENCH_<n>.json [--repeats 30]
 
@@ -223,11 +225,48 @@ def figures(samples) -> dict:
     }
 
 
+def fractions_built(batch) -> int:
+    """The ``Fraction``s that ``batch()`` builds.
+
+    Counts each ``Fraction.__new__`` and, where it exists, each
+    ``Fraction._from_coprime_ints``, which newer Pythons use to build
+    arithmetic results without ``__new__``, as ``bench/spans.py`` does.
+    Both are restored afterwards.
+    """
+    count = 0
+
+    def counted(fn):
+        def counting(*args, **kwargs):
+            nonlocal count
+            count += 1
+            return fn(*args, **kwargs)
+
+        return counting
+
+    originals = {
+        name: Fraction.__dict__[name]
+        for name in ("__new__", "_from_coprime_ints")
+        if name in Fraction.__dict__
+    }
+    try:
+        # A staticmethod and a classmethod: wrap the function inside each
+        # and keep its kind.
+        for name, original in originals.items():
+            setattr(Fraction, name, type(original)(counted(original.__func__)))
+        batch()
+    finally:
+        for name, original in originals.items():
+            setattr(Fraction, name, original)
+    return count
+
+
 def work(make, number: int) -> dict:
-    """Opcodes and Python calls per call of ``make(number)``'s batch.
+    """Opcodes, Python calls and Fractions per call of ``make(number)``'s batch.
 
     One fresh batch runs untraced first, so first-use caches are warm
-    and a seeded stream restarts; a second fresh batch runs traced.
+    and a seeded stream restarts; a second fresh batch runs traced, and
+    a third counts its ``Fraction``s untraced, so the counting wrappers'
+    own frames stay out of the traced counts.
     """
     make(number)()
     opcodes = calls = 0
@@ -250,9 +289,11 @@ def work(make, number: int) -> dict:
         batch()
     finally:
         sys.settrace(None)
+    fractions = fractions_built(make(number))
     return {
         "opcodes": round(opcodes / number, 3),
         "calls": round(calls / number, 3),
+        "fractions": round(fractions / number, 3),
     }
 
 
